@@ -3,12 +3,15 @@
 The bagged posterior is the average of standard posteriors computed on
 bootstrap resamples of the data.  Resamples are represented as integer
 weight vectors (multinomial counts over the original observations), never
-as materialized datasets, so evaluators that consume weighted sufficient
-statistics run in O(one evaluation) per replicate.
+as materialized datasets: a replicate costs one count draw plus one
+evaluator call, and an evaluator built on weighted sufficient statistics
+forms them once per replicate and shares them across all models.
 
 An *evaluator* is a callable mapping a weight vector (length-N integer
 array summing to M) to the vector of per-model weighted log marginal
 likelihoods.  One weight vector per replicate is shared by all models.
+The (b, K) log evidences of all replicates are normalized together by one
+row-wise log-sum-exp.
 """
 
 from __future__ import annotations
@@ -125,14 +128,15 @@ def bootstrap_counts(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _normalized_probs(log_evidence: np.ndarray) -> np.ndarray:
-    """Softmax of log evidences via the log-sum-exp shift."""
-    shift = np.max(log_evidence)
-    if not np.isfinite(shift):
+    """Softmax of log evidences via the log-sum-exp shift, along the last
+    axis: one vector, or one row per replicate."""
+    shift = np.max(log_evidence, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(shift)):
         raise DegenerateInputError(
             "all log evidences are -inf (or contain NaN); posterior undefined"
         )
     weights = np.exp(log_evidence - shift)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def standard_model_posterior(log_ml, log_prior) -> ModelPosterior:
@@ -189,7 +193,7 @@ def bagged_model_posterior(
                     f"evaluator returned shape {log_ml.shape}, expected {log_prior.shape}"
                 ),
             )
-        return _normalized_probs(log_ml + log_prior)
+        return log_ml
 
     if n_jobs == 1:
         rows = [run(i) for i in range(config.b)]
@@ -197,7 +201,7 @@ def bagged_model_posterior(
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             rows = list(pool.map(run, range(config.b)))
 
-    replicate_probs = np.asarray(rows)
+    replicate_probs = _normalized_probs(np.asarray(rows) + log_prior)
     mean_probs = replicate_probs.mean(axis=0)
     if config.b >= 2:
         std_errors = replicate_probs.std(axis=0, ddof=1) / np.sqrt(config.b)

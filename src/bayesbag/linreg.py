@@ -18,6 +18,14 @@ b_g = b0 + (y' W y - y' W Z_g Lam_g^{-1} Z_g' W y) / 2, where W = diag(w):
 
 so weighting is exactly equivalent to evaluating the unit-weight formula
 on the dataset with rows replicated per their counts.
+
+All models of a set are evaluated in one batched pass: models are grouped
+by size j, each group's Lam_g blocks are gathered into one (n_j, j, j)
+stack and factored by a single stacked Cholesky, and quad, log|Lam_g|,
+b_g and log ml are formed as arrays.  The gather indices (the *plan*)
+depend only on the model set, so ``make_evaluator`` builds them once and
+reuses them for every weight vector.  The one-model functions are the
+K = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -169,33 +177,52 @@ def _spd_cholesky(a: np.ndarray) -> np.ndarray:
     )
 
 
+def _forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve chol[i] @ t[i] = rhs[i] for a (n, j, j) stack of lower
+    triangular factors and a (n, j) stack of right-hand sides."""
+    t = np.empty_like(rhs)
+    for r in range(rhs.shape[1]):
+        partial = np.einsum("ij,ij->i", chol[:, r, :r], t[:, :r])
+        t[:, r] = (rhs[:, r] - partial) / chol[:, r, r]
+    return t
+
+
+@dataclass(frozen=True)
+class _ModelPlan:
+    """Gather indices of a model set, grouped by model size.
+
+    Each group holds the model rows of size j >= 1, their active columns
+    ``cols`` (n_j, j) and the flat indices ``flat`` (n_j, j, j) of their
+    Z'WZ sub-blocks.  The empty model is in no group.
+    """
+
+    d: int
+    sizes: np.ndarray
+    groups: tuple
+
+    @classmethod
+    def build(cls, models) -> "_ModelPlan":
+        mask = np.asarray(models) != 0
+        if mask.ndim != 2:
+            raise InvalidArgumentError(
+                f"models must be a (count, d) inclusion matrix, got shape {mask.shape}"
+            )
+        d = mask.shape[1]
+        sizes = mask.sum(axis=1)
+        groups = []
+        for j in np.unique(sizes[sizes > 0]):
+            rows = np.flatnonzero(sizes == j)
+            cols = np.nonzero(mask[rows])[1].reshape(rows.size, j)
+            groups.append((rows, cols, cols[:, :, None] * d + cols[:, None, :]))
+        return cls(d=d, sizes=sizes.astype(float), groups=tuple(groups))
+
+
 def log_marginal_likelihood_from_stats(
     stats: SuffStats, gamma, hyper: NIGHyperparams
 ) -> float:
     """Weighted log marginal likelihood for one inclusion vector, from
     precomputed sufficient statistics."""
-    idx = np.flatnonzero(gamma)
-    d_active = idx.size
-    a_n = hyper.a0 + 0.5 * stats.m
-    if d_active == 0:
-        quad = 0.0
-        logdet = 0.0
-    else:
-        lam_mat = stats.zwz[np.ix_(idx, idx)] + hyper.lam * np.eye(d_active)
-        chol = _spd_cholesky(lam_mat)
-        t = solve_triangular(chol, stats.zwy[idx], lower=True, check_finite=False)
-        quad = float(t @ t)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    b_g = hyper.b0 + 0.5 * (stats.ywy - quad)
-    return (
-        hyper.a0 * log(hyper.b0)
-        + lgamma(a_n)
-        - 0.5 * stats.m * LOG_2PI
-        - lgamma(hyper.a0)
-        + 0.5 * d_active * log(hyper.lam)
-        - a_n * log(b_g)
-        - 0.5 * logdet
-    )
+    return float(model_log_marginals(stats, np.asarray(gamma)[None, :], hyper)[0])
 
 
 def log_marginal_likelihood(
@@ -208,23 +235,72 @@ def log_marginal_likelihood(
     return log_marginal_likelihood_from_stats(weighted_stats(data, weights), gamma, hyper)
 
 
-def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
-    """Log marginal likelihoods for every row of an enumerated model set."""
-    return np.array(
-        [log_marginal_likelihood_from_stats(stats, g, hyper) for g in models]
+def model_log_marginals(
+    stats: SuffStats, models: np.ndarray, hyper: NIGHyperparams, *, plan=None
+) -> np.ndarray:
+    """Log marginal likelihoods for every row of an enumerated model set.
+
+    Models of equal size share one stacked Cholesky factorization; see the
+    module docstring.  ``plan`` is the model set's gather plan as built by
+    ``make_evaluator``; it is built here when omitted.  Raises
+    ``NumericDomainError`` when some b_g <= 0 (y'Wy - quad cancelled below
+    -2 b0) or a log evidence is not finite, never returns NaN.
+    """
+    if plan is None:
+        plan = _ModelPlan.build(models)
+    zwz = np.asarray(stats.zwz, dtype=float)
+    zwy = np.asarray(stats.zwy, dtype=float)
+    if zwz.shape != (plan.d, plan.d):
+        raise InvalidArgumentError(
+            f"models have {plan.d} columns but Z'WZ has shape {zwz.shape}"
+        )
+    quad = np.zeros(plan.sizes.size)
+    logdet = np.zeros(plan.sizes.size)
+    for rows, cols, flat in plan.groups:
+        lam_mat = np.take(zwz, flat) + hyper.lam * np.eye(cols.shape[1])
+        try:
+            chol = np.linalg.cholesky(lam_mat)
+        except np.linalg.LinAlgError:
+            # factor one by one, so jitter reaches only the failing matrices
+            chol = np.stack([_spd_cholesky(a) for a in lam_mat])
+        t = _forward_substitute(chol, np.take(zwy, cols))
+        quad[rows] = np.einsum("ij,ij->i", t, t)
+        logdet[rows] = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    a_n = hyper.a0 + 0.5 * stats.m
+    b_g = hyper.b0 + 0.5 * (stats.ywy - quad)
+    if not np.all(b_g > 0.0):
+        bad = int(np.flatnonzero(~(b_g > 0.0))[0])
+        raise NumericDomainError(
+            f"b_g = {b_g[bad]!r} is not positive for model row {bad}: "
+            "y'Wy - quad cancelled or overflowed"
+        )
+    log_ml = (
+        hyper.a0 * log(hyper.b0)
+        + lgamma(a_n)
+        - 0.5 * stats.m * LOG_2PI
+        - lgamma(hyper.a0)
+        + 0.5 * plan.sizes * log(hyper.lam)
+        - a_n * np.log(b_g)
+        - 0.5 * logdet
     )
+    if not np.all(np.isfinite(log_ml)):
+        bad = int(np.flatnonzero(~np.isfinite(log_ml))[0])
+        raise NumericDomainError(f"log evidence of model row {bad} is {log_ml[bad]!r}")
+    return log_ml
 
 
 def make_evaluator(data: RegressionDataset, models: np.ndarray, hyper: NIGHyperparams):
     """Weighted log-marginal-likelihood evaluator over an enumerated model
     set, suitable for ``core.bagged_model_posterior``.
 
-    Sufficient statistics are computed once per weight vector and shared
-    by all models.  The returned callable is pure and thread-safe.
+    The model set's gather plan is built once here.  Sufficient statistics
+    are computed once per weight vector and shared by all models.  The
+    returned callable is pure and thread-safe.
     """
+    plan = _ModelPlan.build(models)
 
     def evaluate(weights) -> np.ndarray:
-        return model_log_marginals(weighted_stats(data, weights), models, hyper)
+        return model_log_marginals(weighted_stats(data, weights), models, hyper, plan=plan)
 
     return evaluate
 
@@ -302,9 +378,10 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
         var_beta = np.empty(0)
         b_g = hyper.b0 + 0.5 * stats.ywy
     else:
-        lam_mat = stats.zwz[np.ix_(idx, idx)] + hyper.lam * np.eye(d_active)
+        zwz = np.asarray(stats.zwz, dtype=float)
+        lam_mat = zwz[np.ix_(idx, idx)] + hyper.lam * np.eye(d_active)
         chol = _spd_cholesky(lam_mat)
-        rhs = stats.zwy[idx]
+        rhs = np.asarray(stats.zwy, dtype=float)[idx]
         t = solve_triangular(chol, rhs, lower=True, check_finite=False)
         mean_beta = solve_triangular(chol.T, t, lower=False, check_finite=False)
         inv_chol = solve_triangular(
@@ -313,6 +390,10 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
         inv_diag = np.sum(inv_chol * inv_chol, axis=0)
         b_g = hyper.b0 + 0.5 * (stats.ywy - float(t @ t))
         var_beta = b_g / (a_n - 1.0) * inv_diag
+    if not b_g > 0.0:
+        raise NumericDomainError(
+            f"b_g = {b_g!r} is not positive: y'Wy - quad cancelled or overflowed"
+        )
     return ParamMoments(
         mean_log_sigma2=log(b_g) - float(digamma(a_n)),
         var_log_sigma2=float(polygamma(1, a_n)),

@@ -157,6 +157,25 @@ class TestBaggedModelPosterior:
             expected = replicate_rng(21, i).multinomial(5, np.full(5, 0.2))
             np.testing.assert_array_equal(counts, expected)
 
+    def test_rows_equal_per_replicate_standard_posterior(self):
+        # the row-wise normalization of all replicates at once gives each
+        # replicate's standard posterior bit for bit
+        rng = np.random.default_rng(13)
+        ev = linear_evaluator(rng.normal(scale=30.0, size=(7, 5)))
+        log_prior = rng.normal(size=5)
+        bagged = bagged_model_posterior(ev, 7, log_prior, BootstrapConfig(m=7, b=40, seed=8))
+        for i, row in enumerate(bagged.replicate_probs):
+            counts = replicate_rng(8, i).multinomial(7, np.full(7, 1 / 7))
+            expected = standard_model_posterior(ev(counts), log_prior).probs
+            np.testing.assert_array_equal(row, expected)
+
+    def test_all_minus_inf_replicate_degenerate(self):
+        def ev(w):
+            return np.full(2, -np.inf) if w[0] == 0 else np.zeros(2)
+
+        with pytest.raises(DegenerateInputError):
+            bagged_model_posterior(ev, 4, UNIFORM2, BootstrapConfig(m=4, b=20, seed=0))
+
     def test_evaluator_error_annotated_with_replicate(self):
         def broken(w):
             raise RuntimeError("boom")

@@ -12,17 +12,22 @@ from scipy.special import polygamma
 from bayesbag.core import standard_model_posterior
 from bayesbag.errors import (
     InvalidArgumentError,
+    NumericDomainError,
     ResourceLimitError,
     VarianceUndefinedError,
 )
 from bayesbag.linreg import (
     NIGHyperparams,
     RegressionDataset,
+    SuffStats,
     enumerate_models,
     log_marginal_likelihood,
+    log_marginal_likelihood_from_stats,
     log_prior_gamma,
     log_priors,
+    make_evaluator,
     model_log_marginals,
+    param_moments_from_stats,
     pips,
     posterior_param_moments,
     weighted_stats,
@@ -122,6 +127,101 @@ class TestLogMarginalLikelihood:
             log_marginal_likelihood(data, np.ones(data.n - 1), np.array([1, 0, 0]), HYPER)
         with pytest.raises(InvalidArgumentError):
             log_marginal_likelihood(data, -np.ones(data.n), np.array([1, 0, 0]), HYPER)
+
+
+def per_model_log_ml(stats, gamma, hyper):
+    """One model's log evidence from its own sub-block, by slogdet and a
+    general solve; independent of the stacked Cholesky path."""
+    idx = np.flatnonzero(gamma)
+    quad, logdet = 0.0, 0.0
+    if idx.size:
+        lam_mat = stats.zwz[np.ix_(idx, idx)] + hyper.lam * np.eye(idx.size)
+        sign, logdet = np.linalg.slogdet(lam_mat)
+        assert sign > 0
+        quad = stats.zwy[idx] @ np.linalg.solve(lam_mat, stats.zwy[idx])
+    a_n = hyper.a0 + 0.5 * stats.m
+    b_g = hyper.b0 + 0.5 * (stats.ywy - quad)
+    return (
+        hyper.a0 * log(hyper.b0) + lgamma(a_n) - 0.5 * stats.m * log(2 * pi)
+        - lgamma(hyper.a0) + 0.5 * idx.size * log(hyper.lam)
+        - a_n * log(b_g) - 0.5 * logdet
+    )
+
+
+# b_g = b0 + (0 - 100 / (1 + lam)) / 2 < 0: the evidence is undefined
+NEGATIVE_B_G = SuffStats(zwz=[[1]], zwy=[10], ywy=0, m=1)
+NEGATIVE_B_G_HYPER = NIGHyperparams(a0=2, b0=1e-3, lam=1e-6, q0=0.5, k_star=1)
+
+
+class TestBatchedModelLayer:
+    def test_all_subsets_match_per_model_reference(self):
+        rng = np.random.default_rng(41)
+        data = random_problem(rng, n=30, d=8)
+        w = rng.integers(0, 4, size=data.n)
+        assert np.any(w == 0)
+        stats = weighted_stats(data, w)
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=0.5, q0=0.3, k_star=8)
+        # shuffled rows: results must come back in the caller's order
+        models = enumerate_models(8, 8)[rng.permutation(256)]
+        batched = model_log_marginals(stats, models, hyper)
+        reference = np.array([per_model_log_ml(stats, g, hyper) for g in models])
+        np.testing.assert_allclose(batched, reference, rtol=1e-10)
+        single = [log_marginal_likelihood_from_stats(stats, g, hyper) for g in models]
+        np.testing.assert_allclose(single, batched, rtol=1e-14)
+
+    def test_evaluator_matches_direct_call(self):
+        rng = np.random.default_rng(43)
+        data = random_problem(rng, n=25, d=5)
+        models = enumerate_models(5, 3)
+        evaluate = make_evaluator(data, models, HYPER)
+        for _ in range(3):
+            w = rng.integers(0, 3, size=data.n)
+            np.testing.assert_array_equal(
+                evaluate(w), model_log_marginals(weighted_stats(data, w), models, HYPER)
+            )
+
+    def test_jitter_confined_to_failing_matrix(self):
+        # z2 == z1 with z1'z1 = 4: the {1, 2} block [[4, 4], [4, 4]] + 1e-20 I
+        # rounds to a singular matrix whose Cholesky fails without jitter
+        rng = np.random.default_rng(47)
+        z = np.column_stack([np.ones(4), np.ones(4), rng.standard_normal(4)])
+        data = RegressionDataset(z=z, y=rng.standard_normal(4))
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=3)
+        stats = weighted_stats(data, np.ones(4))
+        models = enumerate_models(3, 3)
+        pair = [list(g) for g in models].index([1, 1, 0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stats.zwz[:2, :2] + hyper.lam * np.eye(2))
+        values = model_log_marginals(stats, models, hyper)
+        assert np.all(np.isfinite(values))
+        others = [k for k in range(len(models)) if models[k].sum() == 2 and k != pair]
+        alone = model_log_marginals(stats, models[others], hyper)
+        np.testing.assert_array_equal(values[others], alone)
+        reference = [per_model_log_ml(stats, models[k], hyper) for k in others]
+        np.testing.assert_allclose(alone, reference, rtol=1e-10)
+
+    def test_negative_b_g_is_a_typed_error(self):
+        with pytest.raises(NumericDomainError):
+            model_log_marginals(NEGATIVE_B_G, np.array([[0], [1]]), NEGATIVE_B_G_HYPER)
+        with pytest.raises(NumericDomainError):
+            log_marginal_likelihood_from_stats(NEGATIVE_B_G, [1], NEGATIVE_B_G_HYPER)
+        # the empty model leaves b_g = b0 and stays defined
+        value = log_marginal_likelihood_from_stats(NEGATIVE_B_G, [0], NEGATIVE_B_G_HYPER)
+        assert np.isfinite(value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_evidence_is_a_typed_error(self):
+        # y'Wy overflows to inf, so the empty model's b_g is inf and its
+        # log evidence -inf; with a column, quad is inf too and b_g NaN
+        data = RegressionDataset(z=np.array([[1.0]]), y=np.array([1e200]))
+        for gamma in ([0], [1]):
+            with pytest.raises(NumericDomainError):
+                log_marginal_likelihood(data, np.ones(1), gamma, HYPER)
+
+    def test_model_width_must_match_stats(self):
+        stats = weighted_stats(random_problem(np.random.default_rng(3)), np.ones(6))
+        with pytest.raises(InvalidArgumentError):
+            model_log_marginals(stats, enumerate_models(2, 2), HYPER)
 
 
 class TestEnumerateModels:
@@ -250,6 +350,10 @@ class TestParamMoments:
         hyper = NIGHyperparams(a0=1.5, b0=1.0, lam=1.0, q0=0.5, k_star=1)
         moments = posterior_param_moments(data, np.ones(1), np.array([1]), hyper)
         assert abs(moments.var_log_sigma2 - (np.pi**2 / 6 - 1.0)) < 1e-12
+
+    def test_negative_b_g_is_a_typed_error(self):
+        with pytest.raises(NumericDomainError):
+            param_moments_from_stats(NEGATIVE_B_G, np.array([1]), NEGATIVE_B_G_HYPER)
 
     def test_variance_undefined(self):
         data = RegressionDataset(z=np.array([[1.0]]), y=np.array([0.5]))
