@@ -35,7 +35,13 @@ from .asymptotics import (
     ubb_density,
 )
 from .compare import average_posteriors, hpd_overlap, load_posterior_samples, overlap_ci
-from .core import BootstrapConfig, bagged_model_posterior, standard_model_posterior
+from .core import (
+    BootstrapConfig,
+    bagged_model_posterior,
+    bootstrap_counts,
+    replicate_rng,
+    standard_model_posterior,
+)
 from .errors import (
     BayesBagError,
     IngestionError,
@@ -48,7 +54,6 @@ from .linreg import (
     enumerate_models,
     log_priors,
     make_evaluator,
-    model_log_marginals,
     param_moments_from_stats,
     pips,
     weighted_stats,
@@ -136,10 +141,6 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _child_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
 def _child_seed(seed: int, *key: int) -> int:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return int(seq.generate_state(1, np.uint64)[0])
@@ -159,21 +160,25 @@ def _resolve_m(token: str, n: int) -> int:
     return m
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """Grid syntax: comma-separated values, or start:stop:step (inclusive)."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise InvalidArgumentError(f"grid ranges need start:stop:step, got {text!r}")
+            raise argparse.ArgumentTypeError(f"grid ranges need start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
-            raise InvalidArgumentError("grid step must be positive")
+            raise argparse.ArgumentTypeError("grid step must be positive")
         return np.arange(start, stop + 0.5 * step, step)
-    try:
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
-    except ValueError:
-        raise InvalidArgumentError(f"cannot parse grid {text!r}") from None
+    return np.array([float(p) for p in text.split(",") if p.strip() != ""])
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -196,35 +201,29 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 # config keys may use the flag spellings; map them onto argparse dests
 _CONFIG_ALIASES = {"D": "d", "N": "n", "B": "b_reps", "M": "m_size", "lambda": "lam"}
+# namespace entries that are not options
+_NOT_OPTIONS = ("command", "func", "parser")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset options from --config; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    values = _read_config_file(args.config)
-    for key, raw in values.items():
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """--config values keyed by option dest.  Strings become the
+    subcommand's defaults, so argparse converts them with each option's
+    ``type`` and explicit flags win; switches take a boolean word."""
+    defaults = {}
+    for key, raw in _read_config_file(args.config).items():
         for candidate in (_CONFIG_ALIASES.get(key), key, key.lower()):
-            if candidate is not None and hasattr(args, candidate):
-                if getattr(args, candidate) is None:
-                    setattr(args, candidate, raw)
+            if candidate is not None and candidate not in _NOT_OPTIONS and hasattr(args, candidate):
                 break
         else:
             raise _UsageError(f"unknown config key {key!r}")
-
-
-def _coerce(args: argparse.Namespace, name: str, kind, default=None):
-    value = getattr(args, name, None)
-    if value is None:
-        return default
-    if isinstance(value, str) and kind is not str:
-        try:
-            if kind is bool:
-                return value.lower() in ("1", "true", "yes", "on")
-            return kind(value)
-        except ValueError:
-            raise _UsageError(f"option {name} expects {kind.__name__}, got {value!r}") from None
-    return value
+        if isinstance(getattr(args, candidate), bool):
+            if raw.lower() not in _BOOLEANS:
+                raise _UsageError(f"config key {key!r} expects a boolean, got {raw!r}")
+            raw = _BOOLEANS[raw.lower()]
+        defaults[candidate] = raw
+    return defaults
 
 
 # ---------------------------------------------------------------------------
@@ -338,34 +337,26 @@ def standardize_regressors(data: RegressionDataset, names) -> RegressionDataset:
 # shared selection machinery
 
 
-def _selection_hyper(
-    args, d: int, default_q0: float, default_lam: float, default_k_star: int
-) -> NIGHyperparams:
-    k_star = _coerce(args, "k_star", int, default_k_star)
+def _selection_hyper(args, d: int, default_q0: float, default_lam: float) -> NIGHyperparams:
+    """Prior settings; unset q0 and lambda take the subcommand's default,
+    an unset k* means every size up to D."""
     return NIGHyperparams(
-        a0=_coerce(args, "a0", float, 2.0),
-        b0=_coerce(args, "b0", float, 1.0),
-        lam=_coerce(args, "lam", float, default_lam),
-        q0=_coerce(args, "q0", float, default_q0),
-        k_star=min(k_star, d),
+        a0=args.a0,
+        b0=args.b0,
+        lam=default_lam if args.lam is None else args.lam,
+        q0=default_q0 if args.q0 is None else args.q0,
+        k_star=d if args.k_star is None else min(args.k_star, d),
     )
 
 
-def _selection_run(
-    data: RegressionDataset, models, hyper, m: int, b: int, boot_seed: int, n_jobs: int = 1
-):
-    """Standard and bagged posterior inclusion probabilities for one dataset."""
+def _selection_run(data: RegressionDataset, models, hyper, m: int, b: int, boot_seed: int):
+    """Standard and bagged posterior inclusion probabilities for one dataset;
+    the standard posterior is the evaluator at unit weights."""
     log_prior = log_priors(models, hyper)
-    stats = weighted_stats(data, np.ones(data.n))
-    standard = standard_model_posterior(
-        model_log_marginals(stats, models, hyper), log_prior
-    )
+    evaluator = make_evaluator(data, models, hyper)
+    standard = standard_model_posterior(evaluator(np.ones(data.n)), log_prior)
     bagged = bagged_model_posterior(
-        make_evaluator(data, models, hyper),
-        data.n,
-        log_prior,
-        BootstrapConfig(m=m, b=b, seed=boot_seed),
-        n_jobs=n_jobs,
+        evaluator, data.n, log_prior, BootstrapConfig(m=m, b=b, seed=boot_seed)
     )
     return pips(standard, models), pips(bagged.mean_probs, models)
 
@@ -375,41 +366,32 @@ def _selection_run(
 
 
 def cmd_simulate(args) -> int:
-    d = _coerce(args, "d", int)
-    k = _coerce(args, "k", int)
-    n = _coerce(args, "n", int)
-    response = _coerce(args, "response", str, "linear")
-    replicates = _coerce(args, "replicates", int, 50)
-    h = _coerce(args, "h", float, 10.0)
-    seed = _coerce(args, "seed", int, 0)
-    b = _coerce(args, "b_reps", int, core.DEFAULT_REPLICATES)
-    n_jobs = _coerce(args, "jobs", int, 1)
+    d, k, n, seed, b = args.d, args.k, args.n, args.seed, args.b_reps
     if d is None or k is None or n is None:
         raise _UsageError("simulate requires --D, --k and --N")
-    hyper = _selection_hyper(args, d, default_q0=k / d, default_lam=16.0, default_k_star=2)
-    config = SimConfig(d=d, k=k, n=n, response_kind=response, h=h, seed=seed)
+    config = SimConfig(d=d, k=k, n=n, response_kind=args.response, h=args.h, seed=seed)
+    hyper = _selection_hyper(args, d, default_q0=k / d, default_lam=16.0)
 
     models = enumerate_models(d, hyper.k_star)
-    m = _resolve_m(_coerce(args, "m_size", str, "N"), n)
+    m = _resolve_m(args.m_size, n)
     log.info(
         "runtime guard: %d models x %d posterior evaluations x %d replicates "
         "= %d weighted-likelihood evaluations",
-        models.shape[0], b + 1, replicates, models.shape[0] * (b + 1) * replicates,
+        models.shape[0], b + 1, args.replicates, models.shape[0] * (b + 1) * args.replicates,
     )
 
     outdir = _outdir(args)
     exported: dict[str, str] = {}
     pip_records = []
     by_key: dict[tuple[str, int], list[float]] = {}
-    for r in range(replicates):
-        data = sample_dataset(config, rng=_child_rng(seed, r, 0))
+    for r in range(args.replicates):
+        data = sample_dataset(config, rng=replicate_rng(seed, r, 0))
         if args.export_data:
             name = f"dataset_{r:03d}.csv"
             _write_dataset_csv(outdir / name, data)
             exported[name] = DATASET_SCHEMA
         std_pips, bag_pips = _selection_run(
-            data, models, hyper, m=m, b=b, boot_seed=_child_seed(seed, r, 1),
-            n_jobs=n_jobs,
+            data, models, hyper, m=m, b=b, boot_seed=_child_seed(seed, r, 1)
         )
         for method, values in (("standard", std_pips), ("bayesbag", bag_pips)):
             for comp in range(1, d + 1):
@@ -432,8 +414,8 @@ def cmd_simulate(args) -> int:
         "simulate",
         {"pips.csv": "pips-v1", "summary.csv": "pip-summary-v1", **exported},
         {
-            "d": d, "k": k, "n": n, "response": response, "h": h,
-            "replicates": replicates, "a0": hyper.a0, "b0": hyper.b0,
+            "d": d, "k": k, "n": n, "response": args.response, "h": args.h,
+            "replicates": args.replicates, "a0": hyper.a0, "b0": hyper.b0,
             "lambda": hyper.lam, "q0": hyper.q0, "k_star": hyper.k_star,
             "m": m, "b": b, "seed": seed,
         },
@@ -444,43 +426,28 @@ def cmd_simulate(args) -> int:
 
 def _split_indices(n: int, n_splits: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Seeded random partition into parts whose sizes differ by at most 1."""
-    perm = rng.permutation(n)
-    base, extra = divmod(n, n_splits)
-    sizes = [base + 1 if i < extra else base for i in range(n_splits)]
-    parts, start = [], 0
-    for size in sizes:
-        parts.append(np.sort(perm[start : start + size]))
-        start += size
-    return parts
+    return [np.sort(part) for part in np.array_split(rng.permutation(n), n_splits)]
 
 
 def cmd_select(args) -> int:
     if not args.data or not args.target:
         raise _UsageError("select requires --data and --target")
-    n_splits = _coerce(args, "splits", int, 3)
-    seed = _coerce(args, "seed", int, 0)
-    b = _coerce(args, "b_reps", int, core.DEFAULT_REPLICATES)
-    n_jobs = _coerce(args, "jobs", int, 1)
+    n_splits, seed, b, m_token = args.splits, args.seed, args.b_reps, args.m_size
     data, names = read_regression_csv(args.data, args.target)
     if args.standardize:
         data = standardize_regressors(data, names)
     if data.n < data.d:
         log.warning("N=%d < D=%d: marginal likelihoods rely heavily on the prior", data.n, data.d)
     # q0 = 3/D, clamped so the default stays a valid probability for tiny D
-    hyper = _selection_hyper(
-        args, data.d, default_q0=min(3.0 / data.d, 0.5), default_lam=1.0,
-        default_k_star=data.d,
-    )
+    hyper = _selection_hyper(args, data.d, default_q0=min(3.0 / data.d, 0.5), default_lam=1.0)
     models = enumerate_models(data.d, hyper.k_star)
     log.info(
         "runtime guard: %d models x %d posterior evaluations x %d runs",
         models.shape[0], b + 1, n_splits + 1,
     )
 
-    m_token = _coerce(args, "m_size", str, "N")
     full_std, full_bag = _selection_run(
-        data, models, hyper, m=_resolve_m(m_token, data.n), b=b,
-        boot_seed=_child_seed(seed, 0, 1), n_jobs=n_jobs,
+        data, models, hyper, m=_resolve_m(m_token, data.n), b=b, boot_seed=_child_seed(seed, 0, 1)
     )
     full_records = []
     for method, values in (("standard", full_std), ("bayesbag", full_bag)):
@@ -489,12 +456,12 @@ def cmd_select(args) -> int:
 
     split_records = []
     split_values: dict[tuple[str, int], list[float]] = {}
-    parts = _split_indices(data.n, n_splits, _child_rng(seed, 99))
+    parts = _split_indices(data.n, n_splits, replicate_rng(seed, 99))
     for s, idx in enumerate(parts):
         sub = RegressionDataset(z=data.z[idx], y=data.y[idx])
         std_pips, bag_pips = _selection_run(
             sub, models, hyper, m=_resolve_m(m_token, sub.n), b=b,
-            boot_seed=_child_seed(seed, s + 1, 1), n_jobs=n_jobs,
+            boot_seed=_child_seed(seed, s + 1, 1),
         )
         for method, values in (("standard", std_pips), ("bayesbag", bag_pips)):
             for comp in range(1, data.d + 1):
@@ -534,20 +501,14 @@ def cmd_select(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    seed = _coerce(args, "seed", int, 0)
-    threshold = _coerce(args, "threshold", float, STRONG_FAVOR_THRESHOLD)
-    n_samples = _coerce(args, "n_samples", int, 4000)
-    inner_samples = _coerce(args, "inner_samples", int, 2000)
-    delta_grid = _parse_grid(_coerce(args, "delta_grid", str, "0:3:0.25"))
-    c_grid = _parse_grid(_coerce(args, "c_grid", str, "0.25,0.5,1,2,4"))
-    u_grid = _parse_grid(_coerce(args, "u_grid", str, "0.02:0.98:0.02"))
-    three_model_c = _coerce(args, "three_model_c", float, 1.0)
+    seed, threshold, u_grid = args.seed, args.threshold, args.u_grid
+    n_samples, inner_samples, three_model_c = args.n_samples, args.inner_samples, args.three_model_c
 
     event_records = []
     density_records = []
-    for delta in delta_grid:
+    for delta in args.delta_grid:
         p_std_wrong = 1.0 - std_limit_bernoulli_2(TwoModelLaw(delta, 1.0))
-        for c in c_grid:
+        for c in args.c_grid:
             law = TwoModelLaw(float(delta), float(c))
             event_records.append((delta, c, p_std_wrong, threshold, ubb_cdf(threshold, law)))
             for u, f in zip(u_grid, ubb_density(u_grid, law)):
@@ -562,9 +523,9 @@ def cmd_asymptotics(args) -> int:
         log.info("checkpoint %s = %s", name, _fmt(value))
 
     scenario_grids = {
-        "vary_mean": _parse_grid(_coerce(args, "mu3_grid", str, "-2:2:0.5")),
-        "vary_variance": _parse_grid(_coerce(args, "sigma3_grid", str, "0.5,0.75,1,1.5,2,3")),
-        "vary_correlation": _parse_grid(_coerce(args, "rho_grid", str, "-0.4,-0.2,0,0.2,0.4,0.6,0.8")),
+        "vary_mean": args.mu3_grid,
+        "vary_variance": args.sigma3_grid,
+        "vary_correlation": args.rho_grid,
     }
     scenario_records = []
     row = 0
@@ -604,8 +565,7 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_mismatch(args) -> int:
-    seed = _coerce(args, "seed", int, 0)
-    b = _coerce(args, "b_reps", int, core.DEFAULT_REPLICATES)
+    seed, b = args.seed, args.b_reps
     if args.data:
         if not args.target:
             raise _UsageError("--data requires --target")
@@ -614,24 +574,17 @@ def cmd_mismatch(args) -> int:
             data = standardize_regressors(data, names)
         source = {"data": str(args.data), "target": args.target}
     else:
-        d = _coerce(args, "d", int)
-        k = _coerce(args, "k", int)
-        n = _coerce(args, "n", int)
+        d, k, n = args.d, args.k, args.n
         if d is None or k is None or n is None:
             raise _UsageError("mismatch requires --data/--target or --D/--k/--N")
-        config = SimConfig(
-            d=d, k=k, n=n,
-            response_kind=_coerce(args, "response", str, "linear"),
-            h=_coerce(args, "h", float, 10.0),
-            seed=seed,
-        )
-        data = sample_dataset(config, rng=_child_rng(seed, 0))
+        config = SimConfig(d=d, k=k, n=n, response_kind=args.response, h=args.h, seed=seed)
+        data = sample_dataset(config, rng=replicate_rng(seed, 0))
         source = {"d": d, "k": k, "n": n, "response": config.response_kind}
 
     hyper = NIGHyperparams(
-        a0=_coerce(args, "a0", float, 2.0),
-        b0=_coerce(args, "b0", float, 1.0),
-        lam=_coerce(args, "lam", float, 16.0 if not args.data else 1.0),
+        a0=args.a0,
+        b0=args.b0,
+        lam=(1.0 if args.data else 16.0) if args.lam is None else args.lam,
         q0=0.5,  # unused by the full-model moments
         k_star=data.d,
     )
@@ -640,11 +593,10 @@ def cmd_mismatch(args) -> int:
     standard = param_moments_from_stats(
         weighted_stats(data, np.ones(data.n)), gamma_full, hyper
     )
-    pvec = np.full(data.n, 1.0 / data.n)
     boot_seed = _child_seed(seed, 1)
     replicate_moments = []
     for i in range(b):
-        counts = core.replicate_rng(boot_seed, i).multinomial(m, pvec)
+        counts = bootstrap_counts(data.n, m, replicate_rng(boot_seed, i))
         replicate_moments.append(
             param_moments_from_stats(weighted_stats(data, counts), gamma_full, hyper)
         )
@@ -671,10 +623,7 @@ def cmd_mismatch(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    level = _coerce(args, "level", float, 0.99)
-    seed = _coerce(args, "seed", int, 0)
-    n_boot = _coerce(args, "n_boot", int, 1000)
-    ci_level = _coerce(args, "ci_level", float, 0.8)
+    level, seed, n_boot, ci_level = args.level, args.seed, args.n_boot, args.ci_level
     posts_a = [load_posterior_samples(p) for p in args.a]
     posts_b = [load_posterior_samples(p) for p in args.b]
     post_a = posts_a[0] if len(posts_a) == 1 else average_posteriors(posts_a)
@@ -785,101 +734,106 @@ def cmd_schema_check(args) -> int:
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="key=value configuration file; flags override it")
-    p.add_argument("--seed", default=None, help="base random seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
     p.add_argument("--out", default=None, help="output directory")
 
 
-def _add_hyper(p: _Parser) -> None:
-    p.add_argument("--q0", default=None, help="prior inclusion probability")
-    p.add_argument("--a0", default=None, help="inverse-gamma shape (default 2)")
-    p.add_argument("--b0", default=None, help="inverse-gamma scale (default 1)")
-    p.add_argument("--lambda", dest="lam", default=None, help="coefficient precision scale")
-    p.add_argument("--k-star", dest="k_star", default=None, help="max regressors per model")
+def _add_prior(p: _Parser) -> None:
+    p.add_argument("--a0", type=float, default=2.0, help="inverse-gamma shape (default 2)")
+    p.add_argument("--b0", type=float, default=1.0, help="inverse-gamma scale (default 1)")
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="coefficient precision scale")
 
 
-def _add_bootstrap(p: _Parser) -> None:
-    p.add_argument("--M", dest="m_size", default=None,
+def _add_simulation(p: _Parser) -> None:
+    p.add_argument("--D", dest="d", type=int, default=None, help="number of regressors")
+    p.add_argument("--k", dest="k", type=int, default=None, help="number of causal components")
+    p.add_argument("--N", dest="n", type=int, default=None, help="dataset size per replicate")
+    p.add_argument("--response", choices=["linear", "nonlinear"], default="linear")
+    p.add_argument("--h", dest="h", type=float, default=10.0,
+                   help="chi-squared dof of the scale mixture")
+
+
+def _add_selection(p: _Parser) -> None:
+    p.add_argument("--q0", type=float, default=None, help="prior inclusion probability")
+    _add_prior(p)
+    p.add_argument("--k-star", dest="k_star", type=int, default=None,
+                   help="max regressors per model")
+    p.add_argument("--M", dest="m_size", default="N",
                    help="bootstrap dataset size; integer or 'N' (default N)")
-    p.add_argument("--B", dest="b_reps", default=None,
+    _add_replicates(p)
+
+
+def _add_replicates(p: _Parser) -> None:
+    p.add_argument("--B", dest="b_reps", type=int, default=core.DEFAULT_REPLICATES,
                    help=f"bootstrap replicates (default {core.DEFAULT_REPLICATES})")
-    p.add_argument("--jobs", dest="jobs", default=None,
-                   help="worker threads for replicate evaluation (default 1); "
-                        "results are identical at any setting")
+
+
+def _add_standardize(p: _Parser) -> None:
+    p.add_argument("--standardize", dest="standardize", action="store_true", default=True)
+    p.add_argument("--no-standardize", dest="standardize", action="store_false")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bayesbag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="synthetic feature-selection study")
-    p.add_argument("--D", dest="d", default=None, help="number of regressors")
-    p.add_argument("--k", dest="k", default=None, help="number of causal components")
-    p.add_argument("--N", dest="n", default=None, help="dataset size per replicate")
-    p.add_argument("--response", choices=["linear", "nonlinear"], default=None)
-    p.add_argument("--replicates", default=None, help="replicate datasets (default 50)")
-    p.add_argument("--h", dest="h", default=None, help="chi-squared dof of the scale mixture")
+    def command(name: str, func, help: str) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    p = command("simulate", cmd_simulate, "synthetic feature-selection study")
+    _add_simulation(p)
+    p.add_argument("--replicates", type=int, default=50, help="replicate datasets (default 50)")
     p.add_argument("--export-data", dest="export_data", action="store_true",
                    help="also write each generated dataset (columns z1..zD, y)")
-    _add_hyper(p)
-    _add_bootstrap(p)
+    _add_selection(p)
+    p.set_defaults(k_star=2)
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("select", help="feature selection on a CSV dataset with splits")
+    p = command("select", cmd_select, "feature selection on a CSV dataset with splits")
     p.add_argument("--data", default=None, help="CSV file with a header row")
     p.add_argument("--target", default=None, help="response column name")
-    p.add_argument("--standardize", dest="standardize", action="store_true", default=True)
-    p.add_argument("--no-standardize", dest="standardize", action="store_false")
-    p.add_argument("--splits", default=None, help="number of random splits (default 3)")
-    _add_hyper(p)
-    _add_bootstrap(p)
+    _add_standardize(p)
+    p.add_argument("--splits", type=_positive_int, default=3,
+                   help="number of random splits (default 3)")
+    _add_selection(p)
     _add_common(p)
-    p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("asymptotics", help="limit-law curve sweeps")
-    p.add_argument("--delta-grid", dest="delta_grid", default=None)
-    p.add_argument("--c-grid", dest="c_grid", default=None)
-    p.add_argument("--u-grid", dest="u_grid", default=None)
-    p.add_argument("--threshold", default=None, help="'strongly favors' cutoff (default 0.1)")
-    p.add_argument("--mu3-grid", dest="mu3_grid", default=None)
-    p.add_argument("--sigma3-grid", dest="sigma3_grid", default=None)
-    p.add_argument("--rho-grid", dest="rho_grid", default=None)
-    p.add_argument("--three-model-c", dest="three_model_c", default=None)
-    p.add_argument("--n-samples", dest="n_samples", default=None)
-    p.add_argument("--inner-samples", dest="inner_samples", default=None)
+    p = command("asymptotics", cmd_asymptotics, "limit-law curve sweeps")
+    for flag, default in (("--delta-grid", "0:3:0.25"), ("--c-grid", "0.25,0.5,1,2,4"),
+                          ("--u-grid", "0.02:0.98:0.02"), ("--mu3-grid", "-2:2:0.5"),
+                          ("--sigma3-grid", "0.5,0.75,1,1.5,2,3"),
+                          ("--rho-grid", "-0.4,-0.2,0,0.2,0.4,0.6,0.8")):
+        p.add_argument(flag, type=_parse_grid, default=default, help=f"grid (default {default})")
+    p.add_argument("--threshold", type=float, default=STRONG_FAVOR_THRESHOLD,
+                   help=f"'strongly favors' cutoff (default {STRONG_FAVOR_THRESHOLD})")
+    p.add_argument("--three-model-c", dest="three_model_c", type=float, default=1.0)
+    p.add_argument("--n-samples", dest="n_samples", type=int, default=4000)
+    p.add_argument("--inner-samples", dest="inner_samples", type=int, default=2000)
     _add_common(p)
-    p.set_defaults(func=cmd_asymptotics)
 
-    p = sub.add_parser("mismatch", help="model-data mismatch report (full model)")
+    p = command("mismatch", cmd_mismatch, "model-data mismatch report (full model)")
     p.add_argument("--data", default=None, help="CSV file (otherwise simulate)")
     p.add_argument("--target", default=None)
-    p.add_argument("--standardize", dest="standardize", action="store_true", default=True)
-    p.add_argument("--no-standardize", dest="standardize", action="store_false")
-    p.add_argument("--D", dest="d", default=None)
-    p.add_argument("--k", dest="k", default=None)
-    p.add_argument("--N", dest="n", default=None)
-    p.add_argument("--response", choices=["linear", "nonlinear"], default=None)
-    p.add_argument("--h", dest="h", default=None)
-    p.add_argument("--a0", default=None)
-    p.add_argument("--b0", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--B", dest="b_reps", default=None)
+    _add_standardize(p)
+    _add_simulation(p)
+    _add_prior(p)
+    _add_replicates(p)
     _add_common(p)
-    p.set_defaults(func=cmd_mismatch)
 
-    p = sub.add_parser("overlap", help="HPD-region overlap of discrete posteriors")
+    p = command("overlap", cmd_overlap, "HPD-region overlap of discrete posteriors")
     p.add_argument("--a", nargs="+", required=True, help="sample file(s) for side a")
     p.add_argument("--b", nargs="+", required=True, help="sample file(s) for side b")
-    p.add_argument("--level", default=None, help="HPD level (default 0.99)")
+    p.add_argument("--level", type=float, default=0.99, help="HPD level (default 0.99)")
     p.add_argument("--ci", action="store_true", help="bootstrap CI over side-a replicates")
-    p.add_argument("--n-boot", dest="n_boot", default=None)
-    p.add_argument("--ci-level", dest="ci_level", default=None)
+    p.add_argument("--n-boot", dest="n_boot", type=int, default=1000)
+    p.add_argument("--ci-level", dest="ci_level", type=float, default=0.8)
     _add_common(p)
-    p.set_defaults(func=cmd_overlap)
 
-    p = sub.add_parser("schema-check", help="validate a result directory against its manifest")
+    p = command("schema-check", cmd_schema_check, "validate a result directory against its manifest")
     p.add_argument("--out", required=True, help="result directory to validate")
-    p.set_defaults(func=cmd_schema_check)
 
     return parser
 
@@ -889,22 +843,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
-        if getattr(args, "out", None) is None and args.command != "schema-check":
+        if getattr(args, "config", None):
+            # config values become the subcommand's defaults; parse again
+            args.parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        if args.out is None:
             raise _UsageError("--out is required")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except InvalidArgumentError as exc:
+    except (_UsageError, InvalidArgumentError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except IngestionError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except BayesBagError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ row-wise log-sum-exp.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, lgamma, log
 from typing import Callable, Sequence
@@ -103,15 +102,14 @@ class BaggedPosterior:
     se_defined: bool = True
 
 
-def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    """Independent deterministic random stream for one bootstrap replicate.
+def replicate_rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent deterministic random stream for ``key`` under ``seed``.
 
-    Streams are derived by hashing (seed, replicate index), so replicate
-    results do not depend on evaluation order or parallelism degree.
+    Streams are derived by hashing (seed, key), so a bootstrap replicate
+    ``i`` (key ``(i,)``) does not depend on evaluation order; callers use
+    longer keys for other streams of the same run.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
-    )
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def bootstrap_counts(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,22 +165,19 @@ def bagged_model_posterior(
     n_obs: int,
     log_prior,
     config: BootstrapConfig,
-    n_jobs: int = 1,
 ) -> BaggedPosterior:
     """Average the standard posterior over bootstrap-resampled datasets.
 
     Replicate ``i`` draws its weight vector from an independent random
-    stream derived from ``(config.seed, i)``; results are bit-identical
-    for any ``n_jobs``.  The evaluator must be safe for concurrent calls
-    when ``n_jobs > 1``.
+    stream derived from ``(config.seed, i)``, so its result does not
+    depend on the other replicates.
     """
     if n_obs < 1:
         raise InvalidArgumentError(f"number of observations must be >= 1, got {n_obs}")
     log_prior = np.asarray(log_prior, dtype=float)
-    pvec = np.full(n_obs, 1.0 / n_obs)
-
-    def run(i: int) -> np.ndarray:
-        counts = replicate_rng(config.seed, i).multinomial(config.m, pvec)
+    rows = []
+    for i in range(config.b):
+        counts = bootstrap_counts(n_obs, config.m, replicate_rng(config.seed, i))
         try:
             log_ml = np.asarray(evaluator(counts), dtype=float)
         except Exception as exc:
@@ -193,13 +188,7 @@ def bagged_model_posterior(
                     f"evaluator returned shape {log_ml.shape}, expected {log_prior.shape}"
                 ),
             )
-        return log_ml
-
-    if n_jobs == 1:
-        rows = [run(i) for i in range(config.b)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(run, range(config.b)))
+        rows.append(log_ml)
 
     replicate_probs = _normalized_probs(np.asarray(rows) + log_prior)
     mean_probs = replicate_probs.mean(axis=0)
@@ -258,10 +247,10 @@ def exact_bagged_posterior(evaluator: Evaluator, n_obs: int, m: int, log_prior) 
 
 
 def mc_standard_error(bagged: BaggedPosterior) -> np.ndarray:
-    """Per-model Monte Carlo standard error of the bagged mean probabilities."""
-    b = bagged.replicate_probs.shape[0]
-    if b < 2:
+    """Per-model Monte Carlo standard error of the bagged mean probabilities
+    (``bagged.std_errors``); undefined for a single replicate."""
+    if not bagged.se_defined:
         raise InsufficientReplicatesError(
-            f"standard errors need at least 2 replicates, got {b}"
+            f"standard errors need at least 2 replicates, got {bagged.replicate_probs.shape[0]}"
         )
-    return bagged.replicate_probs.std(axis=0, ddof=1) / np.sqrt(b)
+    return bagged.std_errors

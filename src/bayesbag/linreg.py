@@ -244,7 +244,8 @@ def model_log_marginals(
     module docstring.  ``plan`` is the model set's gather plan as built by
     ``make_evaluator``; it is built here when omitted.  Raises
     ``NumericDomainError`` when some b_g <= 0 (y'Wy - quad cancelled below
-    -2 b0) or a log evidence is not finite, never returns NaN.
+    -2 b0), lgamma(a0 + M/2) overflows or a log evidence is not finite,
+    never returns NaN.
     """
     if plan is None:
         plan = _ModelPlan.build(models)
@@ -274,9 +275,13 @@ def model_log_marginals(
             f"b_g = {b_g[bad]!r} is not positive for model row {bad}: "
             "y'Wy - quad cancelled or overflowed"
         )
+    try:
+        lgamma_a_n = lgamma(a_n)
+    except OverflowError:
+        raise NumericDomainError(f"lgamma(a0 + M/2) overflows at M = {stats.m!r}") from None
     log_ml = (
         hyper.a0 * log(hyper.b0)
-        + lgamma(a_n)
+        + lgamma_a_n
         - 0.5 * stats.m * LOG_2PI
         - lgamma(hyper.a0)
         + 0.5 * plan.sizes * log(hyper.lam)

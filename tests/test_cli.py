@@ -65,14 +65,6 @@ class TestSimulate:
         for name in ("pips.csv", "summary.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_jobs_flag_preserves_bytes(self, tmp_path):
-        out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-        argv = ["simulate", "--D", 4, "--k", 1, "--N", 50, "--replicates", 2,
-                "--B", 8, "--seed", 6]
-        assert run(*argv, "--jobs", 1, "--out", out1) == 0
-        assert run(*argv, "--jobs", 4, "--out", out2) == 0
-        assert (out1 / "pips.csv").read_bytes() == (out2 / "pips.csv").read_bytes()
-
     def test_config_file_merging(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("D=4\nk=1\nN=50\nreplicates=2\nB=4\nseed=3\n", encoding="utf-8")
@@ -84,6 +76,19 @@ class TestSimulate:
         out2 = tmp_path / "out2"
         assert run("simulate", "--config", cfg, "--N", 40, "--out", out2) == 0
         assert json.loads((out2 / "manifest.json").read_text())["config"]["n"] == 40
+
+    def test_config_booleans_take_effect(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("D=3\nk=1\nN=30\nreplicates=2\nB=4\nexport_data=1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--out", out) == 0
+        assert (out / "dataset_000.csv").exists() and (out / "dataset_001.csv").exists()
+        assert run("schema-check", "--out", out) == 0
+
+    def test_config_bad_value_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("D=3\nk=1\nN=abc\n", encoding="utf-8")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
 
     def test_missing_required_is_usage_error(self, tmp_path):
         assert run("simulate", "--k", 1, "--N", 50, "--out", tmp_path / "x") == 1
@@ -122,6 +127,26 @@ class TestSelect:
         assert run("schema-check", "--out", out) == 0
         repro = read_csv(out / "reproducibility.csv")
         assert len(repro) == 2 * 3
+
+    def test_config_standardize_false(self, tmp_path):
+        data = write_dataset_csv(tmp_path / "d.csv", 60, 3, seed=5)
+        cfg = tmp_path / "sel.cfg"
+        cfg.write_text(f"data={data}\ntarget=y\nsplits=2\nB=5\nstandardize=false\n",
+                       encoding="utf-8")
+        out, flag_out, std_out = tmp_path / "cfg", tmp_path / "flag", tmp_path / "std"
+        assert run("select", "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["standardize"] is False
+        argv = ["select", "--data", data, "--target", "y", "--splits", 2, "--B", 5]
+        assert run(*argv, "--no-standardize", "--out", flag_out) == 0
+        assert run(*argv, "--out", std_out) == 0
+        pips_cfg = (out / "pips_full.csv").read_bytes()
+        assert pips_cfg == (flag_out / "pips_full.csv").read_bytes()
+        assert pips_cfg != (std_out / "pips_full.csv").read_bytes()
+
+    def test_zero_splits_is_usage_error(self, tmp_path):
+        data = write_dataset_csv(tmp_path / "d.csv", 20, 2)
+        assert run("select", "--data", data, "--target", "y", "--splits", 0,
+                   "--out", tmp_path / "o") == 1
 
     def test_zero_variance_column_is_data_error(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -285,3 +310,7 @@ class TestUsageErrors:
             "simulate", "--D", 3, "--k", 1, "--N", 40, "--M", "many",
             "--out", tmp_path / "o",
         ) == 1
+
+    def test_zero_d_and_bad_grid_range(self, tmp_path):
+        assert run("simulate", "--D", 0, "--k", 1, "--N", 40, "--out", tmp_path / "o") == 1
+        assert run("asymptotics", "--delta-grid", "a:b:c", "--out", tmp_path / "o") == 1

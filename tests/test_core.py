@@ -138,14 +138,6 @@ class TestBaggedModelPosterior:
         assert np.all(bagged.mean_probs <= 1.0)
         assert abs(bagged.mean_probs.sum() - 1.0) < 1e-10
 
-    def test_deterministic_across_parallelism(self):
-        rng = np.random.default_rng(5)
-        ev = linear_evaluator(rng.normal(size=(8, 2)))
-        cfg = BootstrapConfig(m=8, b=64, seed=11)
-        serial = bagged_model_posterior(ev, 8, UNIFORM2, cfg, n_jobs=1)
-        threaded = bagged_model_posterior(ev, 8, UNIFORM2, cfg, n_jobs=4)
-        np.testing.assert_array_equal(serial.replicate_probs, threaded.replicate_probs)
-
     def test_replicate_streams_independent_of_order(self):
         # replicate i's weights depend only on (seed, i)
         cfg = BootstrapConfig(m=5, b=3, seed=21)

@@ -217,6 +217,10 @@ class TestBatchedModelLayer:
         for gamma in ([0], [1]):
             with pytest.raises(NumericDomainError):
                 log_marginal_likelihood(data, np.ones(1), gamma, HYPER)
+        # M so large that lgamma(a0 + M/2) overflows
+        huge_m = SuffStats(zwz=[[1]], zwy=[0], ywy=1, m=1e308)
+        with pytest.raises(NumericDomainError):
+            model_log_marginals(huge_m, np.array([[0], [1]]), HYPER)
 
     def test_model_width_must_match_stats(self):
         stats = weighted_stats(random_problem(np.random.default_rng(3)), np.ones(6))
