@@ -15,6 +15,9 @@ With K models the analogue replaces Phi by the (K-1)-dimensional normal
 CDF of log-marginal-likelihood contrasts against an anchor model:
 standard -> Bernoulli(Phi_{-mu, Sigma}(0)); bagged -> Phi_{0, Sigma}(c^{1/2} W)
 with W ~ Normal(mu, Sigma).
+The centered normal CDF is exact up to three models (K - 1 <= 2: ndtr, then
+Owen's T-function identity for the bivariate CDF) and seeded Genz
+quasi-Monte Carlo beyond.
 
 Also provides a degenerate two-model Bernoulli testbed for validating the
 laws by simulation against the bagging engine.
@@ -24,10 +27,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import log, sqrt
+from math import asin, log, pi, sqrt
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import (
     DegenerateContrastError,
@@ -53,8 +56,6 @@ __all__ = [
 
 # Default "strongly favors" probability threshold used by the sweep CLI.
 STRONG_FAVOR_THRESHOLD = 0.1
-
-MIN_MC_SAMPLES = 1_000
 
 
 @dataclass(frozen=True)
@@ -176,50 +177,58 @@ def reduce_to_contrasts(mu_prime, sigma_prime, anchor: int = 0):
     return mu_inf, sigma_inf
 
 
-def _orthant_mc(mu: np.ndarray, chol: np.ndarray, n_samples: int, rng) -> tuple[float, float]:
-    """Antithetic Monte Carlo estimate of P(X <= 0), X ~ N(mu, chol chol')."""
-    n_pairs = (n_samples + 1) // 2
-    z = rng.standard_normal((n_pairs, mu.size))
-    shift = z @ chol.T
-    hits_plus = np.all(mu + shift <= 0.0, axis=1)
-    hits_minus = np.all(mu - shift <= 0.0, axis=1)
-    pair_means = 0.5 * (hits_plus + hits_minus)
-    estimate = float(pair_means.mean())
-    se = float(pair_means.std(ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else 0.0
-    return estimate, se
+def _bvn_cdf(h, k, rho: float) -> np.ndarray:
+    """P(X <= h, Y <= k) for standard normals with correlation rho, exact to
+    rounding by Owen's (1956) T-function identity."""
+    h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
+    s = sqrt(1.0 - rho * rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # on an axis (-0.0 included) T takes its limit from the positive side
+        t_h = np.where(h == 0.0, np.sign(k) / 4, owens_t(h, (k - rho * h) / (h * s)))
+        t_k = np.where(k == 0.0, np.sign(h) / 4, owens_t(k, (h - rho * k) / (k * s)))
+    beta = 0.5 * ((h < 0.0) != (k < 0.0))  # hk < 0, or hk = 0 and h + k < 0
+    out = 0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - beta
+    return np.where((h == 0.0) & (k == 0.0), 0.25 + asin(rho) / (2.0 * pi), out)
 
 
-def mvn_cdf_at_zero(mu, sigma, n_samples: int, seed: int) -> tuple[float, float]:
-    """P(X <= 0 componentwise) for X ~ Normal(mu, sigma), with its MC
-    standard error.  Dimension 1 short-circuits to the exact Phi."""
+def _centered_cdf(sigma: np.ndarray, x: np.ndarray, seed) -> np.ndarray:
+    """Phi_{0, sigma} at each row of x (n, d): exact for d <= 2, seeded Genz
+    quasi-Monte Carlo for d >= 3."""
+    z = x / np.sqrt(np.diag(sigma))
+    if x.shape[1] == 1:
+        return ndtr(z[:, 0])
+    if x.shape[1] == 2:
+        return _bvn_cdf(z[:, 0], z[:, 1], sigma[0, 1] / sqrt(sigma[0, 0] * sigma[1, 1]))
+    from scipy.stats import multivariate_normal  # a slow import: only d >= 3 pays it
+
+    return np.atleast_1d(multivariate_normal(cov=sigma, seed=np.random.default_rng(seed)).cdf(x))
+
+
+def mvn_cdf_at_zero(mu, sigma, *, seed=0) -> float:
+    """P(X <= 0 componentwise) for X ~ Normal(mu, sigma); exact up to
+    dimension 2, ``seed`` drives the quasi-Monte Carlo beyond."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if mu.ndim != 1 or sigma.shape != (mu.size, mu.size):
         raise InvalidArgumentError("mu must be (k,) and sigma (k, k)")
-    if mu.size == 1:
-        return float(ndtr(-mu[0] / sqrt(sigma[0, 0]))), 0.0
-    if n_samples < MIN_MC_SAMPLES:
-        raise InvalidArgumentError(f"n_samples must be >= {MIN_MC_SAMPLES}")
     try:
-        chol = np.linalg.cholesky(sigma)
+        np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise SingularLawError("covariance is not positive definite") from None
-    return _orthant_mc(mu, chol, n_samples, np.random.default_rng(seed))
+    return float(_centered_cdf(sigma, -mu[None, :], seed)[0])
 
 
-def sample_ubb_K(
-    law: KModelLaw, n_samples: int, inner_samples: int, seed: int
-) -> np.ndarray:
+def sample_ubb_K(law: KModelLaw, n_samples: int, seed: int) -> np.ndarray:
     """Draws from the limiting bagged posterior probability of the anchor
     model: Phi_{0, Sigma}(c^{1/2} W) with W ~ Normal(mu, Sigma).
 
-    Each draw evaluates the shifted-mean orthant probability; with c = 0
-    every draw equals the deterministic Phi_{0, Sigma}(0).
+    Each draw is exact for up to three models; with c = 0 every draw equals
+    the deterministic Phi_{0, Sigma}(0).
     """
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be >= 1")
     dim = law.mu_inf.size
-    outer_seq, inner_seq = np.random.SeedSequence(entropy=seed).spawn(2)
+    outer_seq, qmc_seq = np.random.SeedSequence(entropy=seed).spawn(2)
     if law.c == 0.0:
         if np.any(law.mu_inf != 0.0):
             # The point-mass collapse is only established for centered
@@ -229,30 +238,12 @@ def sample_ubb_K(
                 "value Phi_{0,Sigma}(0) as an extrapolation",
                 stacklevel=2,
             )
-        if dim == 1:
-            value = 0.5
-        else:
-            value, _ = _orthant_mc(
-                np.zeros(dim),
-                np.linalg.cholesky(law.sigma_inf),
-                max(inner_samples, MIN_MC_SAMPLES),
-                np.random.default_rng(inner_seq),
-            )
-        return np.full(n_samples, value)
+        return np.full(n_samples, _centered_cdf(law.sigma_inf, np.zeros((1, dim)), qmc_seq)[0])
 
     chol = np.linalg.cholesky(law.sigma_inf)
     w_rng = np.random.default_rng(outer_seq)
     w = law.mu_inf + w_rng.standard_normal((n_samples, dim)) @ chol.T
-    shifted = sqrt(law.c) * w
-    if dim == 1:
-        return ndtr(shifted[:, 0] / sqrt(law.sigma_inf[0, 0]))
-    if inner_samples < MIN_MC_SAMPLES:
-        raise InvalidArgumentError(f"inner_samples must be >= {MIN_MC_SAMPLES}")
-    inner_rng = np.random.default_rng(inner_seq)
-    out = np.empty(n_samples)
-    for i in range(n_samples):
-        out[i], _ = _orthant_mc(-shifted[i], chol, inner_samples, inner_rng)
-    return out
+    return _centered_cdf(law.sigma_inf, sqrt(law.c) * w, qmc_seq)
 
 
 def three_model_scenarios(kind: str, grid) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -502,7 +502,7 @@ def cmd_select(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     seed, threshold, u_grid = args.seed, args.threshold, args.u_grid
-    n_samples, inner_samples, three_model_c = args.n_samples, args.inner_samples, args.three_model_c
+    n_samples, three_model_c = args.n_samples, args.three_model_c
 
     event_records = []
     density_records = []
@@ -532,13 +532,12 @@ def cmd_asymptotics(args) -> int:
     for kind, grid in scenario_grids.items():
         for value, (mu_prime, sigma_prime) in zip(grid, three_model_scenarios(kind, grid)):
             mu, sigma = reduce_to_contrasts(mu_prime, sigma_prime, anchor=0)
-            pick, se = mvn_cdf_at_zero(-mu, sigma, n_samples, _child_seed(seed, 1, row))
-            samples = sample_ubb_K(
-                KModelLaw(mu, sigma, three_model_c), n_samples, inner_samples, _child_seed(seed, 2, row)
-            )
+            # three models give bivariate contrasts: the orthant is exact (se 0)
+            pick = mvn_cdf_at_zero(-mu, sigma)
+            samples = sample_ubb_K(KModelLaw(mu, sigma, three_model_c), n_samples, _child_seed(seed, 2, row))
             frac = float(np.mean(samples < threshold))
             frac_se = float(np.sqrt(frac * (1.0 - frac) / samples.size))
-            scenario_records.append((kind, value, three_model_c, 1.0 - pick, se, threshold, frac, frac_se))
+            scenario_records.append((kind, value, three_model_c, 1.0 - pick, 0.0, threshold, frac, frac_se))
             row += 1
 
     outdir = _outdir(args)
@@ -557,7 +556,7 @@ def cmd_asymptotics(args) -> int:
         },
         {
             "threshold": threshold, "n_samples": n_samples,
-            "inner_samples": inner_samples, "three_model_c": three_model_c, "seed": seed,
+            "three_model_c": three_model_c, "seed": seed,
         },
     )
     log.info("wrote %s", outdir)
@@ -765,7 +764,7 @@ def _add_selection(p: _Parser) -> None:
 
 
 def _add_replicates(p: _Parser) -> None:
-    p.add_argument("--B", dest="b_reps", type=int, default=core.DEFAULT_REPLICATES,
+    p.add_argument("--B", dest="b_reps", type=_positive_int, default=core.DEFAULT_REPLICATES,
                    help=f"bootstrap replicates (default {core.DEFAULT_REPLICATES})")
 
 
@@ -785,7 +784,7 @@ def build_parser() -> _Parser:
 
     p = command("simulate", cmd_simulate, "synthetic feature-selection study")
     _add_simulation(p)
-    p.add_argument("--replicates", type=int, default=50, help="replicate datasets (default 50)")
+    p.add_argument("--replicates", type=_positive_int, default=50, help="replicate datasets (default 50)")
     p.add_argument("--export-data", dest="export_data", action="store_true",
                    help="also write each generated dataset (columns z1..zD, y)")
     _add_selection(p)
@@ -811,7 +810,6 @@ def build_parser() -> _Parser:
                    help=f"'strongly favors' cutoff (default {STRONG_FAVOR_THRESHOLD})")
     p.add_argument("--three-model-c", dest="three_model_c", type=float, default=1.0)
     p.add_argument("--n-samples", dest="n_samples", type=int, default=4000)
-    p.add_argument("--inner-samples", dest="inner_samples", type=int, default=2000)
     _add_common(p)
 
     p = command("mismatch", cmd_mismatch, "model-data mismatch report (full model)")

@@ -406,7 +406,7 @@ def test_10_property_suite_smoke():
 
     # two-model and K-model laws agree at K=2 (dimension-1 path is exact)
     klaw = bb.KModelLaw(np.array([1.0]), np.array([[4.0]]), 1.0)
-    values = bb.sample_ubb_K(klaw, 4000, 1000, seed=3)
+    values = bb.sample_ubb_K(klaw, 4000, seed=3)
     pit = bb.ubb_cdf(values, bb.TwoModelLaw(0.5, 1.0))
     assert bb.ks_statistic_uniform(pit) < 0.03
 

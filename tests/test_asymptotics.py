@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr, ndtri
+from scipy.stats import multivariate_normal
 
 from bayesbag.asymptotics import (
+    _bvn_cdf,
     KModelLaw,
     TwoModelLaw,
     bernoulli_two_model_problem,
@@ -153,7 +155,7 @@ class TestReduceToContrasts:
         for anchor in (0, 1):
             mu, sigma = reduce_to_contrasts(mu_prime, sigma_prime, anchor=anchor)
             # P(anchor wins) = Phi_{-mu, sigma}(0), exact in dimension 1
-            params.append(mvn_cdf_at_zero(-mu, sigma, 1000, seed=0)[0])
+            params.append(mvn_cdf_at_zero(-mu, sigma, seed=0))
         assert abs(sum(params) - 1.0) < 1e-12
 
     def test_singular_contrast(self):
@@ -165,25 +167,22 @@ class TestReduceToContrasts:
 
 class TestMvnCdfAtZero:
     def test_dimension_one_exact(self):
-        value, se = mvn_cdf_at_zero([0.0], [[4.0]], 1000, seed=0)
-        assert value == 0.5 and se == 0.0
+        assert mvn_cdf_at_zero([0.0], [[4.0]], seed=0) == 0.5
 
     def test_independent_two_dimensional(self):
-        value, se = mvn_cdf_at_zero(np.zeros(2), np.eye(2), 100_000, seed=1)
-        assert abs(value - 0.25) <= max(3 * se, 1e-3)
+        value = mvn_cdf_at_zero(np.zeros(2), np.eye(2), seed=1)
+        assert abs(value - 0.25) <= 1e-15
 
     def test_orthant_identity(self):
         for rho in (-0.5, 0.3, 0.8):
             sigma = np.array([[1.0, rho], [rho, 1.0]])
-            value, se = mvn_cdf_at_zero(np.zeros(2), sigma, 200_000, seed=2)
+            value = mvn_cdf_at_zero(np.zeros(2), sigma, seed=2)
             exact = 0.25 + np.arcsin(rho) / (2 * np.pi)
-            assert abs(value - exact) <= max(3 * se, 1e-3)
+            assert abs(value - exact) <= 1e-15
 
     def test_sample_guard_and_singular(self):
-        with pytest.raises(InvalidArgumentError):
-            mvn_cdf_at_zero(np.zeros(2), np.eye(2), 10, seed=0)
         with pytest.raises(SingularLawError):
-            mvn_cdf_at_zero(np.zeros(2), np.ones((2, 2)), 1000, seed=0)
+            mvn_cdf_at_zero(np.zeros(2), np.ones((2, 2)), seed=0)
 
 
 class TestSampleUbbK:
@@ -191,19 +190,19 @@ class TestSampleUbbK:
         # dimension-1 path is exact; PIT against the closed-form CDF
         delta, c = 0.7, 1.0
         klaw = KModelLaw(np.array([1.4]), np.array([[4.0]]), c)  # mu/sigma = 0.7
-        values = sample_ubb_K(klaw, 10_000, 2000, seed=3)
+        values = sample_ubb_K(klaw, 10_000, seed=3)
         pit = ubb_cdf(values, TwoModelLaw(delta, c))
         assert ks_statistic_uniform(pit) < 0.02
 
     def test_c_zero_constant(self):
         klaw = KModelLaw(np.zeros(2), np.eye(2), 0.0)
-        values = sample_ubb_K(klaw, 50, 2000, seed=4)
+        values = sample_ubb_K(klaw, 50, seed=4)
         assert np.all(values == values[0])
 
     def test_c_zero_extrapolation_warns(self):
         klaw = KModelLaw(np.array([1.0, 0.0]), np.eye(2), 0.0)
         with pytest.warns(UserWarning):
-            sample_ubb_K(klaw, 5, 2000, seed=5)
+            sample_ubb_K(klaw, 5, seed=5)
 
     def test_correlation_scenario_ordering(self):
         # strong-rejection mass of model 1 grows with the model-1/model-2
@@ -212,9 +211,52 @@ class TestSampleUbbK:
         for rho in (-0.4, 0.2, 0.8):
             mu_prime, sigma_prime = three_model_scenarios("vary_correlation", [rho])[0]
             mu, sigma = reduce_to_contrasts(mu_prime, sigma_prime)
-            values = sample_ubb_K(KModelLaw(mu, sigma, 1.0), 8000, 2000, seed=10)
+            values = sample_ubb_K(KModelLaw(mu, sigma, 1.0), 8000, seed=10)
             fracs.append(float(np.mean(values < 0.1)))
         assert fracs[0] < fracs[1] < fracs[2]
+
+
+class TestClosedFormCdf:
+    """The orthant probabilities against scipy's bivariate normal (Genz's
+    bvnu, exact to rounding) and its quasi-Monte Carlo beyond."""
+
+    SIGMA = np.array([[1.2, 0.6], [0.6, 2.0]])
+
+    def test_bvn_cdf_matches_scipy(self):
+        edges = [0.0, -0.0, 1.3, -0.7, 8.0, -8.0, 12.5, -40.0]
+        for rho in (-0.999, -0.6, 0.0, 0.35, 0.999):
+            cov = np.array([[1.0, rho], [rho, 1.0]])
+            for h in edges:
+                for k in edges:
+                    want = multivariate_normal.cdf([h, k], cov=cov)
+                    assert abs(_bvn_cdf(h, k, rho) - want) <= 1e-14, (h, k, rho)
+
+    def test_shifted_orthant_regression(self):
+        want = multivariate_normal.cdf([0.0, 0.0], mean=[-3.0, -3.0], cov=self.SIGMA)
+        assert abs(mvn_cdf_at_zero(-np.array([3.0, 3.0]), self.SIGMA) - want) <= 1e-12
+        assert abs(want - 0.9804450411) < 1e-9
+
+    def test_three_model_draws_are_exact_on_their_outer_draws(self):
+        klaw = KModelLaw(np.zeros(2), self.SIGMA, 1.0)
+        values = sample_ubb_K(klaw, 4000, seed=3)
+        outer_seq = np.random.SeedSequence(entropy=3).spawn(2)[0]
+        z = np.random.default_rng(outer_seq).standard_normal((4000, 2))
+        w = z @ np.linalg.cholesky(self.SIGMA).T
+        want = multivariate_normal.cdf(np.sqrt(klaw.c) * w, cov=self.SIGMA)
+        np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12)
+
+    def test_four_exchangeable_models(self):
+        value = mvn_cdf_at_zero(np.zeros(3), 0.5 + 0.5 * np.eye(3), seed=0)
+        assert abs(value - 0.25) <= 1e-4
+
+    def test_dimension_three_sampling(self):
+        sigma = 0.5 + 0.5 * np.eye(3)
+        klaw = KModelLaw(np.array([0.3, 0.0, -0.2]), sigma, 1.0)
+        first = sample_ubb_K(klaw, 20, seed=7)
+        np.testing.assert_array_equal(first, sample_ubb_K(klaw, 20, seed=7))
+        assert np.all((first > 0.0) & (first < 1.0))
+        constant = sample_ubb_K(KModelLaw(np.zeros(3), sigma, 0.0), 20, seed=7)
+        assert np.all(constant == constant[0]) and abs(constant[0] - 0.25) <= 1e-4
 
 
 class TestFig2Scenarios:

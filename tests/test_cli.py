@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,7 +214,7 @@ class TestAsymptotics:
         code = run(
             "asymptotics", "--delta-grid", "0,2", "--c-grid", "1", "--u-grid",
             "0.1:0.9:0.2", "--mu3-grid", "0", "--sigma3-grid", "1",
-            "--rho-grid", "0", "--n-samples", 2000, "--inner-samples", 1000,
+            "--rho-grid", "0", "--n-samples", 2000,
             "--seed", 1, "--out", out,
         )
         assert code == 0
@@ -314,3 +317,28 @@ class TestUsageErrors:
     def test_zero_d_and_bad_grid_range(self, tmp_path):
         assert run("simulate", "--D", 0, "--k", 1, "--N", 40, "--out", tmp_path / "o") == 1
         assert run("asymptotics", "--delta-grid", "a:b:c", "--out", tmp_path / "o") == 1
+
+    def test_zero_replicates(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("simulate", "--D", 3, "--k", 1, "--N", 30, "--replicates", 0,
+                   "--B", 2, "--out", out) == 1
+        assert not out.exists()
+
+    def test_zero_bootstrap_replicates(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("mismatch", "--D", 3, "--k", 1, "--N", 30, "--B", 0, "--out", out) == 1
+        assert not out.exists()
+
+    def test_inner_samples_rejected(self, tmp_path):
+        assert run("asymptotics", "--inner-samples", 2000, "--out", tmp_path / "o") == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("inner_samples=2000\n", encoding="utf-8")
+        assert run("asymptotics", "--config", cfg, "--out", tmp_path / "o") == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles the start-up time and memory of every CLI call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import bayesbag.cli, sys; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
