@@ -46,13 +46,10 @@ from .linreg import (
     RegressionDataset,
     SuffStats,
     enumerate_models,
-    log_marginal_likelihood,
-    log_prior_gamma,
     log_priors,
     make_evaluator,
     model_log_marginals,
     pips,
-    posterior_param_moments,
     weighted_stats,
 )
 from .mismatch import (

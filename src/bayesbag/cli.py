@@ -3,8 +3,9 @@ with split reproducibility, limit-law sweeps, mismatch reports, and
 discrete-posterior overlap.
 
 Every subcommand is deterministic given its configuration and seed, and
-writes plot-ready CSV/JSON files plus a manifest describing their schemas;
-``schema-check`` re-validates a result directory against the manifest.
+writes plot-ready CSV/JSON files plus a manifest describing their schemas
+through one writer, ``_write_results``; ``schema-check`` re-validates a
+result directory against the manifest.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 resource-guard
 rejection.
@@ -124,8 +125,10 @@ SCHEMAS = {
 MISMATCH_REPORT_SCHEMA = "mismatch-report-v1"
 MISMATCH_REPORT_KEYS = ("overall", "per_coordinate", "b", "m", "seed", "n", "d")
 
-# generated datasets: columns z1..zD then y, every cell a float
 DATASET_SCHEMA = "dataset-v1"
+
+# row order of a (2, D) array of pips; summaries sort by method name instead
+METHODS = ("standard", "bayesbag")
 
 
 class _UsageError(Exception):
@@ -230,46 +233,45 @@ def _config_defaults(args: argparse.Namespace) -> dict:
 # result files
 
 
-def _write_csv(path: Path, schema: str, rows) -> None:
-    columns = [name for name, _ in SCHEMAS[schema]]
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+def _dataset_spec(d: int) -> list[tuple[str, str]]:
+    """Columns of a generated dataset: z1..zD then y, every cell a float."""
+    return [(f"z{j}", "float") for j in range(1, d + 1)] + [("y", "float")]
 
 
-def _cell(value, kind: str) -> str:
-    if value is None:
-        return ""
-    if kind == "int":
-        return str(int(value))
-    if kind == "str":
-        return str(value)
-    return _fmt(value)
+_FORMATS = {"int": lambda v: str(int(v)), "str": str}
 
 
-def _rows(schema: str, records) -> list[list[str]]:
-    kinds = [kind for _, kind in SCHEMAS[schema]]
-    return [[_cell(v, k) for v, k in zip(record, kinds)] for record in records]
+def _format_column(values, kind: str) -> list[str]:
+    fmt = _FORMATS.get(kind, _fmt)
+    return ["" if v is None else fmt(v) for v in values]
 
 
-def _write_manifest(outdir: Path, command: str, files: dict[str, str], config: dict) -> None:
+def _write_results(outdir: Path, command: str, files: dict, config: dict) -> None:
+    """Write every result file of a run, then the manifest that lists them.
+
+    ``files`` maps a filename to ``(schema, content)``.  A dict is written
+    as JSON; a list of columns is written as CSV, each column formatted
+    once by its schema kind (``None`` is an empty cell).
+    """
+    outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": "bayesbag",
         "command": command,
-        "files": files,
+        "files": {filename: schema for filename, (schema, _) in files.items()},
         "config": config,
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _outdir(args) -> Path:
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    for filename, (schema, content) in {**files, "manifest.json": (None, manifest)}.items():
+        with open(outdir / filename, "w", newline="\n", encoding="utf-8") as fh:
+            if isinstance(content, dict):
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+                continue
+            spec = _dataset_spec(len(content) - 1) if schema == DATASET_SCHEMA else SCHEMAS[schema]
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([name for name, _ in spec])
+            writer.writerows(zip(*(_format_column(v, kind) for v, (_, kind) in zip(content, spec))))
+    log.info("wrote %s", outdir)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +316,6 @@ def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]
     return RegressionDataset(z=np.array(z_rows), y=np.array(y_vals)), names
 
 
-def _write_dataset_csv(path: Path, data: RegressionDataset) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"z{j}" for j in range(1, data.d + 1)] + ["y"])
-        for i in range(data.n):
-            writer.writerow([_fmt(v) for v in data.z[i]] + [_fmt(data.y[i])])
-
-
 def standardize_regressors(data: RegressionDataset, names) -> RegressionDataset:
     """Center and scale each regressor to mean 0, variance 1."""
     mean = data.z.mean(axis=0)
@@ -350,15 +344,38 @@ def _selection_hyper(args, d: int, default_q0: float, default_lam: float) -> NIG
 
 
 def _selection_run(data: RegressionDataset, models, hyper, m: int, b: int, boot_seed: int):
-    """Standard and bagged posterior inclusion probabilities for one dataset;
-    the standard posterior is the evaluator at unit weights."""
+    """Standard and bagged posterior inclusion probabilities for one dataset,
+    as a (2, D) array in ``METHODS`` order; the standard posterior is the
+    evaluator at unit weights."""
     log_prior = log_priors(models, hyper)
     evaluator = make_evaluator(data, models, hyper)
     standard = standard_model_posterior(evaluator(np.ones(data.n)), log_prior)
     bagged = bagged_model_posterior(
         evaluator, data.n, log_prior, BootstrapConfig(m=m, b=b, seed=boot_seed)
     )
-    return pips(standard, models), pips(bagged.mean_probs, models)
+    return np.array([pips(standard, models), pips(bagged.mean_probs, models)])
+
+
+def _pip_columns(table: np.ndarray) -> list:
+    """(runs, 2, D) pips as the columns run, method, component, pip, in
+    (run, ``METHODS``, component) row order."""
+    runs, _, d = table.shape
+    return [
+        np.repeat(np.arange(runs), 2 * d),
+        np.tile(np.repeat(METHODS, d), runs),
+        np.tile(np.arange(1, d + 1), 2 * runs),
+        table.ravel(),
+    ]
+
+
+def _by_method_name(table: np.ndarray):
+    """(runs, 2, D) pips regrouped by (method name, component), so bayesbag
+    comes before standard: the columns method, component, and a contiguous
+    (2 D, runs) array whose last axis is reduced as a whole (numpy then sums
+    pairwise, exactly as over one run list)."""
+    runs, _, d = table.shape
+    values = np.ascontiguousarray(table[:, ::-1].transpose(1, 2, 0)).reshape(2 * d, runs)
+    return [np.repeat(METHODS[::-1], d), np.tile(np.arange(1, d + 1), 2)], values
 
 
 # ---------------------------------------------------------------------------
@@ -380,39 +397,23 @@ def cmd_simulate(args) -> int:
         models.shape[0], b + 1, args.replicates, models.shape[0] * (b + 1) * args.replicates,
     )
 
-    outdir = _outdir(args)
-    exported: dict[str, str] = {}
-    pip_records = []
-    by_key: dict[tuple[str, int], list[float]] = {}
+    files = {}
+    table = np.empty((args.replicates, 2, d))
     for r in range(args.replicates):
         data = sample_dataset(config, rng=replicate_rng(seed, r, 0))
         if args.export_data:
-            name = f"dataset_{r:03d}.csv"
-            _write_dataset_csv(outdir / name, data)
-            exported[name] = DATASET_SCHEMA
-        std_pips, bag_pips = _selection_run(
-            data, models, hyper, m=m, b=b, boot_seed=_child_seed(seed, r, 1)
-        )
-        for method, values in (("standard", std_pips), ("bayesbag", bag_pips)):
-            for comp in range(1, d + 1):
-                value = float(values[comp - 1])
-                pip_records.append((r, method, comp, value))
-                by_key.setdefault((method, comp), []).append(value)
+            files[f"dataset_{r:03d}.csv"] = (DATASET_SCHEMA, [*data.z.T, data.y])
+        table[r] = _selection_run(data, models, hyper, m=m, b=b, boot_seed=_child_seed(seed, r, 1))
 
-    summary_records = []
-    for (method, comp), values in sorted(by_key.items()):
-        arr = np.array(values)
-        frac_mid = float(np.mean((arr > 0.1) & (arr < 0.9)))
-        summary_records.append(
-            (method, comp, arr.mean(), arr.var(ddof=1) if arr.size > 1 else 0.0, frac_mid)
-        )
-
-    _write_csv(outdir / "pips.csv", "pips-v1", _rows("pips-v1", pip_records))
-    _write_csv(outdir / "summary.csv", "pip-summary-v1", _rows("pip-summary-v1", summary_records))
-    _write_manifest(
-        outdir,
+    keys, values = _by_method_name(table)
+    spread = values.var(axis=1, ddof=1) if args.replicates > 1 else np.zeros(2 * d)
+    frac_mid = np.mean((values > 0.1) & (values < 0.9), axis=1)
+    files["pips.csv"] = ("pips-v1", _pip_columns(table))
+    files["summary.csv"] = ("pip-summary-v1", [*keys, values.mean(axis=1), spread, frac_mid])
+    _write_results(
+        Path(args.out),
         "simulate",
-        {"pips.csv": "pips-v1", "summary.csv": "pip-summary-v1", **exported},
+        files,
         {
             "d": d, "k": k, "n": n, "response": args.response, "h": args.h,
             "replicates": args.replicates, "a0": hyper.a0, "b0": hyper.b0,
@@ -420,7 +421,6 @@ def cmd_simulate(args) -> int:
             "m": m, "b": b, "seed": seed,
         },
     )
-    log.info("wrote %s", outdir)
     return 0
 
 
@@ -446,47 +446,27 @@ def cmd_select(args) -> int:
         models.shape[0], b + 1, n_splits + 1,
     )
 
-    full_std, full_bag = _selection_run(
+    full = _selection_run(
         data, models, hyper, m=_resolve_m(m_token, data.n), b=b, boot_seed=_child_seed(seed, 0, 1)
     )
-    full_records = []
-    for method, values in (("standard", full_std), ("bayesbag", full_bag)):
-        for comp in range(1, data.d + 1):
-            full_records.append((method, comp, float(values[comp - 1])))
-
-    split_records = []
-    split_values: dict[tuple[str, int], list[float]] = {}
     parts = _split_indices(data.n, n_splits, replicate_rng(seed, 99))
+    splits = np.empty((n_splits, 2, data.d))
     for s, idx in enumerate(parts):
         sub = RegressionDataset(z=data.z[idx], y=data.y[idx])
-        std_pips, bag_pips = _selection_run(
+        splits[s] = _selection_run(
             sub, models, hyper, m=_resolve_m(m_token, sub.n), b=b,
             boot_seed=_child_seed(seed, s + 1, 1),
         )
-        for method, values in (("standard", std_pips), ("bayesbag", bag_pips)):
-            for comp in range(1, data.d + 1):
-                value = float(values[comp - 1])
-                split_records.append((s, method, comp, value))
-                split_values.setdefault((method, comp), []).append(value)
 
-    repro_records = []
-    for (method, comp), values in sorted(split_values.items()):
-        lo, hi = min(values), max(values)
-        repro_records.append((method, comp, lo, hi, hi - lo))
-
-    outdir = _outdir(args)
-    _write_csv(outdir / "pips_full.csv", "pips-full-v1", _rows("pips-full-v1", full_records))
-    _write_csv(outdir / "pips_splits.csv", "pips-splits-v1", _rows("pips-splits-v1", split_records))
-    _write_csv(
-        outdir / "reproducibility.csv", "reproducibility-v1", _rows("reproducibility-v1", repro_records)
-    )
-    _write_manifest(
-        outdir,
+    keys, values = _by_method_name(splits)
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    _write_results(
+        Path(args.out),
         "select",
         {
-            "pips_full.csv": "pips-full-v1",
-            "pips_splits.csv": "pips-splits-v1",
-            "reproducibility.csv": "reproducibility-v1",
+            "pips_full.csv": ("pips-full-v1", _pip_columns(full[None])[1:]),
+            "pips_splits.csv": ("pips-splits-v1", _pip_columns(splits)),
+            "reproducibility.csv": ("reproducibility-v1", [*keys, lo, hi, hi - lo]),
         },
         {
             "data": str(args.data), "target": args.target,
@@ -496,7 +476,6 @@ def cmd_select(args) -> int:
             "seed": seed,
         },
     )
-    log.info("wrote %s", outdir)
     return 0
 
 
@@ -540,26 +519,20 @@ def cmd_asymptotics(args) -> int:
             scenario_records.append((kind, value, three_model_c, 1.0 - pick, 0.0, threshold, frac, frac_se))
             row += 1
 
-    outdir = _outdir(args)
-    _write_csv(outdir / "two_model_events.csv", "two-model-events-v1", _rows("two-model-events-v1", event_records))
-    _write_csv(outdir / "two_model_density.csv", "two-model-density-v1", _rows("two-model-density-v1", density_records))
-    _write_csv(outdir / "three_model_curves.csv", "three-model-curves-v1", _rows("three-model-curves-v1", scenario_records))
-    _write_csv(outdir / "checkpoints.csv", "checkpoint-v1", _rows("checkpoint-v1", checkpoints))
-    _write_manifest(
-        outdir,
+    _write_results(
+        Path(args.out),
         "asymptotics",
         {
-            "two_model_events.csv": "two-model-events-v1",
-            "two_model_density.csv": "two-model-density-v1",
-            "three_model_curves.csv": "three-model-curves-v1",
-            "checkpoints.csv": "checkpoint-v1",
+            "two_model_events.csv": ("two-model-events-v1", list(zip(*event_records))),
+            "two_model_density.csv": ("two-model-density-v1", list(zip(*density_records))),
+            "three_model_curves.csv": ("three-model-curves-v1", list(zip(*scenario_records))),
+            "checkpoints.csv": ("checkpoint-v1", list(zip(*checkpoints))),
         },
         {
             "threshold": threshold, "n_samples": n_samples,
             "three_model_c": three_model_c, "seed": seed,
         },
     )
-    log.info("wrote %s", outdir)
     return 0
 
 
@@ -612,11 +585,9 @@ def cmd_mismatch(args) -> int:
         "d": data.d,
         "source": source,
     }
-    outdir = _outdir(args)
-    with open(outdir / "mismatch.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(outdir, "mismatch", {"mismatch.json": MISMATCH_REPORT_SCHEMA}, report)
+    _write_results(
+        Path(args.out), "mismatch", {"mismatch.json": (MISMATCH_REPORT_SCHEMA, report)}, report
+    )
     log.info("overall mismatch index: %s", "NA" if overall.is_na else _fmt(overall.value))
     return 0
 
@@ -640,16 +611,12 @@ def cmd_overlap(args) -> int:
 
     label_a = ";".join(Path(p).name for p in args.a)
     label_b = ";".join(Path(p).name for p in args.b)
-    records = [
-        (label_a, label_b, level, result.mass_a, result.mass_b, result.mass_avg,
-         result.count, ci_lo, ci_hi)
-    ]
-    outdir = _outdir(args)
-    _write_csv(outdir / "overlap.csv", "overlap-v1", _rows("overlap-v1", records))
-    _write_manifest(
-        outdir,
+    row = (label_a, label_b, level, result.mass_a, result.mass_b, result.mass_avg,
+           result.count, ci_lo, ci_hi)
+    _write_results(
+        Path(args.out),
         "overlap",
-        {"overlap.csv": "overlap-v1"},
+        {"overlap.csv": ("overlap-v1", [[value] for value in row])},
         {"a": [str(p) for p in args.a], "b": [str(p) for p in args.b],
          "level": level, "ci": bool(args.ci), "n_boot": n_boot,
          "ci_level": ci_level, "seed": seed},
@@ -696,26 +663,16 @@ def cmd_schema_check(args) -> int:
             if missing:
                 raise IngestionError(f"{path}: missing keys {missing}")
             continue
-        if schema == DATASET_SCHEMA:
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None) or []
-                d = len(header) - 1
-                if d < 1 or header != [f"z{j}" for j in range(1, d + 1)] + ["y"]:
-                    raise IngestionError(f"{path}: header {header} does not match {schema}")
-                for lineno, row in enumerate(reader, start=2):
-                    if len(row) != d + 1:
-                        raise IngestionError(f"{path}:{lineno}: wrong field count")
-                    for value in row:
-                        _check_cell(value, "float", f"{path}:{lineno}")
-            log.info("%s conforms to %s", path, schema)
-            continue
-        if schema not in SCHEMAS:
+        if schema != DATASET_SCHEMA and schema not in SCHEMAS:
             raise IngestionError(f"{path}: unknown schema {schema!r}")
-        spec = SCHEMAS[schema]
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
+            if schema == DATASET_SCHEMA:
+                # a dataset has at least one regressor column
+                spec = _dataset_spec(max(len(header or []) - 1, 1))
+            else:
+                spec = SCHEMAS[schema]
             if header != [name for name, _ in spec]:
                 raise IngestionError(f"{path}: header {header} does not match {schema}")
             for lineno, row in enumerate(reader, start=2):
@@ -809,7 +766,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=STRONG_FAVOR_THRESHOLD,
                    help=f"'strongly favors' cutoff (default {STRONG_FAVOR_THRESHOLD})")
     p.add_argument("--three-model-c", dest="three_model_c", type=float, default=1.0)
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=4000)
+    p.add_argument("--n-samples", dest="n_samples", type=_positive_int, default=4000)
     _add_common(p)
 
     p = command("mismatch", cmd_mismatch, "model-data mismatch report (full model)")

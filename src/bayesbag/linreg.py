@@ -24,8 +24,9 @@ by size j, each group's Lam_g blocks are gathered into one (n_j, j, j)
 stack and factored by a single stacked Cholesky, and quad, log|Lam_g|,
 b_g and log ml are formed as arrays.  The gather indices (the *plan*)
 depend only on the model set, so ``make_evaluator`` builds them once and
-reuses them for every weight vector.  The one-model functions are the
-K = 1 case of the same code.
+reuses them for every weight vector.  ``param_moments_from_stats``
+factors its one model through the same stacked path, so jitter reaches
+moments exactly as it reaches evidences.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from math import comb, lgamma, log, pi
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import digamma, polygamma
 
 from .errors import (
@@ -51,15 +51,11 @@ __all__ = [
     "ParamMoments",
     "SuffStats",
     "weighted_stats",
-    "log_marginal_likelihood",
-    "log_marginal_likelihood_from_stats",
     "model_log_marginals",
     "make_evaluator",
     "enumerate_models",
-    "log_prior_gamma",
     "log_priors",
     "pips",
-    "posterior_param_moments",
     "param_moments_from_stats",
 ]
 
@@ -167,13 +163,16 @@ def weighted_stats(data: RegressionDataset, weights) -> SuffStats:
 
 
 def _spd_cholesky(a: np.ndarray) -> np.ndarray:
+    """Cholesky factor of a symmetric matrix that is positive definite in
+    exact arithmetic, escalating a diagonal jitter when rounding breaks it."""
     for jitter in _JITTERS:
         try:
             return np.linalg.cholesky(a if jitter == 0.0 else a + jitter * np.eye(a.shape[0]))
         except np.linalg.LinAlgError:
             continue
     raise NumericDomainError(
-        "Z'WZ + lam*I is not positive definite; inputs contain NaN or are corrupt"
+        "matrix is not positive definite even with diagonal jitter; "
+        "inputs contain NaN or are corrupt"
     )
 
 
@@ -217,22 +216,18 @@ class _ModelPlan:
         return cls(d=d, sizes=sizes.astype(float), groups=tuple(groups))
 
 
-def log_marginal_likelihood_from_stats(
-    stats: SuffStats, gamma, hyper: NIGHyperparams
-) -> float:
-    """Weighted log marginal likelihood for one inclusion vector, from
-    precomputed sufficient statistics."""
-    return float(model_log_marginals(stats, np.asarray(gamma)[None, :], hyper)[0])
-
-
-def log_marginal_likelihood(
-    data: RegressionDataset, weights, gamma, hyper: NIGHyperparams
-) -> float:
-    """Weighted log marginal likelihood of one inclusion vector.
-
-    All-zero weights give 0.0 (the empty dataset has evidence 1).
-    """
-    return log_marginal_likelihood_from_stats(weighted_stats(data, weights), gamma, hyper)
+def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, flat: np.ndarray, lam: float):
+    """Factor one size group: gather its Z_g'WZ_g blocks by ``flat``,
+    add lam I, take one stacked Cholesky ``chol`` (n_j, j, j) and solve
+    chol t = Z_g'Wy for ``t`` (n_j, j).  If the stacked call fails, the
+    group is refactored matrix by matrix, so jitter reaches only the
+    failing matrices."""
+    lam_mat = np.take(zwz, flat) + lam * np.eye(cols.shape[1])
+    try:
+        chol = np.linalg.cholesky(lam_mat)
+    except np.linalg.LinAlgError:
+        chol = np.stack([_spd_cholesky(a) for a in lam_mat])
+    return chol, _forward_substitute(chol, np.take(zwy, cols))
 
 
 def model_log_marginals(
@@ -258,13 +253,7 @@ def model_log_marginals(
     quad = np.zeros(plan.sizes.size)
     logdet = np.zeros(plan.sizes.size)
     for rows, cols, flat in plan.groups:
-        lam_mat = np.take(zwz, flat) + hyper.lam * np.eye(cols.shape[1])
-        try:
-            chol = np.linalg.cholesky(lam_mat)
-        except np.linalg.LinAlgError:
-            # factor one by one, so jitter reaches only the failing matrices
-            chol = np.stack([_spd_cholesky(a) for a in lam_mat])
-        t = _forward_substitute(chol, np.take(zwy, cols))
+        chol, t = _factor(zwz, zwy, cols, flat, hyper.lam)
         quad[rows] = np.einsum("ij,ij->i", t, t)
         logdet[rows] = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     a_n = hyper.a0 + 0.5 * stats.m
@@ -335,16 +324,9 @@ def enumerate_models(d: int, k_star: int) -> np.ndarray:
     return out
 
 
-def log_prior_gamma(gamma, hyper: NIGHyperparams) -> float:
-    """Unnormalized log prior of one inclusion vector:
-    d_g log q0 + (D - d_g) log(1 - q0)."""
-    gamma = np.asarray(gamma)
-    d_active = int(gamma.sum())
-    return d_active * log(hyper.q0) + (gamma.size - d_active) * log(1.0 - hyper.q0)
-
-
 def log_priors(models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
-    """Unnormalized log priors for every row of an enumerated model set."""
+    """Unnormalized log priors for every row of an enumerated model set:
+    d_g log q0 + (D - d_g) log(1 - q0)."""
     sizes = models.sum(axis=1).astype(float)
     return sizes * log(hyper.q0) + (models.shape[1] - sizes) * log(1.0 - hyper.q0)
 
@@ -370,31 +352,30 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
     beta | sigma^2 ~ Normal(beta_hat, sigma^2 Lam_g^{-1}); marginally each
     beta_j is Student-t with variance b_g/(a_n - 1) * (Lam_g^{-1})_jj, and
     log sigma^2 has mean log b_g - digamma(a_n) and variance trigamma(a_n).
+
+    The model is factored as a one-model size group of the evidence path;
+    the mean and diag(Lam_g^{-1}) come from the inverse of its triangular
+    factor.
     """
     a_n = hyper.a0 + 0.5 * stats.m
     if a_n <= 1.0:
         raise VarianceUndefinedError(
             f"posterior variance needs a0 + M/2 > 1, got {a_n}"
         )
-    idx = np.flatnonzero(gamma)
-    d_active = idx.size
-    if d_active == 0:
+    cols = np.flatnonzero(gamma)[None, :]
+    if cols.size == 0:
         mean_beta = np.empty(0)
         var_beta = np.empty(0)
         b_g = hyper.b0 + 0.5 * stats.ywy
     else:
         zwz = np.asarray(stats.zwz, dtype=float)
-        lam_mat = zwz[np.ix_(idx, idx)] + hyper.lam * np.eye(d_active)
-        chol = _spd_cholesky(lam_mat)
-        rhs = np.asarray(stats.zwy, dtype=float)[idx]
-        t = solve_triangular(chol, rhs, lower=True, check_finite=False)
-        mean_beta = solve_triangular(chol.T, t, lower=False, check_finite=False)
-        inv_chol = solve_triangular(
-            chol, np.eye(d_active), lower=True, check_finite=False
-        )
-        inv_diag = np.sum(inv_chol * inv_chol, axis=0)
-        b_g = hyper.b0 + 0.5 * (stats.ywy - float(t @ t))
-        var_beta = b_g / (a_n - 1.0) * inv_diag
+        flat = cols[:, :, None] * zwz.shape[1] + cols[:, None, :]
+        chol, t = _factor(zwz, np.asarray(stats.zwy, dtype=float), cols, flat, hyper.lam)
+        # Lam_g^{-1} = L^{-T} L^{-1}: mean L^{-T} t, diagonal the column norms of L^{-1}
+        inv_chol = np.linalg.inv(chol[0])
+        mean_beta = inv_chol.T @ t[0]
+        b_g = hyper.b0 + 0.5 * (stats.ywy - float(t[0] @ t[0]))
+        var_beta = b_g / (a_n - 1.0) * np.sum(inv_chol * inv_chol, axis=0)
     if not b_g > 0.0:
         raise NumericDomainError(
             f"b_g = {b_g!r} is not positive: y'Wy - quad cancelled or overflowed"
@@ -405,10 +386,3 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
         mean_beta=mean_beta,
         var_beta=var_beta,
     )
-
-
-def posterior_param_moments(
-    data: RegressionDataset, weights, gamma, hyper: NIGHyperparams
-) -> ParamMoments:
-    """Conjugate posterior moments of (log sigma^2, beta) for one model."""
-    return param_moments_from_stats(weighted_stats(data, weights), gamma, hyper)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularMomentError
-from .linreg import RegressionDataset
+from .linreg import RegressionDataset, _spd_cholesky
 
 __all__ = [
     "SimConfig",
@@ -95,24 +95,13 @@ def _base_correlation(d: int) -> np.ndarray:
     return np.exp(-(diff * diff) / 64.0)
 
 
-def _correlation_cholesky(corr: np.ndarray) -> np.ndarray:
-    # the squared-exponential kernel's smallest eigenvalues underflow to
-    # (slightly negative) float noise once d exceeds ~14; a tiny diagonal
-    # jitter restores positive definiteness without moving the law
-    for jitter in (0.0, 1e-12, 1e-10):
-        try:
-            return np.linalg.cholesky(
-                corr if jitter == 0.0 else corr + jitter * np.eye(corr.shape[0])
-            )
-        except np.linalg.LinAlgError:
-            continue
-    raise InvalidArgumentError("regressor correlation matrix is not positive semidefinite")
-
-
 def sample_regressors(config: SimConfig, rng: np.random.Generator, n_rows: int | None = None) -> np.ndarray:
     """Draw i.i.d. regressor rows from the scale-mixture generator."""
     n = config.n if n_rows is None else n_rows
-    chol = _correlation_cholesky(_base_correlation(config.d))
+    # the squared-exponential kernel's smallest eigenvalues underflow to
+    # (slightly negative) float noise once d exceeds ~14; the ladder's tiny
+    # diagonal jitter restores positive definiteness without moving the law
+    chol = _spd_cholesky(_base_correlation(config.d))
     v = rng.standard_normal((n, config.d)) @ chol.T
     xi = rng.chisquare(config.h, size=n)
     scale = np.sqrt(xi / (config.h - 2.0))

@@ -303,6 +303,16 @@ class TestSchemaCheck:
     def test_missing_manifest(self, tmp_path):
         assert run("schema-check", "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("header", ["z1,y,z2", "y"])
+    def test_dataset_header_must_be_regressors_then_y(self, tmp_path, header):
+        out = tmp_path / "out"
+        assert run("simulate", "--D", 2, "--k", 1, "--N", 20, "--replicates", 1,
+                   "--B", 2, "--export-data", "--out", out) == 0
+        dataset = out / "dataset_000.csv"
+        width = len(header.split(","))
+        dataset.write_text(header + "\n" + ",".join(["0.5"] * width) + "\n", encoding="utf-8")
+        assert run("schema-check", "--out", out) == 2
+
 
 class TestUsageErrors:
     def test_missing_out(self):
@@ -329,6 +339,13 @@ class TestUsageErrors:
         assert run("mismatch", "--D", 3, "--k", 1, "--N", 30, "--B", 0, "--out", out) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_non_positive_n_samples(self, tmp_path, n_samples):
+        out = tmp_path / "o"
+        assert run("asymptotics", "--n-samples", n_samples, "--mu3-grid=", "--sigma3-grid=",
+                   "--rho-grid=", "--out", out) == 1
+        assert not out.exists()
+
     def test_inner_samples_rejected(self, tmp_path):
         assert run("asymptotics", "--inner-samples", 2000, "--out", tmp_path / "o") == 1
         cfg = tmp_path / "run.cfg"
@@ -337,8 +354,11 @@ class TestUsageErrors:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly doubles the start-up time and memory of every CLI call
+    # scipy.stats roughly doubles the start-up time and memory of every CLI
+    # call; scipy.linalg brings a second OpenBLAS whose threads contend with
+    # numpy's
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import bayesbag.cli, sys; assert 'scipy.stats' not in sys.modules"
+    code = ("import bayesbag.cli, sys; "
+            "assert not {'scipy.stats', 'scipy.linalg'} & set(sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

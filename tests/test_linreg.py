@@ -7,7 +7,7 @@ from math import exp, lgamma, log, pi
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import polygamma
+from scipy.special import digamma, polygamma
 
 from bayesbag.core import standard_model_posterior
 from bayesbag.errors import (
@@ -21,17 +21,26 @@ from bayesbag.linreg import (
     RegressionDataset,
     SuffStats,
     enumerate_models,
-    log_marginal_likelihood,
-    log_marginal_likelihood_from_stats,
-    log_prior_gamma,
     log_priors,
     make_evaluator,
     model_log_marginals,
     param_moments_from_stats,
     pips,
-    posterior_param_moments,
     weighted_stats,
 )
+
+
+def log_ml(data, weights, gamma, hyper):
+    """One model's weighted log evidence, as a one-row model set."""
+    return model_log_marginals(weighted_stats(data, weights), np.asarray(gamma)[None], hyper)[0]
+
+
+def log_prior(gamma, hyper):
+    return log_priors(np.asarray(gamma)[None], hyper)[0]
+
+
+def moments_of(data, weights, gamma, hyper):
+    return param_moments_from_stats(weighted_stats(data, weights), gamma, hyper)
 
 
 def quadrature_log_ml_ratio(z, y, hyper, shift):
@@ -69,7 +78,7 @@ HYPER = NIGHyperparams(a0=2.0, b0=1.0, lam=16.0, q0=0.1, k_star=3)
 class TestLogMarginalLikelihood:
     def test_empty_weights_give_unit_evidence(self):
         data = random_problem(np.random.default_rng(0))
-        value = log_marginal_likelihood(data, np.zeros(data.n), np.array([1, 0, 1]), HYPER)
+        value = log_ml(data, np.zeros(data.n), np.array([1, 0, 1]), HYPER)
         assert value == 0.0
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -86,7 +95,7 @@ class TestLogMarginalLikelihood:
                 k_star=1,
             )
             data = RegressionDataset(z=z, y=y)
-            lml = log_marginal_likelihood(data, np.ones(5), np.array([1]), hyper)
+            lml = log_ml(data, np.ones(5), np.array([1]), hyper)
             ratio = quadrature_log_ml_ratio(z, y, hyper, shift=lml)
             assert abs(ratio - 1.0) < 1e-6
 
@@ -98,11 +107,11 @@ class TestLogMarginalLikelihood:
             if w.sum() == 0:
                 w[0] = 1
             gamma = rng.integers(0, 2, size=data.d)
-            weighted = log_marginal_likelihood(data, w, gamma, HYPER)
+            weighted = log_ml(data, w, gamma, HYPER)
             replicated = RegressionDataset(
                 z=np.repeat(data.z, w, axis=0), y=np.repeat(data.y, w)
             )
-            unit = log_marginal_likelihood(
+            unit = log_ml(
                 replicated, np.ones(replicated.n), gamma, HYPER
             )
             # equality up to float summation order
@@ -117,16 +126,16 @@ class TestLogMarginalLikelihood:
         y = z[:, 0] + rng.standard_normal(8)
         data = RegressionDataset(z=z, y=y)
         hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=3.0, q0=0.5, k_star=2)
-        with_col = log_marginal_likelihood(data, np.ones(8), np.array([1, 1]), hyper)
-        without = log_marginal_likelihood(data, np.ones(8), np.array([1, 0]), hyper)
+        with_col = log_ml(data, np.ones(8), np.array([1, 1]), hyper)
+        without = log_ml(data, np.ones(8), np.array([1, 0]), hyper)
         assert abs(with_col - without) < 1e-10
 
     def test_bad_weights_rejected(self):
         data = random_problem(np.random.default_rng(1))
         with pytest.raises(InvalidArgumentError):
-            log_marginal_likelihood(data, np.ones(data.n - 1), np.array([1, 0, 0]), HYPER)
+            log_ml(data, np.ones(data.n - 1), np.array([1, 0, 0]), HYPER)
         with pytest.raises(InvalidArgumentError):
-            log_marginal_likelihood(data, -np.ones(data.n), np.array([1, 0, 0]), HYPER)
+            log_ml(data, -np.ones(data.n), np.array([1, 0, 0]), HYPER)
 
 
 def per_model_log_ml(stats, gamma, hyper):
@@ -148,6 +157,16 @@ def per_model_log_ml(stats, gamma, hyper):
     )
 
 
+def jitter_problem():
+    """z2 == z1 with z1'z1 = 4: with lam = 1e-20, every block holding both
+    columns rounds to a singular matrix whose Cholesky fails without jitter."""
+    rng = np.random.default_rng(47)
+    z = np.column_stack([np.ones(4), np.ones(4), rng.standard_normal(4)])
+    data = RegressionDataset(z=z, y=rng.standard_normal(4))
+    hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=3)
+    return weighted_stats(data, np.ones(4)), hyper
+
+
 # b_g = b0 + (0 - 100 / (1 + lam)) / 2 < 0: the evidence is undefined
 NEGATIVE_B_G = SuffStats(zwz=[[1]], zwy=[10], ywy=0, m=1)
 NEGATIVE_B_G_HYPER = NIGHyperparams(a0=2, b0=1e-3, lam=1e-6, q0=0.5, k_star=1)
@@ -166,7 +185,7 @@ class TestBatchedModelLayer:
         batched = model_log_marginals(stats, models, hyper)
         reference = np.array([per_model_log_ml(stats, g, hyper) for g in models])
         np.testing.assert_allclose(batched, reference, rtol=1e-10)
-        single = [log_marginal_likelihood_from_stats(stats, g, hyper) for g in models]
+        single = [model_log_marginals(stats, g[None], hyper)[0] for g in models]
         np.testing.assert_allclose(single, batched, rtol=1e-14)
 
     def test_evaluator_matches_direct_call(self):
@@ -181,13 +200,8 @@ class TestBatchedModelLayer:
             )
 
     def test_jitter_confined_to_failing_matrix(self):
-        # z2 == z1 with z1'z1 = 4: the {1, 2} block [[4, 4], [4, 4]] + 1e-20 I
-        # rounds to a singular matrix whose Cholesky fails without jitter
-        rng = np.random.default_rng(47)
-        z = np.column_stack([np.ones(4), np.ones(4), rng.standard_normal(4)])
-        data = RegressionDataset(z=z, y=rng.standard_normal(4))
-        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=3)
-        stats = weighted_stats(data, np.ones(4))
+        # the {1, 2} block [[4, 4], [4, 4]] + 1e-20 I needs jitter
+        stats, hyper = jitter_problem()
         models = enumerate_models(3, 3)
         pair = [list(g) for g in models].index([1, 1, 0])
         with pytest.raises(np.linalg.LinAlgError):
@@ -204,9 +218,9 @@ class TestBatchedModelLayer:
         with pytest.raises(NumericDomainError):
             model_log_marginals(NEGATIVE_B_G, np.array([[0], [1]]), NEGATIVE_B_G_HYPER)
         with pytest.raises(NumericDomainError):
-            log_marginal_likelihood_from_stats(NEGATIVE_B_G, [1], NEGATIVE_B_G_HYPER)
+            model_log_marginals(NEGATIVE_B_G, np.array([[1]]), NEGATIVE_B_G_HYPER)
         # the empty model leaves b_g = b0 and stays defined
-        value = log_marginal_likelihood_from_stats(NEGATIVE_B_G, [0], NEGATIVE_B_G_HYPER)
+        value = model_log_marginals(NEGATIVE_B_G, np.array([[0]]), NEGATIVE_B_G_HYPER)[0]
         assert np.isfinite(value)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -216,7 +230,7 @@ class TestBatchedModelLayer:
         data = RegressionDataset(z=np.array([[1.0]]), y=np.array([1e200]))
         for gamma in ([0], [1]):
             with pytest.raises(NumericDomainError):
-                log_marginal_likelihood(data, np.ones(1), gamma, HYPER)
+                log_ml(data, np.ones(1), gamma, HYPER)
         # M so large that lgamma(a0 + M/2) overflows
         huge_m = SuffStats(zwz=[[1]], zwy=[0], ywy=1, m=1e308)
         with pytest.raises(NumericDomainError):
@@ -264,14 +278,14 @@ class TestPriorOverGamma:
 
     def test_direct_value(self):
         hyper = NIGHyperparams(a0=2, b0=1, lam=1, q0=0.1, k_star=2)
-        value = log_prior_gamma(np.array([1, 0]), hyper)
+        value = log_prior(np.array([1, 0]), hyper)
         assert abs(value - (log(0.1) + log(0.9))) < 1e-15
 
     def test_prior_ratio(self):
         hyper = NIGHyperparams(a0=2, b0=1, lam=1, q0=0.25, k_star=2)
         ratio = exp(
-            log_prior_gamma(np.array([1, 1]), hyper)
-            - log_prior_gamma(np.array([0, 0]), hyper)
+            log_prior(np.array([1, 1]), hyper)
+            - log_prior(np.array([0, 0]), hyper)
         )
         assert abs(ratio - 1.0 / 9.0) < 1e-12
 
@@ -337,11 +351,58 @@ class TestPips:
         np.testing.assert_allclose(run(permuted), run(data)[perm], atol=1e-10)
 
 
+def dense_moments(stats, gamma, hyper, jitter=0.0):
+    """Lam_g (plus ``jitter`` I) and the moments (mean_beta, var_beta,
+    mean_log_sigma2) by a dense solve and inverse; independent of the
+    triangular-factor path."""
+    idx = np.flatnonzero(gamma)
+    lam_mat = stats.zwz[np.ix_(idx, idx)] + hyper.lam * np.eye(idx.size) + jitter * np.eye(idx.size)
+    mean = np.linalg.solve(lam_mat, stats.zwy[idx])
+    a_n = hyper.a0 + 0.5 * stats.m
+    b_g = hyper.b0 + 0.5 * (stats.ywy - stats.zwy[idx] @ mean)
+    var = b_g / (a_n - 1.0) * np.diag(np.linalg.inv(lam_mat))
+    return lam_mat, mean, var, log(b_g) - digamma(a_n)
+
+
 class TestParamMoments:
+    def test_match_dense_reference(self):
+        rng = np.random.default_rng(53)
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=0.5, q0=0.5, k_star=6)
+        for _ in range(5):
+            data = random_problem(rng, n=30, d=6)
+            stats = weighted_stats(data, rng.integers(0, 4, size=data.n))
+            # random models plus a one-column model
+            for gamma in [*rng.integers(0, 2, size=(8, 6)), np.eye(6, dtype=int)[2]]:
+                if not gamma.any():
+                    continue
+                _, mean, var, mean_log_s2 = dense_moments(stats, gamma, hyper)
+                moments = param_moments_from_stats(stats, gamma, hyper)
+                np.testing.assert_allclose(moments.mean_beta, mean, rtol=1e-12)
+                np.testing.assert_allclose(moments.var_beta, var, rtol=1e-12)
+                np.testing.assert_allclose(moments.mean_log_sigma2, mean_log_s2, rtol=1e-12)
+
+    def test_jitter_reaches_moments(self):
+        # blocks holding columns 1 and 2 take the 1e-12 rung of the ladder
+        stats, hyper = jitter_problem()
+        for gamma in enumerate_models(3, 3)[1:]:
+            jitter = 1e-12 if gamma[0] and gamma[1] else 0.0
+            lam_mat, mean, var, mean_log_s2 = dense_moments(stats, gamma, hyper, jitter)
+            moments = param_moments_from_stats(stats, gamma, hyper)
+            np.testing.assert_allclose(moments.var_beta, var, rtol=1e-12)
+            np.testing.assert_allclose(moments.mean_log_sigma2, mean_log_s2, rtol=1e-12)
+            if jitter:
+                # a jittered Lam_g has cond ~ 1e13, so the mean is checked by
+                # its backward residual, which does not grow with cond
+                residual = lam_mat @ moments.mean_beta - stats.zwy[np.flatnonzero(gamma)]
+                scale = np.linalg.norm(lam_mat, 2) * np.linalg.norm(moments.mean_beta)
+                assert np.linalg.norm(residual) <= 1e-12 * scale
+            else:
+                np.testing.assert_allclose(moments.mean_beta, mean, rtol=1e-12)
+
     def test_prior_variance_with_zero_data(self):
         data = random_problem(np.random.default_rng(2))
         hyper = NIGHyperparams(a0=3.0, b0=2.0, lam=50.0, q0=0.5, k_star=3)
-        moments = posterior_param_moments(
+        moments = moments_of(
             data, np.zeros(data.n), np.array([1, 1, 1]), hyper
         )
         expected = hyper.b0 / ((hyper.a0 - 1.0) * hyper.lam)
@@ -352,7 +413,7 @@ class TestParamMoments:
         # a_n = a0 + M/2 = 2 with a0 = 1.5, M = 1: var(log sigma^2) = pi^2/6 - 1
         data = RegressionDataset(z=np.array([[1.0]]), y=np.array([0.5]))
         hyper = NIGHyperparams(a0=1.5, b0=1.0, lam=1.0, q0=0.5, k_star=1)
-        moments = posterior_param_moments(data, np.ones(1), np.array([1]), hyper)
+        moments = moments_of(data, np.ones(1), np.array([1]), hyper)
         assert abs(moments.var_log_sigma2 - (np.pi**2 / 6 - 1.0)) < 1e-12
 
     def test_negative_b_g_is_a_typed_error(self):
@@ -363,7 +424,7 @@ class TestParamMoments:
         data = RegressionDataset(z=np.array([[1.0]]), y=np.array([0.5]))
         hyper = NIGHyperparams(a0=0.5, b0=1.0, lam=1.0, q0=0.5, k_star=1)
         with pytest.raises(VarianceUndefinedError):
-            posterior_param_moments(data, np.zeros(1), np.array([1]), hyper)
+            moments_of(data, np.zeros(1), np.array([1]), hyper)
 
     def test_against_conjugate_sampling(self):
         rng = np.random.default_rng(7)
@@ -372,7 +433,7 @@ class TestParamMoments:
         y = z @ np.array([1.0, -0.5, 0.25]) + rng.standard_normal(n)
         data = RegressionDataset(z=z, y=y)
         hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=2.0, q0=0.5, k_star=3)
-        moments = posterior_param_moments(data, np.ones(n), np.ones(d), hyper)
+        moments = moments_of(data, np.ones(n), np.ones(d), hyper)
 
         a_n = hyper.a0 + n / 2
         lam_mat = z.T @ z + hyper.lam * np.eye(d)
