@@ -242,7 +242,11 @@ _FORMATS = {"int": lambda v: str(int(v)), "str": str}
 
 
 def _format_column(values, kind: str) -> list[str]:
-    fmt = _FORMATS.get(kind, _fmt)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # builtin floats format faster than numpy scalars
+    fmt = _FORMATS.get(kind)
+    if fmt is None:
+        return ["" if v is None else format(v, ".12g") for v in values]
     return ["" if v is None else fmt(v) for v in values]
 
 
@@ -481,17 +485,24 @@ def cmd_select(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     seed, threshold, u_grid = args.seed, args.threshold, args.u_grid
+    delta_grid, c_grid = args.delta_grid, args.c_grid
     n_samples, three_model_c = args.n_samples, args.three_model_c
 
     event_records = []
-    density_records = []
-    for delta in args.delta_grid:
+    densities = []
+    for delta in delta_grid:
         p_std_wrong = 1.0 - std_limit_bernoulli_2(TwoModelLaw(delta, 1.0))
-        for c in args.c_grid:
+        for c in c_grid:
             law = TwoModelLaw(float(delta), float(c))
             event_records.append((delta, c, p_std_wrong, threshold, ubb_cdf(threshold, law)))
-            for u, f in zip(u_grid, ubb_density(u_grid, law)):
-                density_records.append((delta, c, u, f))
+            densities.append(ubb_density(u_grid, law))
+    # rows run over delta, then c, then u
+    density_columns = [
+        np.repeat(delta_grid, c_grid.size * u_grid.size),
+        np.tile(np.repeat(c_grid, u_grid.size), delta_grid.size),
+        np.tile(u_grid, delta_grid.size * c_grid.size),
+        np.ravel(densities),
+    ]
 
     checkpoint_law = TwoModelLaw(2.0, 1.0)
     checkpoints = [
@@ -524,7 +535,7 @@ def cmd_asymptotics(args) -> int:
         "asymptotics",
         {
             "two_model_events.csv": ("two-model-events-v1", list(zip(*event_records))),
-            "two_model_density.csv": ("two-model-density-v1", list(zip(*density_records))),
+            "two_model_density.csv": ("two-model-density-v1", density_columns),
             "three_model_curves.csv": ("three-model-curves-v1", list(zip(*scenario_records))),
             "checkpoints.csv": ("checkpoint-v1", list(zip(*checkpoints))),
         },
@@ -565,10 +576,10 @@ def cmd_mismatch(args) -> int:
     standard = param_moments_from_stats(
         weighted_stats(data, np.ones(data.n)), gamma_full, hyper
     )
-    boot_seed = _child_seed(seed, 1)
+    boot_rng = replicate_rng(_child_seed(seed, 1))
     replicate_moments = []
-    for i in range(b):
-        counts = bootstrap_counts(data.n, m, replicate_rng(boot_seed, i))
+    for _ in range(b):
+        counts = bootstrap_counts(data.n, m, boot_rng)
         replicate_moments.append(
             param_moments_from_stats(weighted_stats(data, counts), gamma_full, hyper)
         )

@@ -5,7 +5,10 @@ bootstrap resamples of the data.  Resamples are represented as integer
 weight vectors (multinomial counts over the original observations), never
 as materialized datasets: a replicate costs one count draw plus one
 evaluator call, and an evaluator built on weighted sufficient statistics
-forms them once per replicate and shares them across all models.
+forms them once per replicate and shares them across all models.  The
+count vectors of one bagging run are consecutive draws from one random
+stream, so replicate i depends only on (seed, i) and the first B
+replicates are the same for any larger B.
 
 An *evaluator* is a callable mapping a weight vector (length-N integer
 array summing to M) to the vector of per-model weighted log marginal
@@ -103,11 +106,12 @@ class BaggedPosterior:
 
 
 def replicate_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent deterministic random stream for ``key`` under ``seed``.
+    """Deterministic random stream for ``key`` under ``seed``.
 
-    Streams are derived by hashing (seed, key), so a bootstrap replicate
-    ``i`` (key ``(i,)``) does not depend on evaluation order; callers use
-    longer keys for other streams of the same run.
+    Streams are derived by hashing (seed, key), so streams with different
+    keys are independent.  A bagging run draws all its count vectors in
+    order from the one stream ``replicate_rng(seed)``; callers use keys for
+    the other streams of a run (generated datasets, splits).
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
@@ -116,13 +120,19 @@ def bootstrap_counts(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw multinomial(m, uniform over n cells) resampling weights.
 
     Entry i counts how many times observation i appears in the bootstrap
-    dataset; the counts sum to m.
+    dataset; the counts sum to m.  The draw picks m observation indices
+    uniformly with replacement and counts them with ``bincount``, which
+    has the multinomial law.  At most n indices are held at a time, so
+    memory stays O(n) for any m (time is O(m)).
     """
     if n < 1:
         raise InvalidArgumentError(f"number of observations n must be >= 1, got {n}")
     if m < 1:
         raise InvalidArgumentError(f"bootstrap size m must be >= 1, got {m}")
-    return rng.multinomial(m, np.full(n, 1.0 / n))
+    counts = np.bincount(rng.integers(0, n, min(m, n)), minlength=n)
+    for drawn in range(n, m, n):
+        counts += np.bincount(rng.integers(0, n, min(n, m - drawn)), minlength=n)
+    return counts
 
 
 def _normalized_probs(log_evidence: np.ndarray) -> np.ndarray:
@@ -168,16 +178,18 @@ def bagged_model_posterior(
 ) -> BaggedPosterior:
     """Average the standard posterior over bootstrap-resampled datasets.
 
-    Replicate ``i`` draws its weight vector from an independent random
-    stream derived from ``(config.seed, i)``, so its result does not
-    depend on the other replicates.
+    The weight vectors are drawn in replicate order from the one stream
+    ``replicate_rng(config.seed)``: replicate ``i`` depends only on
+    ``(config.seed, i)``, and a run with more replicates repeats the first
+    ``config.b`` of this one.
     """
     if n_obs < 1:
         raise InvalidArgumentError(f"number of observations must be >= 1, got {n_obs}")
     log_prior = np.asarray(log_prior, dtype=float)
+    rng = replicate_rng(config.seed)
     rows = []
     for i in range(config.b):
-        counts = bootstrap_counts(n_obs, config.m, replicate_rng(config.seed, i))
+        counts = bootstrap_counts(n_obs, config.m, rng)
         try:
             log_ml = np.asarray(evaluator(counts), dtype=float)
         except Exception as exc:

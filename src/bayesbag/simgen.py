@@ -120,7 +120,9 @@ def sample_dataset(config: SimConfig, rng: np.random.Generator | None = None) ->
         rng = np.random.default_rng(config.seed)
     beta = make_beta_dagger(config.d, config.k)
     z = sample_regressors(config, rng)
-    y = _response_map(z, config.response_kind) @ beta + rng.standard_normal(config.n)
+    support = np.flatnonzero(beta)  # only the k causal columns enter the response
+    signal = _response_map(z[:, support], config.response_kind) @ beta[support]
+    y = signal + rng.standard_normal(config.n)
     return RegressionDataset(z=z, y=y)
 
 

@@ -1,6 +1,9 @@
 """Tests for the bagging engine: bootstrap weights, posterior normalization,
 Monte Carlo versus exact-enumeration bagging, and standard errors."""
 
+from itertools import product
+from math import factorial, prod
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,29 @@ class TestBootstrapCounts:
             counts = bootstrap_counts(2, 2, rng)
             hits += counts[0] == 2
         assert abs(hits / draws - 0.25) < 0.01
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (3, 7)])
+    def test_law_is_multinomial(self, n, m):
+        # every count vector's frequency against its exact multinomial pmf;
+        # m > n draws the indices in chunks of at most n
+        rng = np.random.default_rng(2024)
+        draws = 200_000
+        counts = np.array([bootstrap_counts(n, m, rng) for _ in range(draws)])
+        rows, hits = np.unique(counts, axis=0, return_counts=True)
+        freq = dict(zip(map(tuple, rows.tolist()), hits.tolist()))
+        vectors = [v for v in product(range(m + 1), repeat=n) if sum(v) == m]
+        assert set(freq) <= set(vectors)
+        for v in vectors:
+            pmf = factorial(m) / prod(factorial(c) for c in v) / n**m
+            se = np.sqrt(pmf * (1.0 - pmf) / draws)
+            freq_v = freq.get(v, 0) / draws
+            assert abs(freq_v - pmf) < 5.0 * se, (v, freq_v, pmf)
+
+    def test_more_draws_than_cells_sum_to_m(self):
+        counts = bootstrap_counts(6, 42, np.random.default_rng(5))
+        assert counts.shape == (6,)
+        assert counts.sum() == 42
+        assert np.all(counts >= 0)
 
 
 class TestStandardModelPosterior:
@@ -139,15 +165,27 @@ class TestBaggedModelPosterior:
         assert abs(bagged.mean_probs.sum() - 1.0) < 1e-10
 
     def test_replicate_streams_independent_of_order(self):
-        # replicate i's weights depend only on (seed, i)
+        # replicate i's weights are draw i of the run's one stream, so they
+        # depend only on (seed, i)
         cfg = BootstrapConfig(m=5, b=3, seed=21)
         seen = []
         bagged_model_posterior(
             lambda w: (seen.append(w.copy()), np.zeros(2))[1], 5, UNIFORM2, cfg
         )
-        for i, counts in enumerate(seen):
-            expected = replicate_rng(21, i).multinomial(5, np.full(5, 0.2))
+        rng = replicate_rng(21)
+        for counts in seen:
+            expected = bootstrap_counts(5, 5, rng)
             np.testing.assert_array_equal(counts, expected)
+
+    def test_replicates_prefix_stable_in_b(self):
+        # a run with more replicates repeats the first replicates of a
+        # shorter run with the same seed
+        rng = np.random.default_rng(17)
+        ev = linear_evaluator(rng.normal(size=(6, 4)))
+        log_prior = np.log(np.full(4, 0.25))
+        short = bagged_model_posterior(ev, 6, log_prior, BootstrapConfig(m=6, b=5, seed=4))
+        long = bagged_model_posterior(ev, 6, log_prior, BootstrapConfig(m=6, b=12, seed=4))
+        np.testing.assert_array_equal(long.replicate_probs[:5], short.replicate_probs)
 
     def test_rows_equal_per_replicate_standard_posterior(self):
         # the row-wise normalization of all replicates at once gives each
@@ -156,8 +194,9 @@ class TestBaggedModelPosterior:
         ev = linear_evaluator(rng.normal(scale=30.0, size=(7, 5)))
         log_prior = rng.normal(size=5)
         bagged = bagged_model_posterior(ev, 7, log_prior, BootstrapConfig(m=7, b=40, seed=8))
-        for i, row in enumerate(bagged.replicate_probs):
-            counts = replicate_rng(8, i).multinomial(7, np.full(7, 1 / 7))
+        rng = replicate_rng(8)
+        for row in bagged.replicate_probs:
+            counts = bootstrap_counts(7, 7, rng)
             expected = standard_model_posterior(ev(counts), log_prior).probs
             np.testing.assert_array_equal(row, expected)
 

@@ -84,6 +84,23 @@ class TestSampleDataset:
         np.testing.assert_array_equal(a.z, b.z)
         np.testing.assert_array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("d, k", [(3, 1), (10, 1), (13, 2), (20, 2), (10, 3)])
+    def test_response_equals_full_map(self, kind, d, k):
+        # the response uses the causal columns only; with at most two
+        # nonzero terms the sum is exact, so it matches f(Z) beta bit for bit
+        config = SimConfig(d=d, k=k, n=500, response_kind=kind)
+        data = sample_dataset(config, rng=np.random.default_rng(31))
+        rng = np.random.default_rng(31)
+        z = sample_regressors(config, rng)
+        f = z if kind == "linear" else z**3
+        y = f @ make_beta_dagger(d, k) + rng.standard_normal(config.n)
+        np.testing.assert_array_equal(data.z, z)
+        if k <= 2:
+            np.testing.assert_array_equal(data.y, y)
+        else:
+            np.testing.assert_allclose(data.y, y, rtol=1e-11)
+
 
 class TestKlOptimalParams:
     def test_linear_response_recovers_truth(self):
