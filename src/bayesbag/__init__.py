@@ -35,6 +35,7 @@ from .core import (
     ModelPosterior,
     bagged_model_posterior,
     bootstrap_counts,
+    evaluate_replicates,
     exact_bagged_posterior,
     mc_standard_error,
     replicate_rng,

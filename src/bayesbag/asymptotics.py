@@ -17,7 +17,9 @@ standard -> Bernoulli(Phi_{-mu, Sigma}(0)); bagged -> Phi_{0, Sigma}(c^{1/2} W)
 with W ~ Normal(mu, Sigma).
 The centered normal CDF is exact up to three models (K - 1 <= 2: ndtr, then
 Owen's T-function identity for the bivariate CDF) and seeded Genz
-quasi-Monte Carlo beyond.
+quasi-Monte Carlo beyond.  ``scipy.special`` and ``scipy.stats`` are
+imported inside the functions that use them, so importing this module
+loads no scipy.
 
 Also provides a degenerate two-model Bernoulli testbed for validating the
 laws by simulation against the bagging engine.
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from math import asin, log, pi, sqrt
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import (
     DegenerateContrastError,
@@ -105,6 +106,8 @@ def std_limit_bernoulli_2(law: TwoModelLaw) -> float:
     The limiting posterior mass on model 1 is 1 with this probability and
     0 otherwise; P(picks the other model) = 1 - Phi(delta_inf).
     """
+    from scipy.special import ndtr
+
     return float(ndtr(law.delta_inf))
 
 
@@ -125,6 +128,8 @@ def ubb_cdf(u, law: TwoModelLaw):
         raise DegenerateLawError(
             "c = 0 gives a point-mass law; the CDF on (0,1) is degenerate"
         )
+    from scipy.special import ndtr, ndtri
+
     u_arr = _check_unit_interval(u)
     out = ndtr(ndtri(u_arr) / sqrt(law.c) - law.delta_inf)
     return float(out) if np.isscalar(u) else out
@@ -136,6 +141,8 @@ def ubb_density(u, law: TwoModelLaw):
         raise DegenerateLawError(
             "c = 0 gives a point-mass law; the density on (0,1) is degenerate"
         )
+    from scipy.special import ndtri
+
     u_arr = _check_unit_interval(u)
     z = ndtri(u_arr)
     inner = z / sqrt(law.c) - law.delta_inf
@@ -180,6 +187,8 @@ def reduce_to_contrasts(mu_prime, sigma_prime, anchor: int = 0):
 def _bvn_cdf(h, k, rho: float) -> np.ndarray:
     """P(X <= h, Y <= k) for standard normals with correlation rho, exact to
     rounding by Owen's (1956) T-function identity."""
+    from scipy.special import ndtr, owens_t
+
     h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
     s = sqrt(1.0 - rho * rho)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -194,6 +203,8 @@ def _bvn_cdf(h, k, rho: float) -> np.ndarray:
 def _centered_cdf(sigma: np.ndarray, x: np.ndarray, seed) -> np.ndarray:
     """Phi_{0, sigma} at each row of x (n, d): exact for d <= 2, seeded Genz
     quasi-Monte Carlo for d >= 3."""
+    from scipy.special import ndtr
+
     z = x / np.sqrt(np.diag(sigma))
     if x.shape[1] == 1:
         return ndtr(z[:, 0])
@@ -299,9 +310,9 @@ def bernoulli_two_model_problem(p1: float, p2: float, n: int, seed: int):
     """Degenerate two-model testbed: data x ~ Bernoulli(1/2), model m
     claiming x ~ Bernoulli(p_m) with no free parameters.
 
-    Returns ``(x, evaluator)`` where the evaluator maps a weight vector to
-    the pair of weighted log likelihoods.  With p2 = 1 - p1 the effect
-    size is exactly zero by symmetry.
+    Returns ``(x, evaluator)`` where the evaluator maps weight rows (..., n)
+    to the pairs of weighted log likelihoods (..., 2).  With p2 = 1 - p1 the
+    effect size is exactly zero by symmetry.
     """
     for p in (p1, p2):
         if not 0.0 < p < 1.0:
@@ -313,9 +324,9 @@ def bernoulli_two_model_problem(p1: float, p2: float, n: int, seed: int):
 
     def evaluate(weights) -> np.ndarray:
         w = np.asarray(weights, dtype=float)
-        ones = float(w @ x)
-        total = float(w.sum())
-        return logits @ np.array([ones, total - ones])
+        ones = w @ x
+        total = w.sum(axis=-1)
+        return np.stack([ones, total - ones], axis=-1) @ logits.T
 
     return x, evaluate
 

@@ -39,7 +39,7 @@ from .compare import average_posteriors, hpd_overlap, load_posterior_samples, ov
 from .core import (
     BootstrapConfig,
     bagged_model_posterior,
-    bootstrap_counts,
+    evaluate_replicates,
     replicate_rng,
     standard_model_posterior,
 )
@@ -51,6 +51,7 @@ from .errors import (
 )
 from .linreg import (
     NIGHyperparams,
+    ParamMoments,
     RegressionDataset,
     enumerate_models,
     log_priors,
@@ -573,17 +574,25 @@ def cmd_mismatch(args) -> int:
     )
     gamma_full = np.ones(data.d, dtype=np.uint8)
     m = data.n  # the index is defined with M = N
-    standard = param_moments_from_stats(
-        weighted_stats(data, np.ones(data.n)), gamma_full, hyper
-    )
-    boot_rng = replicate_rng(_child_seed(seed, 1))
-    replicate_moments = []
-    for _ in range(b):
-        counts = bootstrap_counts(data.n, m, boot_rng)
-        replicate_moments.append(
-            param_moments_from_stats(weighted_stats(data, counts), gamma_full, hyper)
+
+    def moment_rows(weights) -> np.ndarray:
+        """Mean and variance of log sigma^2, then of each beta_j, per weight row."""
+        moments = param_moments_from_stats(weighted_stats(data, weights), gamma_full, hyper)
+        return np.column_stack(
+            [moments.mean_log_sigma2, moments.var_log_sigma2, moments.mean_beta, moments.var_beta]
         )
-    overall, per_coord = mismatch_index_proj(standard, replicate_moments)
+
+    standard = param_moments_from_stats(weighted_stats(data, np.ones(data.n)), gamma_full, hyper)
+    rows = evaluate_replicates(
+        moment_rows, data.n, BootstrapConfig(m=m, b=b, seed=_child_seed(seed, 1)), 2 + 2 * data.d
+    )
+    replicates = ParamMoments(
+        mean_log_sigma2=rows[:, 0],
+        var_log_sigma2=rows[:, 1],
+        mean_beta=rows[:, 2 : 2 + data.d],
+        var_beta=rows[:, 2 + data.d :],
+    )
+    overall, per_coord = mismatch_index_proj(standard, replicates)
 
     report = {
         "schema": MISMATCH_REPORT_SCHEMA,

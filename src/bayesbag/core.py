@@ -3,25 +3,27 @@
 The bagged posterior is the average of standard posteriors computed on
 bootstrap resamples of the data.  Resamples are represented as integer
 weight vectors (multinomial counts over the original observations), never
-as materialized datasets: a replicate costs one count draw plus one
-evaluator call, and an evaluator built on weighted sufficient statistics
-forms them once per replicate and shares them across all models.  The
-count vectors of one bagging run are consecutive draws from one random
-stream, so replicate i depends only on (seed, i) and the first B
-replicates are the same for any larger B.
+as materialized datasets.  The count vectors of one bagging run are
+consecutive draws from one random stream, so replicate i depends only on
+(seed, i) and the first B replicates are the same for any larger B.
 
-An *evaluator* is a callable mapping a weight vector (length-N integer
-array summing to M) to the vector of per-model weighted log marginal
-likelihoods.  One weight vector per replicate is shared by all models.
-The (b, K) log evidences of all replicates are normalized together by one
-row-wise log-sum-exp.
+Replicates are evaluated in blocks.  An *evaluator* is a callable mapping
+an (r, N) block of weight rows (each row nonnegative integer counts
+summing to M) to the (r, K) block of per-model weighted log marginal
+likelihoods; row i of the output belongs to row i of the input.  A block
+holds its counts in the smallest unsigned type that holds M, and at most
+``BLOCK_BYTES`` of them, so memory stays O(N) for any B.  An evaluator
+built on weighted sufficient statistics forms them for the whole block at
+once and shares them across all models.  The (B, K) log evidences of all
+replicates are normalized together by one row-wise log-sum-exp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, lgamma, log
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "replicate_rng",
     "standard_model_posterior",
     "bagged_model_posterior",
+    "evaluate_replicates",
     "exact_bagged_posterior",
     "mc_standard_error",
 ]
@@ -53,7 +56,14 @@ DEFAULT_REPLICATES = 100
 # Guard for exact enumeration of all count vectors: C(M+N-1, N-1) at most this.
 EXACT_ENUMERATION_GUARD = 100_000
 
-Evaluator = Callable[[np.ndarray], Sequence[float]]
+# Bytes of counts one block of replicates holds: a block has as many rows
+# as fit (at least one), so memory stays O(N) for any B.
+BLOCK_BYTES = 1 << 23
+
+# bootstrap_counts draws its indices max(n, _DRAW_CHUNK) at a time.
+_DRAW_CHUNK = 1 << 16
+
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -122,17 +132,40 @@ def bootstrap_counts(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     Entry i counts how many times observation i appears in the bootstrap
     dataset; the counts sum to m.  The draw picks m observation indices
     uniformly with replacement and counts them with ``bincount``, which
-    has the multinomial law.  At most n indices are held at a time, so
-    memory stays O(n) for any m (time is O(m)).
+    has the multinomial law.  At most max(n, 2^16) indices are held at a
+    time, so memory stays O(max(n, 2^16)) for any m (time is O(m)).  The
+    generator's index stream does not depend on how it is split into
+    calls, so the chunking does not change the counts.
     """
     if n < 1:
         raise InvalidArgumentError(f"number of observations n must be >= 1, got {n}")
     if m < 1:
         raise InvalidArgumentError(f"bootstrap size m must be >= 1, got {m}")
-    counts = np.bincount(rng.integers(0, n, min(m, n)), minlength=n)
-    for drawn in range(n, m, n):
-        counts += np.bincount(rng.integers(0, n, min(n, m - drawn)), minlength=n)
+    chunk = max(n, _DRAW_CHUNK)
+    counts = np.bincount(rng.integers(0, n, min(m, chunk)), minlength=n)
+    for drawn in range(chunk, m, chunk):
+        counts += np.bincount(rng.integers(0, n, min(chunk, m - drawn)), minlength=n)
     return counts
+
+
+def _block_rows(n: int, dtype: np.dtype, total: int) -> int:
+    """Rows per block: as many (up to ``total``) as fit in ``BLOCK_BYTES``."""
+    return max(1, min(total, BLOCK_BYTES // (n * dtype.itemsize)))
+
+
+def _evaluate_block(evaluator: Evaluator, first: int, block: np.ndarray, width: int):
+    """The evaluator's (r, width) output for one block whose first row is
+    replicate ``first``; any failure is a ``ReplicateEvaluationError``."""
+    try:
+        values = np.asarray(evaluator(block), dtype=float)
+    except Exception as exc:
+        raise ReplicateEvaluationError(first, exc) from exc
+    expected = (block.shape[0], width)
+    if values.shape != expected:
+        raise ReplicateEvaluationError(
+            first, InvalidArgumentError(f"evaluator returned shape {values.shape}, expected {expected}")
+        )
+    return values
 
 
 def _normalized_probs(log_evidence: np.ndarray) -> np.ndarray:
@@ -170,39 +203,43 @@ def standard_model_posterior(log_ml, log_prior) -> ModelPosterior:
     return ModelPosterior(probs=_normalized_probs(log_evidence), log_evidence=log_evidence)
 
 
+def evaluate_replicates(
+    evaluator: Evaluator, n_obs: int, config: BootstrapConfig, width: int
+) -> np.ndarray:
+    """The (config.b, width) evaluator rows of ``config.b`` bootstrap replicates.
+
+    The weight rows are drawn in replicate order from the one stream
+    ``replicate_rng(config.seed)``: replicate ``i`` depends only on
+    ``(config.seed, i)``, and a run with more replicates repeats the first
+    ``config.b`` of this one.  They reach the evaluator in blocks (see the
+    module docstring); a failing block raises ``ReplicateEvaluationError``
+    naming its first replicate.
+    """
+    if n_obs < 1:
+        raise InvalidArgumentError(f"number of observations must be >= 1, got {n_obs}")
+    rng = replicate_rng(config.seed)
+    dtype = np.min_scalar_type(config.m)
+    rows = _block_rows(n_obs, dtype, config.b)
+    out = np.empty((config.b, width))
+    for first in range(0, config.b, rows):
+        block = np.empty((min(rows, config.b - first), n_obs), dtype=dtype)
+        for row in block:
+            row[:] = bootstrap_counts(n_obs, config.m, rng)
+        out[first : first + block.shape[0]] = _evaluate_block(evaluator, first, block, width)
+    return out
+
+
 def bagged_model_posterior(
     evaluator: Evaluator,
     n_obs: int,
     log_prior,
     config: BootstrapConfig,
 ) -> BaggedPosterior:
-    """Average the standard posterior over bootstrap-resampled datasets.
-
-    The weight vectors are drawn in replicate order from the one stream
-    ``replicate_rng(config.seed)``: replicate ``i`` depends only on
-    ``(config.seed, i)``, and a run with more replicates repeats the first
-    ``config.b`` of this one.
-    """
-    if n_obs < 1:
-        raise InvalidArgumentError(f"number of observations must be >= 1, got {n_obs}")
+    """Average the standard posterior over bootstrap-resampled datasets,
+    evaluated by ``evaluate_replicates``."""
     log_prior = np.asarray(log_prior, dtype=float)
-    rng = replicate_rng(config.seed)
-    rows = []
-    for i in range(config.b):
-        counts = bootstrap_counts(n_obs, config.m, rng)
-        try:
-            log_ml = np.asarray(evaluator(counts), dtype=float)
-        except Exception as exc:
-            raise ReplicateEvaluationError(i, exc) from exc
-        if log_ml.shape != log_prior.shape:
-            raise ReplicateEvaluationError(
-                i, InvalidArgumentError(
-                    f"evaluator returned shape {log_ml.shape}, expected {log_prior.shape}"
-                ),
-            )
-        rows.append(log_ml)
-
-    replicate_probs = _normalized_probs(np.asarray(rows) + log_prior)
+    log_ml = evaluate_replicates(evaluator, n_obs, config, log_prior.size)
+    replicate_probs = _normalized_probs(log_ml + log_prior)
     mean_probs = replicate_probs.mean(axis=0)
     if config.b >= 2:
         std_errors = replicate_probs.std(axis=0, ddof=1) / np.sqrt(config.b)
@@ -232,7 +269,8 @@ def exact_bagged_posterior(evaluator: Evaluator, n_obs: int, m: int, log_prior) 
     """Exact bagged posterior: the expectation over all bootstrap resamples.
 
     Enumerates every multinomial count vector, weighting each posterior by
-    its multinomial pmf.  Feasible only for tiny problems; guarded at
+    its multinomial pmf; the vectors reach the evaluator in blocks, as in
+    ``evaluate_replicates``.  Feasible only for tiny problems; guarded at
     C(m+n-1, n-1) <= 1e5 enumerated vectors.  Serves as the oracle for
     ``bagged_model_posterior``.
     """
@@ -247,14 +285,17 @@ def exact_bagged_posterior(evaluator: Evaluator, n_obs: int, m: int, log_prior) 
             f"({EXACT_ENUMERATION_GUARD}); reduce n or m"
         )
     log_prior = np.asarray(log_prior, dtype=float)
-    log_m_fact = lgamma(m + 1)
+    log_fact = np.array([lgamma(c + 1) for c in range(m + 1)])
     log_n = log(n_obs)
+    dtype = np.min_scalar_type(m)
+    rows = _block_rows(n_obs, dtype, n_vectors)
+    vectors = _count_vectors(m, n_obs)
     total = np.zeros_like(log_prior)
-    for counts in _count_vectors(m, n_obs):
-        arr = np.asarray(counts)
-        log_pmf = log_m_fact - sum(lgamma(c + 1) for c in counts) - m * log_n
-        log_ml = np.asarray(evaluator(arr), dtype=float)
-        total += np.exp(log_pmf) * _normalized_probs(log_ml + log_prior)
+    for first in range(0, n_vectors, rows):
+        block = np.array(list(islice(vectors, rows)), dtype=dtype)
+        log_ml = _evaluate_block(evaluator, first, block, log_prior.size)
+        log_pmf = log_fact[m] - log_fact[block].sum(axis=1) - m * log_n
+        total += np.exp(log_pmf) @ _normalized_probs(log_ml + log_prior)
     return total
 
 

@@ -47,10 +47,13 @@ class SingularMomentError(BayesBagError):
 
 
 class ReplicateEvaluationError(BayesBagError):
-    """An evaluator raised inside a bootstrap replicate."""
+    """An evaluator raised, or returned the wrong shape, on a block of
+    bootstrap replicates; ``replicate`` is the block's first replicate."""
 
     def __init__(self, replicate: int, cause: BaseException):
-        super().__init__(f"evaluator failed on bootstrap replicate {replicate}: {cause!r}")
+        super().__init__(
+            f"evaluator failed on the block of bootstrap replicates from {replicate}: {cause!r}"
+        )
         self.replicate = replicate
 
 

@@ -19,14 +19,17 @@ b_g = b0 + (y' W y - y' W Z_g Lam_g^{-1} Z_g' W y) / 2, where W = diag(w):
 so weighting is exactly equivalent to evaluating the unit-weight formula
 on the dataset with rows replicated per their counts.
 
-All models of a set are evaluated in one batched pass: models are grouped
-by size j, each group's Lam_g blocks are gathered into one (n_j, j, j)
-stack and factored by a single stacked Cholesky, and quad, log|Lam_g|,
-b_g and log ml are formed as arrays.  The gather indices (the *plan*)
-depend only on the model set, so ``make_evaluator`` builds them once and
-reuses them for every weight vector.  ``param_moments_from_stats``
-factors its one model through the same stacked path, so jitter reaches
-moments exactly as it reaches evidences.
+Work is batched over weight rows and models.  ``weighted_stats`` takes an
+(r, N) block of weight rows and forms all r sets of statistics by one
+matrix product with the per-observation moment rows; its fields keep the
+block's leading shape.  All models of a set are evaluated in one pass:
+models are grouped by size j, each group's Lam_g blocks of every weight
+row are gathered into one (r n_j, j, j) stack and factored by a single
+stacked Cholesky, and quad, log|Lam_g|, b_g and log ml are formed as
+arrays.  The gather indices (the *plan*) depend only on the model set, so
+``make_evaluator`` builds them once and reuses them for every block.
+``param_moments_from_stats`` factors its one model through the same
+stacked path, so jitter reaches moments exactly as it reaches evidences.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from math import comb, lgamma, log, pi
 
 import numpy as np
-from scipy.special import digamma, polygamma
 
 from .errors import (
     InvalidArgumentError,
@@ -68,6 +70,13 @@ MODEL_ENUMERATION_GUARD = 10_000_000
 # guarantees positive definiteness in exact arithmetic, so jitter only
 # covers float edge cases.
 _JITTERS = (0.0, 1e-12, 1e-10)
+
+# Observations per chunk of moment rows in ``weighted_stats``.
+_STATS_CHUNK = 2048
+
+# Floats of gathered Lam_g blocks per stacked Cholesky call; a size group
+# over many weight rows is factored in slices of rows of this size.
+_FACTOR_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,8 @@ class ParamMoments:
     """Posterior moments of (log sigma^2, beta) for one inclusion vector.
 
     ``mean_beta``/``var_beta`` cover the active coordinates only, in the
-    order of the included columns.
+    order of the included columns (last axis).  Moments of several weight
+    rows carry the rows' leading shape on every field.
     """
 
     mean_log_sigma2: float
@@ -136,7 +146,11 @@ class ParamMoments:
 
 @dataclass(frozen=True)
 class SuffStats:
-    """Weighted sufficient statistics: Z'WZ, Z'Wy, y'Wy and M = sum(w)."""
+    """Weighted sufficient statistics: Z'WZ, Z'Wy, y'Wy and M = sum(w).
+
+    Statistics of several weight rows carry the rows' leading shape on
+    every field: zwz (..., D, D), zwy (..., D), ywy and m (...).
+    """
 
     zwz: np.ndarray
     zwy: np.ndarray
@@ -145,21 +159,69 @@ class SuffStats:
 
 
 def weighted_stats(data: RegressionDataset, weights) -> SuffStats:
-    """Precompute the weighted sufficient statistics for one weight vector."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (data.n,):
+    """Weighted sufficient statistics of one weight vector or a block of
+    weight rows (shape (..., N), any real or integer dtype).
+
+    Row n of the moment matrix P is [z_i z_j (i <= j), z y, y^2] of
+    observation n, so every row's statistics come from one product W @ P.
+    P (stored transposed, which is faster to fill) and a float copy of W
+    are formed ``_STATS_CHUNK`` observations at a time, so neither is held
+    whole.
+    """
+    w = np.asarray(weights)
+    if w.dtype.kind not in "buif" or w.shape[-1:] != (data.n,):
         raise InvalidArgumentError(
-            f"weights must have length n={data.n}, got shape {w.shape}"
+            f"weights must be a real array of shape (..., {data.n}), got {w.dtype} {w.shape}"
         )
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    if w.dtype.kind in "if" and not np.all((w >= 0) & (w < np.inf)):
         raise InvalidArgumentError("weights must be finite and nonnegative")
-    zw = data.z * w[:, None]
+    lead = w.shape[:-1]
+    w = w.reshape(-1, data.n)
+    d = data.d
+    iu, ju = np.triu_indices(d)
+    acc = np.zeros((w.shape[0], iu.size + d + 1))
+    moments = np.empty((acc.shape[1], min(data.n, _STATS_CHUNK)))
+    for lo in range(0, data.n, _STATS_CHUNK):
+        zt, y = data.z[lo : lo + _STATS_CHUNK].T.copy(), data.y[lo : lo + _STATS_CHUNK]
+        pt = moments[:, : y.size]
+        for i in range(d):  # row i of the upper triangle, in triu_indices order
+            start = i * d - i * (i - 1) // 2
+            np.multiply(zt[i], zt[i:], out=pt[start : start + d - i])
+        np.multiply(zt, y, out=pt[iu.size : -1])
+        np.multiply(y, y, out=pt[-1])
+        acc += w[:, lo : lo + _STATS_CHUNK].astype(float) @ pt.T
+    zwz = np.empty((w.shape[0], d, d))
+    zwz[:, iu, ju] = zwz[:, ju, iu] = acc[:, : iu.size]
     return SuffStats(
-        zwz=zw.T @ data.z,
-        zwy=zw.T @ data.y,
-        ywy=float(w @ (data.y * data.y)),
-        m=float(w.sum()),
+        zwz=zwz.reshape(lead + (d, d)),
+        zwy=acc[:, iu.size : -1].reshape(lead + (d,)),
+        ywy=acc[:, -1].reshape(lead)[()],
+        m=w.sum(axis=1, dtype=float).reshape(lead)[()],
     )
+
+
+def _flat_stats(stats: SuffStats, d: int):
+    """The leading shape of ``stats`` and its fields flattened over it:
+    zwz (r, d * d), zwy (r, d), ywy (r,) and m (r,)."""
+    zwz = np.asarray(stats.zwz, dtype=float)
+    if zwz.shape[-2:] != (d, d):
+        raise InvalidArgumentError(f"models have {d} columns but Z'WZ has shape {zwz.shape}")
+    lead = zwz.shape[:-2]
+    r = int(np.prod(lead))
+    return (
+        lead,
+        zwz.reshape(r, d * d),
+        np.asarray(stats.zwy, dtype=float).reshape(r, d),
+        np.asarray(stats.ywy, dtype=float).reshape(r),
+        np.asarray(stats.m, dtype=float).reshape(r),
+    )
+
+
+def _where(lead: tuple, row: int, model: int | None = None) -> str:
+    """Where an error arose, as ' for model row k of weight row i'; the model
+    is left out when there is none, the weight row for unbatched statistics."""
+    parts = ([] if model is None else [f"model row {model}"]) + ([f"weight row {row}"] if lead else [])
+    return " for " + " of ".join(parts) if parts else ""
 
 
 def _spd_cholesky(a: np.ndarray) -> np.ndarray:
@@ -217,79 +279,91 @@ class _ModelPlan:
 
 
 def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, flat: np.ndarray, lam: float):
-    """Factor one size group: gather its Z_g'WZ_g blocks by ``flat``,
-    add lam I, take one stacked Cholesky ``chol`` (n_j, j, j) and solve
-    chol t = Z_g'Wy for ``t`` (n_j, j).  If the stacked call fails, the
-    group is refactored matrix by matrix, so jitter reaches only the
-    failing matrices."""
-    lam_mat = np.take(zwz, flat) + lam * np.eye(cols.shape[1])
+    """Factor one size group over r weight rows: gather every row's
+    Z_g'WZ_g blocks from ``zwz`` (r, D * D) by ``flat``, add lam I, take one
+    stacked Cholesky ``chol`` (r n_j, j, j) and solve chol t = Z_g'Wy for
+    ``t`` (r n_j, j), rows of one weight row adjacent.  If the stacked call
+    fails, the group is refactored matrix by matrix, so jitter reaches only
+    the failing (weight row, model) matrices."""
+    j = cols.shape[1]
+    lam_mat = np.take(zwz, flat, axis=1).reshape(-1, j, j) + lam * np.eye(j)
     try:
         chol = np.linalg.cholesky(lam_mat)
     except np.linalg.LinAlgError:
         chol = np.stack([_spd_cholesky(a) for a in lam_mat])
-    return chol, _forward_substitute(chol, np.take(zwy, cols))
+    return chol, _forward_substitute(chol, np.take(zwy, cols, axis=1).reshape(-1, j))
 
 
 def model_log_marginals(
     stats: SuffStats, models: np.ndarray, hyper: NIGHyperparams, *, plan=None
 ) -> np.ndarray:
-    """Log marginal likelihoods for every row of an enumerated model set.
+    """Log marginal likelihoods for every row of an enumerated model set,
+    for one set of statistics (shape (K,)) or for statistics with a leading
+    shape (shape (..., K)).
 
-    Models of equal size share one stacked Cholesky factorization; see the
-    module docstring.  ``plan`` is the model set's gather plan as built by
-    ``make_evaluator``; it is built here when omitted.  Raises
-    ``NumericDomainError`` when some b_g <= 0 (y'Wy - quad cancelled below
-    -2 b0), lgamma(a0 + M/2) overflows or a log evidence is not finite,
-    never returns NaN.
+    Models of equal size share one stacked Cholesky factorization over all
+    weight rows; see the module docstring.  ``plan`` is the model set's
+    gather plan as built by ``make_evaluator``; it is built here when
+    omitted.  Raises ``NumericDomainError`` naming the weight row and model
+    row when some b_g <= 0 (y'Wy - quad cancelled below -2 b0), lgamma(a0 +
+    M/2) overflows or a log evidence is not finite; never returns NaN.
     """
     if plan is None:
         plan = _ModelPlan.build(models)
-    zwz = np.asarray(stats.zwz, dtype=float)
-    zwy = np.asarray(stats.zwy, dtype=float)
-    if zwz.shape != (plan.d, plan.d):
-        raise InvalidArgumentError(
-            f"models have {plan.d} columns but Z'WZ has shape {zwz.shape}"
-        )
-    quad = np.zeros(plan.sizes.size)
-    logdet = np.zeros(plan.sizes.size)
+    lead, zwz, zwy, ywy, m = _flat_stats(stats, plan.d)
+    r = m.size
+    quad = np.zeros((r, plan.sizes.size))
+    logdet = np.zeros((r, plan.sizes.size))
     for rows, cols, flat in plan.groups:
-        chol, t = _factor(zwz, zwy, cols, flat, hyper.lam)
-        quad[rows] = np.einsum("ij,ij->i", t, t)
-        logdet[rows] = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    a_n = hyper.a0 + 0.5 * stats.m
-    b_g = hyper.b0 + 0.5 * (stats.ywy - quad)
+        step = max(1, _FACTOR_FLOATS // flat.size)
+        for lo in range(0, r, step):
+            hi = min(lo + step, r)
+            chol, t = _factor(zwz[lo:hi], zwy[lo:hi], cols, flat, hyper.lam)
+            quad[lo:hi, rows] = np.einsum("ij,ij->i", t, t).reshape(hi - lo, -1)
+            diag = np.log(np.diagonal(chol, axis1=1, axis2=2))
+            logdet[lo:hi, rows] = 2.0 * np.sum(diag, axis=1).reshape(hi - lo, -1)
+    a_n = hyper.a0 + 0.5 * m
+    b_g = hyper.b0 + 0.5 * (ywy[:, None] - quad)
     if not np.all(b_g > 0.0):
-        bad = int(np.flatnonzero(~(b_g > 0.0))[0])
+        row, bad = np.argwhere(~(b_g > 0.0))[0]
         raise NumericDomainError(
-            f"b_g = {b_g[bad]!r} is not positive for model row {bad}: "
+            f"b_g = {b_g[row, bad]!r} is not positive{_where(lead, row, bad)}: "
             "y'Wy - quad cancelled or overflowed"
         )
-    try:
-        lgamma_a_n = lgamma(a_n)
-    except OverflowError:
-        raise NumericDomainError(f"lgamma(a0 + M/2) overflows at M = {stats.m!r}") from None
+    lgamma_a_n = np.empty(r)
+    for row, value in enumerate(a_n):
+        try:
+            lgamma_a_n[row] = lgamma(value)
+        except OverflowError:
+            raise NumericDomainError(
+                f"lgamma(a0 + M/2) overflows at M = {m[row]!r}{_where(lead, row)}"
+            ) from None
     log_ml = (
         hyper.a0 * log(hyper.b0)
-        + lgamma_a_n
-        - 0.5 * stats.m * LOG_2PI
+        + lgamma_a_n[:, None]
+        - 0.5 * m[:, None] * LOG_2PI
         - lgamma(hyper.a0)
         + 0.5 * plan.sizes * log(hyper.lam)
-        - a_n * np.log(b_g)
+        - a_n[:, None] * np.log(b_g)
         - 0.5 * logdet
     )
     if not np.all(np.isfinite(log_ml)):
-        bad = int(np.flatnonzero(~np.isfinite(log_ml))[0])
-        raise NumericDomainError(f"log evidence of model row {bad} is {log_ml[bad]!r}")
-    return log_ml
+        row, bad = np.argwhere(~np.isfinite(log_ml))[0]
+        raise NumericDomainError(
+            f"log evidence{_where(lead, row, bad)} is {log_ml[row, bad]!r}"
+        )
+    return log_ml.reshape(lead + (plan.sizes.size,))
 
 
 def make_evaluator(data: RegressionDataset, models: np.ndarray, hyper: NIGHyperparams):
     """Weighted log-marginal-likelihood evaluator over an enumerated model
-    set, suitable for ``core.bagged_model_posterior``.
+    set, suitable for ``core.bagged_model_posterior``: it maps an (r, N)
+    block of weight rows to the (r, K) log evidences (a length-N vector to
+    K of them).
 
     The model set's gather plan is built once here.  Sufficient statistics
-    are computed once per weight vector and shared by all models.  The
-    returned callable is pure and thread-safe.
+    are formed once per block and shared by all models.  The returned
+    callable is pure and thread-safe.
     """
     plan = _ModelPlan.build(models)
 
@@ -346,43 +420,50 @@ def pips(posterior, models: np.ndarray) -> np.ndarray:
 
 
 def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> ParamMoments:
-    """Conjugate posterior moments from precomputed sufficient statistics.
+    """Conjugate posterior moments from precomputed sufficient statistics,
+    for one set of statistics or for statistics with a leading shape (every
+    field of the result carries it).
 
     The posterior is sigma^2 ~ InvGamma(a_n, b_g) with a_n = a0 + M/2, and
     beta | sigma^2 ~ Normal(beta_hat, sigma^2 Lam_g^{-1}); marginally each
     beta_j is Student-t with variance b_g/(a_n - 1) * (Lam_g^{-1})_jj, and
     log sigma^2 has mean log b_g - digamma(a_n) and variance trigamma(a_n).
 
-    The model is factored as a one-model size group of the evidence path;
-    the mean and diag(Lam_g^{-1}) come from the inverse of its triangular
-    factor.
+    The model is factored as a one-model size group of the evidence path,
+    all weight rows in one stacked Cholesky; the mean and diag(Lam_g^{-1})
+    come from the inverses of the triangular factors.
     """
-    a_n = hyper.a0 + 0.5 * stats.m
-    if a_n <= 1.0:
+    from scipy.special import digamma, polygamma  # keeps scipy out of the import path
+
+    d = np.shape(stats.zwz)[-1]
+    lead, zwz, zwy, ywy, m = _flat_stats(stats, d)
+    a_n = hyper.a0 + 0.5 * m
+    if not np.all(a_n > 1.0):
+        row = int(np.flatnonzero(~(a_n > 1.0))[0])
         raise VarianceUndefinedError(
-            f"posterior variance needs a0 + M/2 > 1, got {a_n}"
+            f"posterior variance needs a0 + M/2 > 1, got {a_n[row]}{_where(lead, row)}"
         )
     cols = np.flatnonzero(gamma)[None, :]
     if cols.size == 0:
-        mean_beta = np.empty(0)
-        var_beta = np.empty(0)
-        b_g = hyper.b0 + 0.5 * stats.ywy
+        mean_beta = var_beta = np.empty((m.size, 0))
+        b_g = hyper.b0 + 0.5 * ywy
     else:
-        zwz = np.asarray(stats.zwz, dtype=float)
-        flat = cols[:, :, None] * zwz.shape[1] + cols[:, None, :]
-        chol, t = _factor(zwz, np.asarray(stats.zwy, dtype=float), cols, flat, hyper.lam)
+        flat = cols[:, :, None] * d + cols[:, None, :]
+        chol, t = _factor(zwz, zwy, cols, flat, hyper.lam)
         # Lam_g^{-1} = L^{-T} L^{-1}: mean L^{-T} t, diagonal the column norms of L^{-1}
-        inv_chol = np.linalg.inv(chol[0])
-        mean_beta = inv_chol.T @ t[0]
-        b_g = hyper.b0 + 0.5 * (stats.ywy - float(t[0] @ t[0]))
-        var_beta = b_g / (a_n - 1.0) * np.sum(inv_chol * inv_chol, axis=0)
-    if not b_g > 0.0:
+        inv_chol = np.linalg.inv(chol)
+        mean_beta = np.einsum("rki,rk->ri", inv_chol, t)
+        b_g = hyper.b0 + 0.5 * (ywy - np.einsum("ri,ri->r", t, t))
+        var_beta = (b_g / (a_n - 1.0))[:, None] * np.sum(inv_chol * inv_chol, axis=1)
+    if not np.all(b_g > 0.0):
+        row = int(np.flatnonzero(~(b_g > 0.0))[0])
         raise NumericDomainError(
-            f"b_g = {b_g!r} is not positive: y'Wy - quad cancelled or overflowed"
+            f"b_g = {b_g[row]!r} is not positive{_where(lead, row)}: "
+            "y'Wy - quad cancelled or overflowed"
         )
     return ParamMoments(
-        mean_log_sigma2=log(b_g) - float(digamma(a_n)),
-        var_log_sigma2=float(polygamma(1, a_n)),
-        mean_beta=mean_beta,
-        var_beta=var_beta,
+        mean_log_sigma2=(np.log(b_g) - digamma(a_n)).reshape(lead)[()],
+        var_log_sigma2=polygamma(1, a_n).reshape(lead)[()],
+        mean_beta=mean_beta.reshape(lead + (cols.size,)),
+        var_beta=var_beta.reshape(lead + (cols.size,)),
     )

@@ -82,30 +82,51 @@ def coordinate_labels(n_beta: int) -> list[str]:
     return [LOG_SIGMA2] + [f"beta_{j}" for j in range(1, n_beta + 1)]
 
 
-def _coord_value(moments: ParamMoments, label: str, which: str) -> float:
+def _coord_moments(moments: ParamMoments, label: str):
+    """(mean, variance) of one coordinate, with the moments' leading shape."""
     if label == LOG_SIGMA2:
-        return (
-            moments.mean_log_sigma2 if which == "mean" else moments.var_log_sigma2
-        )
+        return moments.mean_log_sigma2, moments.var_log_sigma2
     j = int(label.split("_", 1)[1]) - 1
-    return float(moments.mean_beta[j] if which == "mean" else moments.var_beta[j])
+    return moments.mean_beta[..., j], moments.var_beta[..., j]
+
+
+def _stacked(replicates, n_beta: int) -> ParamMoments:
+    """Replicate moments with one leading replicate axis, from such moments
+    or from a sequence of single-replicate moments."""
+    if isinstance(replicates, ParamMoments):
+        if np.shape(replicates.mean_beta)[-1:] != (n_beta,):
+            raise InvalidArgumentError("replicate moments have mismatched coordinates")
+        return replicates
+    reps = list(replicates)
+    if any(np.shape(rep.mean_beta) != (n_beta,) for rep in reps):
+        raise InvalidArgumentError("replicate moments have mismatched coordinates")
+
+    def field(name: str, width: tuple) -> np.ndarray:
+        return np.array([getattr(rep, name) for rep in reps], dtype=float).reshape((len(reps),) + width)
+
+    return ParamMoments(
+        mean_log_sigma2=field("mean_log_sigma2", ()),
+        var_log_sigma2=field("var_log_sigma2", ()),
+        mean_beta=field("mean_beta", (n_beta,)),
+        var_beta=field("var_beta", (n_beta,)),
+    )
 
 
 def mismatch_index_proj(
     standard: ParamMoments,
-    replicates: Sequence[ParamMoments],
+    replicates: ParamMoments | Sequence[ParamMoments],
     coords: Iterable[str] | None = None,
 ) -> tuple[MismatchValue, Mapping[str, MismatchValue]]:
     """Per-coordinate and overall mismatch over coordinate projections.
 
     ``standard`` holds the full-data posterior moments and ``replicates``
-    the per-bootstrap-replicate moments (computed with M = N).  The
+    the per-bootstrap-replicate moments (computed with M = N): moments with
+    a leading replicate axis, as ``param_moments_from_stats`` gives for a
+    block of weight rows, or a sequence of single-replicate moments.  The
     overall value is NA if any coordinate is NA, else the maximum.
     """
     n_beta = standard.mean_beta.size
-    for rep in replicates:
-        if rep.mean_beta.size != n_beta:
-            raise InvalidArgumentError("replicate moments have mismatched coordinates")
+    replicates = _stacked(replicates, n_beta)
     labels = list(coords) if coords is not None else coordinate_labels(n_beta)
     known = set(coordinate_labels(n_beta))
     for label in labels:
@@ -114,11 +135,8 @@ def mismatch_index_proj(
 
     per_coord: dict[str, MismatchValue] = {}
     for label in labels:
-        v = _coord_value(standard, label, "var")
-        pairs = [
-            (_coord_value(rep, label, "mean"), _coord_value(rep, label, "var"))
-            for rep in replicates
-        ]
+        v = float(_coord_moments(standard, label)[1])
+        pairs = np.column_stack(_coord_moments(replicates, label))
         per_coord[label] = mismatch_index(v, bagged_variance_of_projection(pairs))
 
     if any(item.is_na for item in per_coord.values()):

@@ -7,11 +7,13 @@ from math import factorial, prod
 import numpy as np
 import pytest
 
+from bayesbag import core
 from bayesbag.core import (
     BaggedPosterior,
     BootstrapConfig,
     bagged_model_posterior,
     bootstrap_counts,
+    evaluate_replicates,
     exact_bagged_posterior,
     mc_standard_error,
     replicate_rng,
@@ -63,8 +65,8 @@ class TestBootstrapCounts:
 
     @pytest.mark.parametrize("n, m", [(3, 3), (3, 7)])
     def test_law_is_multinomial(self, n, m):
-        # every count vector's frequency against its exact multinomial pmf;
-        # m > n draws the indices in chunks of at most n
+        # every count vector's frequency against its exact multinomial pmf,
+        # with m = n and with m > n
         rng = np.random.default_rng(2024)
         draws = 200_000
         counts = np.array([bootstrap_counts(n, m, rng) for _ in range(draws)])
@@ -83,6 +85,18 @@ class TestBootstrapCounts:
         assert counts.shape == (6,)
         assert counts.sum() == 42
         assert np.all(counts >= 0)
+
+    def test_chunked_draw_far_above_n(self):
+        # m above the 2^16-index chunk: counts[0] ~ Binomial(m, 1/2)
+        m, draws = 2**16 + 5, 400
+        rng = np.random.default_rng(31)
+        counts = np.array([bootstrap_counts(2, m, rng) for _ in range(draws)])
+        assert np.all(counts.sum(axis=1) == m)
+        se = np.sqrt(m * 0.25 / draws)
+        assert abs(counts[:, 0].mean() - m / 2) < 5 * se
+        # chunking does not change the counts: one call draws the same indices
+        whole = np.bincount(np.random.default_rng(9).integers(0, 2, m), minlength=2)
+        np.testing.assert_array_equal(bootstrap_counts(2, m, np.random.default_rng(9)), whole)
 
 
 class TestStandardModelPosterior:
@@ -139,7 +153,7 @@ class TestBaggedModelPosterior:
     def test_constant_evaluator_matches_standard(self):
         log_ml = np.array([0.3, -0.7])
         bagged = bagged_model_posterior(
-            lambda w: log_ml, 5, UNIFORM2, BootstrapConfig(m=5, b=50, seed=1)
+            lambda w: np.tile(log_ml, (len(w), 1)), 5, UNIFORM2, BootstrapConfig(m=5, b=50, seed=1)
         )
         expected = standard_model_posterior(log_ml, UNIFORM2).probs
         np.testing.assert_allclose(bagged.mean_probs, expected, atol=1e-15)
@@ -147,7 +161,7 @@ class TestBaggedModelPosterior:
 
     def test_single_replicate_flag(self):
         bagged = bagged_model_posterior(
-            lambda w: np.array([0.0, 1.0]), 4, UNIFORM2, BootstrapConfig(m=4, b=1, seed=0)
+            lambda w: np.tile([0.0, 1.0], (len(w), 1)), 4, UNIFORM2, BootstrapConfig(m=4, b=1, seed=0)
         )
         assert not bagged.se_defined
         np.testing.assert_array_equal(bagged.std_errors, [0.0, 0.0])
@@ -170,10 +184,10 @@ class TestBaggedModelPosterior:
         cfg = BootstrapConfig(m=5, b=3, seed=21)
         seen = []
         bagged_model_posterior(
-            lambda w: (seen.append(w.copy()), np.zeros(2))[1], 5, UNIFORM2, cfg
+            lambda w: (seen.append(w.copy()), np.zeros((len(w), 2)))[1], 5, UNIFORM2, cfg
         )
         rng = replicate_rng(21)
-        for counts in seen:
+        for counts in np.concatenate(seen):
             expected = bootstrap_counts(5, 5, rng)
             np.testing.assert_array_equal(counts, expected)
 
@@ -195,14 +209,14 @@ class TestBaggedModelPosterior:
         log_prior = rng.normal(size=5)
         bagged = bagged_model_posterior(ev, 7, log_prior, BootstrapConfig(m=7, b=40, seed=8))
         rng = replicate_rng(8)
-        for row in bagged.replicate_probs:
-            counts = bootstrap_counts(7, 7, rng)
-            expected = standard_model_posterior(ev(counts), log_prior).probs
+        block = np.array([bootstrap_counts(7, 7, rng) for _ in range(40)])
+        for row, log_ml in zip(bagged.replicate_probs, ev(block)):
+            expected = standard_model_posterior(log_ml, log_prior).probs
             np.testing.assert_array_equal(row, expected)
 
     def test_all_minus_inf_replicate_degenerate(self):
         def ev(w):
-            return np.full(2, -np.inf) if w[0] == 0 else np.zeros(2)
+            return np.where(w[:, :1] == 0, -np.inf, np.zeros((len(w), 2)))
 
         with pytest.raises(DegenerateInputError):
             bagged_model_posterior(ev, 4, UNIFORM2, BootstrapConfig(m=4, b=20, seed=0))
@@ -215,6 +229,71 @@ class TestBaggedModelPosterior:
             bagged_model_posterior(broken, 3, UNIFORM2, BootstrapConfig(m=3, b=2, seed=0))
         assert err.value.replicate == 0
         assert "boom" in str(err.value)
+
+
+def regression_evaluator(n=12, d=3, seed=5):
+    from bayesbag.linreg import NIGHyperparams, RegressionDataset, enumerate_models, make_evaluator
+
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d))
+    data = RegressionDataset(z=z, y=z @ rng.standard_normal(d) + rng.standard_normal(n))
+    models = enumerate_models(d, d)
+    hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1.0, q0=0.5, k_star=d)
+    return make_evaluator(data, models, hyper), np.log(np.full(len(models), 1.0 / len(models)))
+
+
+class TestReplicateBlocks:
+    def test_block_rows_hold_counts_in_the_smallest_type(self):
+        blocks = []
+        cfg = BootstrapConfig(m=300, b=4, seed=2)
+        evaluate_replicates(lambda w: (blocks.append(w), np.zeros((len(w), 1)))[1], 5, cfg, 1)
+        assert len(blocks) == 1 and blocks[0].dtype == np.uint16 and blocks[0].shape == (4, 5)
+        assert np.all(blocks[0].sum(axis=1) == 300)
+
+    def test_many_blocks_equal_one_row_blocks(self, monkeypatch):
+        # 12 replicates in blocks of 5, 5 and 2 rows against one-row blocks
+        # and against one block; the statistics' products round per block
+        ev, log_prior = regression_evaluator()
+        cfg = BootstrapConfig(m=12, b=12, seed=6)
+        one_block = bagged_model_posterior(ev, 12, log_prior, cfg)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 12 * 5)
+        seen = []
+        blocks = bagged_model_posterior(lambda w: (seen.append(len(w)), ev(w))[1], 12, log_prior, cfg)
+        assert seen == [5, 5, 2]
+        monkeypatch.setattr(core, "BLOCK_BYTES", 1)
+        rows = bagged_model_posterior(ev, 12, log_prior, cfg)
+        for other in (blocks, one_block):
+            np.testing.assert_allclose(other.replicate_probs, rows.replicate_probs, rtol=0, atol=1e-12)
+        # prefix-stable in B across block boundaries
+        monkeypatch.setattr(core, "BLOCK_BYTES", 12 * 5)
+        short = bagged_model_posterior(ev, 12, log_prior, BootstrapConfig(m=12, b=7, seed=6))
+        np.testing.assert_allclose(short.replicate_probs, rows.replicate_probs[:7], rtol=0, atol=1e-12)
+
+    def test_failures_name_the_first_replicate_of_the_block(self, monkeypatch):
+        monkeypatch.setattr(core, "BLOCK_BYTES", 3 * 4)  # 3 rows of 4 uint8 counts
+        cfg = BootstrapConfig(m=4, b=8, seed=0)
+        calls = []
+
+        def second_block_raises(w):
+            calls.append(len(w))
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return np.zeros((len(w), 2))
+
+        with pytest.raises(ReplicateEvaluationError) as err:
+            bagged_model_posterior(second_block_raises, 4, UNIFORM2, cfg)
+        assert err.value.replicate == 3 and "boom" in str(err.value)
+        for wrong in (lambda w: np.zeros(2), lambda w: np.zeros((len(w), 3)),
+                      lambda w: np.zeros((len(w) + 1, 2))):
+            with pytest.raises(ReplicateEvaluationError) as err:
+                bagged_model_posterior(wrong, 4, UNIFORM2, cfg)
+            assert err.value.replicate == 0 and "evaluator returned shape" in str(err.value)
+
+    def test_exact_enumeration_in_blocks(self, monkeypatch):
+        ev = linear_evaluator(np.random.default_rng(4).normal(size=(3, 2)))
+        whole = exact_bagged_posterior(ev, 3, 4, UNIFORM2)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 3 * 4)  # 15 vectors in blocks of 4
+        np.testing.assert_allclose(exact_bagged_posterior(ev, 3, 4, UNIFORM2), whole, atol=1e-15)
 
 
 class TestExactBaggedPosterior:
@@ -256,7 +335,7 @@ class TestExactBaggedPosterior:
 class TestMcStandardError:
     def test_identical_rows_zero(self):
         bagged = bagged_model_posterior(
-            lambda w: np.array([1.0, 0.0]), 3, UNIFORM2, BootstrapConfig(m=3, b=10, seed=0)
+            lambda w: np.tile([1.0, 0.0], (len(w), 1)), 3, UNIFORM2, BootstrapConfig(m=3, b=10, seed=0)
         )
         np.testing.assert_allclose(mc_standard_error(bagged), 0.0, atol=1e-15)
 
@@ -282,8 +361,8 @@ class TestMcStandardError:
         # N=2, M=2: counts[0] in {2,1,0} w.p. (1/4,1/2,1/4); map to probs
         # (0.8, 0.5, 0.2) for model 1, giving column variance 0.045 exactly.
         def ev(w):
-            p = {2: 0.8, 1: 0.5, 0: 0.2}[int(w[0])]
-            return np.log([p, 1.0 - p])
+            p = np.array([0.2, 0.5, 0.8])[w[:, 0]]
+            return np.log(np.column_stack([p, 1.0 - p]))
 
         bagged = bagged_model_posterior(ev, 2, UNIFORM2, BootstrapConfig(m=2, b=100, seed=9))
         se = mc_standard_error(bagged)[0]

@@ -6,6 +6,8 @@ from math import exp, lgamma, log, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import digamma, polygamma
 
@@ -16,6 +18,7 @@ from bayesbag.errors import (
     ResourceLimitError,
     VarianceUndefinedError,
 )
+from bayesbag import linreg
 from bayesbag.linreg import (
     NIGHyperparams,
     RegressionDataset,
@@ -240,6 +243,194 @@ class TestBatchedModelLayer:
         stats = weighted_stats(random_problem(np.random.default_rng(3)), np.ones(6))
         with pytest.raises(InvalidArgumentError):
             model_log_marginals(stats, enumerate_models(2, 2), HYPER)
+
+
+def einsum_stats(data, w):
+    """One weight row's statistics by direct sums, and the sums of the
+    terms' magnitudes (the scale of their rounding error)."""
+    w = np.asarray(w, dtype=float)
+    z, y = data.z, data.y
+    values = (np.einsum("n,ni,nj->ij", w, z, z), np.einsum("n,ni,n->i", w, z, y), w @ (y * y))
+    scales = (
+        np.einsum("n,ni,nj->ij", w, np.abs(z), np.abs(z)),
+        np.einsum("n,ni,n->i", w, np.abs(z), np.abs(y)),
+        w @ (y * y),
+    )
+    return values, scales
+
+
+def row_of(stats, i):
+    return SuffStats(zwz=stats.zwz[i], zwy=stats.zwy[i], ywy=stats.ywy[i], m=stats.m[i])
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("n", [7, 2 * linreg._STATS_CHUNK + 5])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64])
+    def test_block_stats_match_per_row_reference(self, n, dtype):
+        # n below the chunk size and n spanning three chunks, the last partial
+        rng = np.random.default_rng(61)
+        data = random_problem(rng, n=n, d=4)
+        block = rng.integers(0, 5, size=(5, n)).astype(dtype)
+        if dtype == np.float64:
+            block = block * 0.75
+        block[2] = 0  # a row of zero weights
+        stats = weighted_stats(data, block)
+        assert stats.zwz.shape == (5, 4, 4) and stats.zwy.shape == (5, 4)
+        assert stats.ywy.shape == (5,) and stats.m.shape == (5,)
+        np.testing.assert_array_equal(stats.m, block.sum(axis=1, dtype=float))
+        for i, w in enumerate(block):
+            values, scales = einsum_stats(data, w)
+            for got, want, scale in zip((stats.zwz[i], stats.zwy[i], stats.ywy[i]), values, scales):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(scale))
+        np.testing.assert_array_equal(stats.zwz[2], 0.0)
+        np.testing.assert_array_equal(stats.zwz, np.swapaxes(stats.zwz, 1, 2))
+
+    def test_leading_shape_is_kept(self):
+        rng = np.random.default_rng(62)
+        data = random_problem(rng, n=9, d=3)
+        block = rng.integers(0, 3, size=(2, 3, 9))
+        stats = weighted_stats(data, block)
+        assert stats.zwz.shape == (2, 3, 3, 3) and stats.ywy.shape == (2, 3)
+        flat = weighted_stats(data, block.reshape(6, 9))
+        np.testing.assert_array_equal(stats.zwz.reshape(6, 3, 3), flat.zwz)
+        single = weighted_stats(data, block[1, 2])
+        assert single.zwz.shape == (3, 3) and np.ndim(single.ywy) == 0 and np.ndim(single.m) == 0
+        empty = weighted_stats(data, np.zeros((0, 9), dtype=np.uint8))
+        assert empty.zwz.shape == (0, 3, 3)
+        assert model_log_marginals(empty, enumerate_models(3, 3), HYPER).shape == (0, 8)
+
+    def test_invalid_weights_rejected(self):
+        data = random_problem(np.random.default_rng(63))
+        for bad in (np.ones((2, 5)), np.array([[1.0, -1, 1, 1, 1, 1]]),
+                    np.array([1.0, np.nan, 1, 1, 1, 1]), np.full(6, np.inf), np.full(6, "a")):
+            with pytest.raises(InvalidArgumentError):
+                weighted_stats(data, bad)
+
+    def test_block_evidences_match_per_row_calls(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        data = random_problem(rng, n=40, d=6)
+        models = enumerate_models(6, 6)
+        block = rng.integers(0, 4, size=(9, 40)).astype(np.uint8)
+        stats = weighted_stats(data, block)
+        values = model_log_marginals(stats, models, HYPER)
+        assert values.shape == (9, 64)
+        for i, w in enumerate(block):
+            np.testing.assert_array_equal(values[i], model_log_marginals(row_of(stats, i), models, HYPER))
+            np.testing.assert_allclose(values[i], log_ml_rows(data, w, models), rtol=1e-12)
+        np.testing.assert_array_equal(make_evaluator(data, models, HYPER)(block), values)
+        # size groups factored a few weight rows at a time give the same rows
+        monkeypatch.setattr(linreg, "_FACTOR_FLOATS", 64)
+        np.testing.assert_array_equal(model_log_marginals(stats, models, HYPER), values)
+
+    def test_block_moments_match_per_row_calls(self):
+        rng = np.random.default_rng(65)
+        data = random_problem(rng, n=30, d=4)
+        block = rng.integers(0, 4, size=(6, 30)).astype(np.uint8)
+        stats = weighted_stats(data, block)
+        for gamma in (np.array([1, 0, 1, 1]), np.zeros(4, dtype=int)):
+            moments = param_moments_from_stats(stats, gamma, HYPER)
+            assert moments.mean_beta.shape == (6, gamma.sum())
+            for i in range(6):
+                one = param_moments_from_stats(row_of(stats, i), gamma, HYPER)
+                for field in ("mean_log_sigma2", "var_log_sigma2", "mean_beta", "var_beta"):
+                    np.testing.assert_array_equal(getattr(moments, field)[i], getattr(one, field))
+
+    def test_jitter_confined_to_failing_replicate_and_model(self):
+        # z2 equals z1 on the first two rows only: weights (2, 2, 0, 0) make
+        # the {1, 2} block [[4, 4], [4, 4]] + 1e-20 I, which needs jitter;
+        # unit weights keep it positive definite
+        rng = np.random.default_rng(66)
+        z = np.column_stack([np.ones(4), [1.0, 1.0, 0.0, 0.0], rng.standard_normal(4)])
+        data = RegressionDataset(z=z, y=rng.standard_normal(4))
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=3)
+        models = enumerate_models(3, 3)
+        pair = [list(g) for g in models].index([1, 1, 0])
+        stats = weighted_stats(data, np.array([[1, 1, 1, 1], [2, 2, 0, 0]], dtype=np.uint8))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stats.zwz[1, :2, :2] + hyper.lam * np.eye(2))
+        values = model_log_marginals(stats, models, hyper)
+        assert np.all(np.isfinite(values))
+        np.testing.assert_array_equal(values[0], model_log_marginals(row_of(stats, 0), models, hyper))
+        others = [k for k in range(len(models)) if models[k].sum() == 2 and k != pair]
+        np.testing.assert_array_equal(
+            values[1, others], model_log_marginals(row_of(stats, 1), models[others], hyper)
+        )
+        # the failing matrix gets the jitter it gets when factored alone
+        np.testing.assert_array_equal(
+            values[1, [pair]], model_log_marginals(row_of(stats, 1), models[[pair]], hyper)
+        )
+
+    def test_domain_errors_name_weight_row_and_model_row(self):
+        # row 1 repeats NEGATIVE_B_G; row 0 is well defined
+        stats = SuffStats(zwz=[[[1.0]], [[1.0]]], zwy=[[0.0], [10.0]], ywy=[1.0, 0.0], m=[1.0, 1.0])
+        with pytest.raises(NumericDomainError, match="model row 1 of weight row 1"):
+            model_log_marginals(stats, np.array([[0], [1]]), NEGATIVE_B_G_HYPER)
+        with pytest.raises(NumericDomainError, match="weight row 1"):
+            param_moments_from_stats(stats, np.array([1]), NEGATIVE_B_G_HYPER)
+        huge_m = SuffStats(zwz=[[[1.0]], [[1.0]]], zwy=[[0.0], [0.0]], ywy=[1.0, 1.0], m=[1.0, 1e308])
+        with pytest.raises(NumericDomainError, match="weight row 1"):
+            model_log_marginals(huge_m, np.array([[0], [1]]), HYPER)
+        # y'Wy overflowed to inf: b_g is inf and the log evidence -inf
+        overflow = SuffStats(zwz=[[[1.0]], [[1.0]]], zwy=[[0.0], [0.0]], ywy=[1.0, np.inf],
+                             m=[1.0, 1.0])
+        with pytest.raises(NumericDomainError, match="model row 0 of weight row 1"):
+            model_log_marginals(overflow, np.array([[0], [1]]), HYPER)
+
+
+def log_ml_rows(data, w, models, hyper=HYPER):
+    """All models' log evidences for one weight vector."""
+    return model_log_marginals(weighted_stats(data, w), models, hyper)
+
+
+def reweighting_problem(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return random_problem(rng, n=n, d=d), rng.integers(0, 4, size=n), rng
+
+
+SIZES = dict(n=st.integers(2, 12), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+
+
+class TestWeightProperties:
+    """Weighting is replication: the evidences depend on the multiset of
+    weighted rows only (rtol 1e-10: summation order differs)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**SIZES)
+    def test_duplicated_row_equals_weight_two(self, n, d, seed):
+        data, w, rng = reweighting_problem(n, d, seed)
+        k = int(rng.integers(n))
+        models = enumerate_models(d, d)
+        twice = RegressionDataset(z=np.vstack([data.z, data.z[k]]), y=np.append(data.y, data.y[k]))
+        doubled = np.ones(n)
+        doubled[k] = 2
+        np.testing.assert_allclose(
+            log_ml_rows(data, doubled, models), log_ml_rows(twice, np.ones(n + 1), models),
+            rtol=1e-10,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(**SIZES)
+    def test_permuting_rows_changes_nothing(self, n, d, seed):
+        data, w, rng = reweighting_problem(n, d, seed)
+        perm = rng.permutation(n)
+        models = enumerate_models(d, d)
+        shuffled = RegressionDataset(z=data.z[perm], y=data.y[perm])
+        np.testing.assert_allclose(
+            log_ml_rows(shuffled, w[perm], models), log_ml_rows(data, w, models), rtol=1e-10
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(**SIZES)
+    def test_zero_weight_acts_as_dropped_row(self, n, d, seed):
+        data, w, rng = reweighting_problem(n, d, seed)
+        k = int(rng.integers(n))
+        w[k] = 0
+        keep = np.arange(n) != k
+        models = enumerate_models(d, d)
+        dropped = RegressionDataset(z=data.z[keep], y=data.y[keep])
+        np.testing.assert_allclose(
+            log_ml_rows(data, w, models), log_ml_rows(dropped, w[keep], models), rtol=1e-10
+        )
 
 
 class TestEnumerateModels:

@@ -123,6 +123,22 @@ class TestMismatchProj:
         assert abs(per["log_sigma2"].value - 0.62) < 1e-12
         assert abs(overall.value - 0.62) < 1e-12
 
+    def test_stacked_replicates_equal_a_sequence(self):
+        rng = np.random.default_rng(3)
+        standard = moments([0.1, -0.2], [1.0, 0.5], var_ls2=0.3)
+        reps = [moments(rng.normal(size=2), rng.uniform(0.5, 2.0, 2), *rng.normal(size=2) ** 2)
+                for _ in range(5)]
+        stacked = ParamMoments(
+            mean_log_sigma2=np.array([r.mean_log_sigma2 for r in reps]),
+            var_log_sigma2=np.array([r.var_log_sigma2 for r in reps]),
+            mean_beta=np.array([r.mean_beta for r in reps]),
+            var_beta=np.array([r.var_beta for r in reps]),
+        )
+        overall, per = mismatch_index_proj(standard, reps)
+        assert mismatch_index_proj(standard, stacked) == (overall, per)
+        with pytest.raises(InvalidArgumentError):
+            mismatch_index_proj(moments([0.0], [1.0]), stacked)
+
     def test_unknown_coordinate(self):
         standard = moments([0.0], [1.0])
         reps = [moments([0.0], [1.0])] * 2
