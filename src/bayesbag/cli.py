@@ -7,6 +7,12 @@ writes plot-ready CSV/JSON files plus a manifest describing their schemas
 through one writer, ``_write_results``; ``schema-check`` re-validates a
 result directory against the manifest.
 
+Every command runs with numpy's OpenBLAS at one thread, unless the
+environment sets a thread count, and the caller's count is restored
+afterwards: the block products gain no wall time from more threads, and
+one thread makes the results the same on any number of cores.  The
+manifest's ``run`` block records the count a command ran with.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 resource-guard
 rejection.
 """
@@ -15,14 +21,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import json
 import logging
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from . import core
+from . import __version__, core
 from .asymptotics import (
     STRONG_FAVOR_THRESHOLD,
     KModelLaw,
@@ -41,7 +51,6 @@ from .core import (
     bagged_model_posterior,
     evaluate_replicates,
     replicate_rng,
-    standard_model_posterior,
 )
 from .errors import (
     BayesBagError,
@@ -265,6 +274,7 @@ def _write_results(outdir: Path, command: str, files: dict, config: dict) -> Non
         "command": command,
         "files": {filename: schema for filename, (schema, _) in files.items()},
         "config": config,
+        "run": _run_record(),
     }
     for filename, (schema, content) in {**files, "manifest.json": (None, manifest)}.items():
         with open(outdir / filename, "w", newline="\n", encoding="utf-8") as fh:
@@ -350,15 +360,12 @@ def _selection_hyper(args, d: int, default_q0: float, default_lam: float) -> NIG
 
 def _selection_run(data: RegressionDataset, models, hyper, m: int, b: int, boot_seed: int):
     """Standard and bagged posterior inclusion probabilities for one dataset,
-    as a (2, D) array in ``METHODS`` order; the standard posterior is the
-    evaluator at unit weights."""
-    log_prior = log_priors(models, hyper)
-    evaluator = make_evaluator(data, models, hyper)
-    standard = standard_model_posterior(evaluator(np.ones(data.n)), log_prior)
+    as a (2, D) array in ``METHODS`` order."""
     bagged = bagged_model_posterior(
-        evaluator, data.n, log_prior, BootstrapConfig(m=m, b=b, seed=boot_seed)
+        make_evaluator(data, models, hyper), data.n, log_priors(models, hyper),
+        BootstrapConfig(m=m, b=b, seed=boot_seed),
     )
-    return np.array([pips(standard, models), pips(bagged.mean_probs, models)])
+    return np.array([pips(bagged.standard_probs, models), pips(bagged.mean_probs, models)])
 
 
 def _pip_columns(table: np.ndarray) -> list:
@@ -582,17 +589,18 @@ def cmd_mismatch(args) -> int:
             [moments.mean_log_sigma2, moments.var_log_sigma2, moments.mean_beta, moments.var_beta]
         )
 
-    standard = param_moments_from_stats(weighted_stats(data, np.ones(data.n)), gamma_full, hyper)
-    rows = evaluate_replicates(
+    def as_moments(rows: np.ndarray) -> ParamMoments:
+        return ParamMoments(
+            mean_log_sigma2=rows[..., 0],
+            var_log_sigma2=rows[..., 1],
+            mean_beta=rows[..., 2 : 2 + data.d],
+            var_beta=rows[..., 2 + data.d :],
+        )
+
+    standard, rows = evaluate_replicates(
         moment_rows, data.n, BootstrapConfig(m=m, b=b, seed=_child_seed(seed, 1)), 2 + 2 * data.d
     )
-    replicates = ParamMoments(
-        mean_log_sigma2=rows[:, 0],
-        var_log_sigma2=rows[:, 1],
-        mean_beta=rows[:, 2 : 2 + data.d],
-        var_beta=rows[:, 2 + data.d :],
-    )
-    overall, per_coord = mismatch_index_proj(standard, replicates)
+    overall, per_coord = mismatch_index_proj(as_moments(standard), as_moments(rows))
 
     report = {
         "schema": MISMATCH_REPORT_SCHEMA,
@@ -750,6 +758,7 @@ def _add_standardize(p: _Parser) -> None:
     p.add_argument("--no-standardize", dest="standardize", action="store_false")
 
 
+@functools.cache  # built once per process; main puts back any defaults it changes
 def build_parser() -> _Parser:
     parser = _Parser(prog="bayesbag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -813,15 +822,89 @@ def build_parser() -> _Parser:
     return parser
 
 
+# ---------------------------------------------------------------------------
+# BLAS threads and the run record
+
+# a thread count the user set in the environment is left alone
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy vendors, if
+    numpy has loaded one; None otherwise (another BLAS, or a system build)."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            handle = ctypes.CDLL(str(lib), mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for name in _THREAD_SYMBOLS:
+            get = getattr(handle, name.format("get"), None)
+            put = getattr(handle, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread inside the context and the caller's
+    count again on exit, however the context ends; nothing changes if the
+    environment sets a count or no OpenBLAS is reachable."""
+    blas = None if any(os.environ.get(name) for name in _THREAD_ENV) else _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _run_record() -> dict:
+    """How the run computed: package, numpy and BLAS versions, and the
+    OpenBLAS thread count in effect (None if no OpenBLAS is reachable)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = {}
+    threads = _openblas()
+    return {
+        "bayesbag": __version__,
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": None if threads is None else threads[0](),
+    }
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
+    with _one_blas_thread():
+        return _run_command(argv)
+
+
+def _run_command(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # config values become the subcommand's defaults; parse again
-            args.parser.set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
+            # config values become the subcommand's defaults for one more
+            # parse; the parser is built once, so its defaults are put back
+            sub, defaults = args.parser, _config_defaults(args)
+            saved = {dest: sub.get_default(dest) for dest in defaults}
+            sub.set_defaults(**defaults)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                sub.set_defaults(**saved)
         if args.out is None:
             raise _UsageError("--out is required")
         return args.func(args)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bayesbag import __version__, cli, core
 from bayesbag.cli import _parse_grid, _resolve_m, _split_indices, main
 
 
@@ -79,6 +80,18 @@ class TestSimulate:
         out2 = tmp_path / "out2"
         assert run("simulate", "--config", cfg, "--N", 40, "--out", out2) == 0
         assert json.loads((out2 / "manifest.json").read_text())["config"]["n"] == 40
+
+    def test_config_does_not_leak_into_later_runs(self, tmp_path):
+        # the parser is built once per process; a config's defaults last
+        # for its own run only
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("B=7\n", encoding="utf-8")
+        argv = ["simulate", "--D", 3, "--k", 1, "--N", 30, "--replicates", 1]
+        assert run(*argv, "--config", cfg, "--out", tmp_path / "cfg") == 0
+        assert run(*argv, "--out", tmp_path / "plain") == 0
+        assert json.loads((tmp_path / "cfg" / "manifest.json").read_text())["config"]["b"] == 7
+        plain = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+        assert plain["config"]["b"] == core.DEFAULT_REPLICATES
 
     def test_config_booleans_take_effect(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -351,6 +364,78 @@ class TestUsageErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("inner_samples=2000\n", encoding="utf-8")
         assert run("asymptotics", "--config", cfg, "--out", tmp_path / "o") == 1
+
+
+SMOKE = ("simulate", "--D", 3, "--k", 1, "--N", 30, "--replicates", 2, "--B", 5)
+
+
+def manifest_run(out):
+    return json.loads((Path(out) / "manifest.json").read_text())["run"]
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS (get, set), with the caller's thread count set to 2
+    for the test and restored afterwards."""
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS is not reachable")
+    get, put = blas
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+class TestBlasThreads:
+    def test_command_runs_one_thread_and_restores_the_count(self, tmp_path, openblas):
+        out = tmp_path / "out"
+        assert run(*SMOKE, "--out", out) == 0
+        record = manifest_run(out)
+        assert record["blas_threads"] == 1
+        assert record["numpy"] == np.__version__ and record["bayesbag"] == __version__
+        assert set(record["blas"]) == {"name", "version"}
+        assert openblas() == 2
+        assert run("schema-check", "--out", out) == 0
+        assert openblas() == 2
+
+    def test_count_restored_after_errors(self, tmp_path, openblas, monkeypatch):
+        assert run("simulate", "--k", 1, "--N", 50, "--out", tmp_path / "x") == 1
+        assert openblas() == 2
+        assert run("schema-check", "--out", tmp_path) == 2
+        assert openblas() == 2
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "sample_dataset", boom)
+        with pytest.raises(RuntimeError):
+            run(*SMOKE, "--out", tmp_path / "y")
+        assert openblas() == 2
+
+    def test_environment_count_is_left_alone(self, tmp_path):
+        # a user's OPENBLAS_NUM_THREADS wins; the manifest records it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; from bayesbag import cli; "
+                "before = cli._openblas()[0](); code = cli.main(sys.argv[1:]); "
+                "print(before, cli._openblas()[0](), code)")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        done = subprocess.run([sys.executable, "-c", code, *map(str, SMOKE), "--out", str(out)],
+                              env=env, check=True, capture_output=True, text=True)
+        before, after, status = map(int, done.stdout.split())
+        assert status == 0 and before == after
+        assert before == 2 or (os.cpu_count() or 1) < 2  # OpenBLAS caps it at the cores
+        assert manifest_run(out)["blas_threads"] == before
+        assert run("schema-check", "--out", out) == 0
+
+    def test_without_openblas_the_run_proceeds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        out = tmp_path / "out"
+        assert run(*SMOKE, "--out", out) == 0
+        assert manifest_run(out)["blas_threads"] is None
+        assert run("schema-check", "--out", out) == 0
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

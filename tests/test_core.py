@@ -180,16 +180,28 @@ class TestBaggedModelPosterior:
 
     def test_replicate_streams_independent_of_order(self):
         # replicate i's weights are draw i of the run's one stream, so they
-        # depend only on (seed, i)
+        # depend only on (seed, i); the unit-weight row leads the first block
         cfg = BootstrapConfig(m=5, b=3, seed=21)
         seen = []
         bagged_model_posterior(
             lambda w: (seen.append(w.copy()), np.zeros((len(w), 2)))[1], 5, UNIFORM2, cfg
         )
+        rows = np.concatenate(seen)
+        assert len(rows) == cfg.b + 1
+        np.testing.assert_array_equal(rows[0], np.ones(5))
         rng = replicate_rng(21)
-        for counts in np.concatenate(seen):
+        for counts in rows[1:]:
             expected = bootstrap_counts(5, 5, rng)
             np.testing.assert_array_equal(counts, expected)
+
+    def test_standard_posterior_is_the_unit_weight_row(self):
+        rng = np.random.default_rng(11)
+        ev = linear_evaluator(rng.normal(scale=10.0, size=(6, 3)))
+        log_prior = rng.normal(size=3)
+        for b in (1, 9):
+            bagged = bagged_model_posterior(ev, 6, log_prior, BootstrapConfig(m=4, b=b, seed=2))
+            expected = standard_model_posterior(ev(np.ones(6)), log_prior).probs
+            np.testing.assert_allclose(bagged.standard_probs, expected, rtol=0, atol=1e-12)
 
     def test_replicates_prefix_stable_in_b(self):
         # a run with more replicates repeats the first replicates of a
@@ -247,8 +259,27 @@ class TestReplicateBlocks:
         blocks = []
         cfg = BootstrapConfig(m=300, b=4, seed=2)
         evaluate_replicates(lambda w: (blocks.append(w), np.zeros((len(w), 1)))[1], 5, cfg, 1)
-        assert len(blocks) == 1 and blocks[0].dtype == np.uint16 and blocks[0].shape == (4, 5)
-        assert np.all(blocks[0].sum(axis=1) == 300)
+        # the unit-weight row leads the block of 4 replicates
+        assert len(blocks) == 1 and blocks[0].dtype == np.uint16 and blocks[0].shape == (5, 5)
+        assert np.all(blocks[0][0] == 1)
+        assert np.all(blocks[0][1:].sum(axis=1) == 300)
+
+    @pytest.mark.parametrize("n, m, b", [(3, 3, 12_000), (3, 7, 5_000), (5000, 10, 40),
+                                         (10, 2**16 + 5, 3)])
+    def test_grouped_draw_equals_successive_draws(self, n, m, b):
+        # rows drawn g at a time (g = 5461, 2340 and 3 here, and one at a
+        # time for the last) are the successive bootstrap_counts draws,
+        # across several groups
+        blocks = []
+        cfg = BootstrapConfig(m=m, b=b, seed=12)
+        standard, _ = evaluate_replicates(
+            lambda w: (blocks.append(w.copy()), np.zeros((len(w), 1)))[1], n, cfg, 1
+        )
+        rows = np.concatenate(blocks)[1:]
+        rng = replicate_rng(12)
+        expected = np.array([bootstrap_counts(n, m, rng) for _ in range(b)])
+        np.testing.assert_array_equal(rows, expected)
+        assert standard.shape == (1,)
 
     def test_many_blocks_equal_one_row_blocks(self, monkeypatch):
         # 12 replicates in blocks of 5, 5 and 2 rows against one-row blocks
@@ -259,11 +290,12 @@ class TestReplicateBlocks:
         monkeypatch.setattr(core, "BLOCK_BYTES", 12 * 5)
         seen = []
         blocks = bagged_model_posterior(lambda w: (seen.append(len(w)), ev(w))[1], 12, log_prior, cfg)
-        assert seen == [5, 5, 2]
+        assert seen == [6, 5, 2]  # the unit-weight row leads the first block
         monkeypatch.setattr(core, "BLOCK_BYTES", 1)
         rows = bagged_model_posterior(ev, 12, log_prior, cfg)
         for other in (blocks, one_block):
             np.testing.assert_allclose(other.replicate_probs, rows.replicate_probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(other.standard_probs, rows.standard_probs, rtol=0, atol=1e-12)
         # prefix-stable in B across block boundaries
         monkeypatch.setattr(core, "BLOCK_BYTES", 12 * 5)
         short = bagged_model_posterior(ev, 12, log_prior, BootstrapConfig(m=12, b=7, seed=6))
