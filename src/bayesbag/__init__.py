@@ -12,7 +12,6 @@ from .asymptotics import (
     bernoulli_two_model_problem,
     estimate_effect_size,
     three_model_scenarios,
-    ks_statistic_uniform,
     mvn_cdf_at_zero,
     reduce_to_contrasts,
     sample_ubb_K,

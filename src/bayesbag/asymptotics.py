@@ -52,7 +52,6 @@ __all__ = [
     "three_model_scenarios",
     "estimate_effect_size",
     "bernoulli_two_model_problem",
-    "ks_statistic_uniform",
 ]
 
 # Default "strongly favors" probability threshold used by the sweep CLI.
@@ -330,12 +329,3 @@ def bernoulli_two_model_problem(p1: float, p2: float, n: int, seed: int):
 
     return x, evaluate
 
-
-def ks_statistic_uniform(values) -> float:
-    """Exact Kolmogorov-Smirnov statistic of a sample against Uniform(0, 1)."""
-    u = np.sort(np.asarray(values, dtype=float))
-    n = u.size
-    if n < 1:
-        raise InvalidArgumentError("need at least one value")
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - u), np.max(u - (grid - 1.0 / n))))

@@ -23,6 +23,7 @@ import argparse
 import csv
 import ctypes
 import functools
+import io
 import json
 import logging
 import os
@@ -194,14 +195,31 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.array([float(p) for p in text.split(",") if p.strip() != ""])
 
 
+def _read_text(path) -> str:
+    """A file's text, decoded as UTF-8 with its line endings kept; a file
+    that cannot be read or decoded is a data error that names it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json_object(path) -> dict:
+    """A JSON file that holds an object; anything else is a data error."""
+    try:
+        value = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise IngestionError(f"cannot load {path}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise IngestionError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     """Plain key=value configuration, '#' comments and blank lines ignored."""
     out: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestionError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -214,29 +232,30 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 # config keys may use the flag spellings; map them onto argparse dests
 _CONFIG_ALIASES = {"D": "d", "N": "n", "B": "b_reps", "M": "m_size", "lambda": "lam"}
-# namespace entries that are not options
-_NOT_OPTIONS = ("command", "func", "parser")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """--config values keyed by option dest.  Strings become the
-    subcommand's defaults, so argparse converts them with each option's
-    ``type`` and explicit flags win; switches take a boolean word."""
-    defaults = {}
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """--config values as ``--flag=value`` tokens of the command's options
+    (the ``=`` form, so a value may start with '-').  A switch takes a
+    boolean word and becomes the flag whose const is that word, or no token
+    when there is none."""
+    options = [a for a in args.parser._actions if a.option_strings and a.dest != "help"]
+    dests = {a.dest for a in options}
+    tokens = []
     for key, raw in _read_config_file(args.config).items():
-        for candidate in (_CONFIG_ALIASES.get(key), key, key.lower()):
-            if candidate is not None and candidate not in _NOT_OPTIONS and hasattr(args, candidate):
-                break
-        else:
+        dest = next((c for c in (_CONFIG_ALIASES.get(key), key, key.lower()) if c in dests), None)
+        actions = [a for a in options if a.dest == dest]
+        if not actions:
             raise _UsageError(f"unknown config key {key!r}")
-        if isinstance(getattr(args, candidate), bool):
-            if raw.lower() not in _BOOLEANS:
-                raise _UsageError(f"config key {key!r} expects a boolean, got {raw!r}")
-            raw = _BOOLEANS[raw.lower()]
-        defaults[candidate] = raw
-    return defaults
+        if actions[0].nargs != 0:
+            tokens.append(f"{actions[0].option_strings[0]}={raw}")
+        elif raw.lower() in _BOOLEANS:
+            tokens += [a.option_strings[0] for a in actions if a.const is _BOOLEANS[raw.lower()]][:1]
+        else:
+            raise _UsageError(f"config key {key!r} expects a boolean, got {raw!r}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -296,35 +315,29 @@ def _write_results(outdir: Path, command: str, files: dict, config: dict) -> Non
 def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]]:
     """Read a header-first CSV into regressors/response, with line-numbered
     parse errors.  Returns the dataset and the regressor column names."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise IngestionError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    if target not in header:
+        raise IngestionError(f"{path}: target column {target!r} not in header {header}")
+    t_idx = header.index(target)
+    z_rows: list[list[float]] = []
+    y_vals: list[float] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) != len(header):
+            raise IngestionError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if target not in header:
-            raise IngestionError(f"{path}: target column {target!r} not in header {header}")
-        t_idx = header.index(target)
-        z_rows: list[list[float]] = []
-        y_vals: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: {exc}") from None
-            y_vals.append(values[t_idx])
-            z_rows.append([v for i, v in enumerate(values) if i != t_idx])
+            values = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{lineno}: {exc}") from None
+        y_vals.append(values[t_idx])
+        z_rows.append([v for i, v in enumerate(values) if i != t_idx])
     if not z_rows:
         raise IngestionError(f"{path}: no data rows")
     names = [h for i, h in enumerate(header) if i != t_idx]
@@ -672,42 +685,35 @@ def _check_cell(value: str, kind: str, where: str) -> None:
 
 def cmd_schema_check(args) -> int:
     outdir = Path(args.out)
-    manifest_path = outdir / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IngestionError(f"cannot load {manifest_path}: {exc}") from exc
+    manifest = _read_json_object(outdir / "manifest.json")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise IngestionError(
             f"manifest schema_version {manifest.get('schema_version')} != {SCHEMA_VERSION}"
         )
     for filename, schema in manifest.get("files", {}).items():
         path = outdir / filename
-        if not path.exists():
-            raise IngestionError(f"{path} listed in manifest but missing")
         if schema == MISMATCH_REPORT_SCHEMA:
-            report = json.loads(path.read_text(encoding="utf-8"))
+            report = _read_json_object(path)
             missing = [key for key in MISMATCH_REPORT_KEYS if key not in report]
             if missing:
                 raise IngestionError(f"{path}: missing keys {missing}")
             continue
         if schema != DATASET_SCHEMA and schema not in SCHEMAS:
             raise IngestionError(f"{path}: unknown schema {schema!r}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if schema == DATASET_SCHEMA:
-                # a dataset has at least one regressor column
-                spec = _dataset_spec(max(len(header or []) - 1, 1))
-            else:
-                spec = SCHEMAS[schema]
-            if header != [name for name, _ in spec]:
-                raise IngestionError(f"{path}: header {header} does not match {schema}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(spec):
-                    raise IngestionError(f"{path}:{lineno}: wrong field count")
-                for (name, kind), value in zip(spec, row):
-                    _check_cell(value, kind, f"{path}:{lineno}:{name}")
+        reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+        header = next(reader, None)
+        if schema == DATASET_SCHEMA:
+            # a dataset has at least one regressor column
+            spec = _dataset_spec(max(len(header or []) - 1, 1))
+        else:
+            spec = SCHEMAS[schema]
+        if header != [name for name, _ in spec]:
+            raise IngestionError(f"{path}: header {header} does not match {schema}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(spec):
+                raise IngestionError(f"{path}:{lineno}: wrong field count")
+            for (name, kind), value in zip(spec, row):
+                _check_cell(value, kind, f"{path}:{lineno}:{name}")
         log.info("%s conforms to %s", path, schema)
     return 0
 
@@ -758,7 +764,7 @@ def _add_standardize(p: _Parser) -> None:
     p.add_argument("--no-standardize", dest="standardize", action="store_false")
 
 
-@functools.cache  # built once per process; main puts back any defaults it changes
+@functools.cache  # built once per process and never changed
 def build_parser() -> _Parser:
     parser = _Parser(prog="bayesbag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -893,18 +899,12 @@ def main(argv=None) -> int:
 
 def _run_command(argv) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # config values become the subcommand's defaults for one more
-            # parse; the parser is built once, so its defaults are put back
-            sub, defaults = args.parser, _config_defaults(args)
-            saved = {dest: sub.get_default(dest) for dest in defaults}
-            sub.set_defaults(**defaults)
-            try:
-                args = parser.parse_args(argv)
-            finally:
-                sub.set_defaults(**saved)
+            # config flags go before the command line's own, so those win
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         if args.out is None:
             raise _UsageError("--out is required")
         return args.func(args)

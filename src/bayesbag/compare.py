@@ -181,7 +181,7 @@ def load_posterior_samples(path) -> DiscretePosterior:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     draws = [line.strip() for line in lines if line.strip()]
     if not draws:

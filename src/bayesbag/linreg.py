@@ -26,10 +26,9 @@ block's leading shape.  All models of a set are evaluated in one pass:
 models are grouped by size j, each group's Lam_g blocks of every weight
 row are gathered into one (r n_j, j, j) stack and factored by a single
 stacked Cholesky, and quad, log|Lam_g|, b_g and log ml are formed as
-arrays.  The gather indices (the *plan*) depend only on the model set, so
-``make_evaluator`` builds them once and reuses them for every block.
-``param_moments_from_stats`` factors its one model through the same
-stacked path, so jitter reaches moments exactly as it reaches evidences.
+arrays.  ``param_moments_from_stats`` factors its one model through the
+same stacked path, so jitter reaches moments exactly as it reaches
+evidences.
 """
 
 from __future__ import annotations
@@ -135,11 +134,12 @@ class ParamMoments:
 
     ``mean_beta``/``var_beta`` cover the active coordinates only, in the
     order of the included columns (last axis).  Moments of several weight
-    rows carry the rows' leading shape on every field.
+    rows carry the rows' leading shape on every field; for one row the
+    sigma^2 fields are 0-d (numpy scalars).
     """
 
-    mean_log_sigma2: float
-    var_log_sigma2: float
+    mean_log_sigma2: np.ndarray
+    var_log_sigma2: np.ndarray
     mean_beta: np.ndarray
     var_beta: np.ndarray
 
@@ -149,13 +149,14 @@ class SuffStats:
     """Weighted sufficient statistics: Z'WZ, Z'Wy, y'Wy and M = sum(w).
 
     Statistics of several weight rows carry the rows' leading shape on
-    every field: zwz (..., D, D), zwy (..., D), ywy and m (...).
+    every field: zwz (..., D, D), zwy (..., D), ywy and m (...), the last
+    two 0-d (numpy scalars) for one row.
     """
 
     zwz: np.ndarray
     zwy: np.ndarray
-    ywy: float
-    m: float
+    ywy: np.ndarray
+    m: np.ndarray
 
 
 def weighted_stats(data: RegressionDataset, weights) -> SuffStats:
@@ -248,34 +249,24 @@ def _forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class _ModelPlan:
-    """Gather indices of a model set, grouped by model size.
-
-    Each group holds the model rows of size j >= 1, their active columns
+def _size_groups(models):
+    """The model set's width D, model sizes, and gather indices grouped by
+    size: for each size j >= 1 the model rows, their active columns
     ``cols`` (n_j, j) and the flat indices ``flat`` (n_j, j, j) of their
-    Z'WZ sub-blocks.  The empty model is in no group.
-    """
-
-    d: int
-    sizes: np.ndarray
-    groups: tuple
-
-    @classmethod
-    def build(cls, models) -> "_ModelPlan":
-        mask = np.asarray(models) != 0
-        if mask.ndim != 2:
-            raise InvalidArgumentError(
-                f"models must be a (count, d) inclusion matrix, got shape {mask.shape}"
-            )
-        d = mask.shape[1]
-        sizes = mask.sum(axis=1)
-        groups = []
-        for j in np.unique(sizes[sizes > 0]):
-            rows = np.flatnonzero(sizes == j)
-            cols = np.nonzero(mask[rows])[1].reshape(rows.size, j)
-            groups.append((rows, cols, cols[:, :, None] * d + cols[:, None, :]))
-        return cls(d=d, sizes=sizes.astype(float), groups=tuple(groups))
+    Z'WZ sub-blocks.  The empty model is in no group."""
+    mask = np.asarray(models) != 0
+    if mask.ndim != 2:
+        raise InvalidArgumentError(
+            f"models must be a (count, d) inclusion matrix, got shape {mask.shape}"
+        )
+    d = mask.shape[1]
+    sizes = mask.sum(axis=1)
+    groups = []
+    for j in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == j)
+        cols = np.nonzero(mask[rows])[1].reshape(rows.size, j)
+        groups.append((rows, cols, cols[:, :, None] * d + cols[:, None, :]))
+    return d, sizes.astype(float), groups
 
 
 def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, flat: np.ndarray, lam: float):
@@ -294,27 +285,23 @@ def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, flat: np.ndarray
     return chol, _forward_substitute(chol, np.take(zwy, cols, axis=1).reshape(-1, j))
 
 
-def model_log_marginals(
-    stats: SuffStats, models: np.ndarray, hyper: NIGHyperparams, *, plan=None
-) -> np.ndarray:
+def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
     """Log marginal likelihoods for every row of an enumerated model set,
     for one set of statistics (shape (K,)) or for statistics with a leading
     shape (shape (..., K)).
 
     Models of equal size share one stacked Cholesky factorization over all
-    weight rows; see the module docstring.  ``plan`` is the model set's
-    gather plan as built by ``make_evaluator``; it is built here when
-    omitted.  Raises ``NumericDomainError`` naming the weight row and model
-    row when some b_g <= 0 (y'Wy - quad cancelled below -2 b0), lgamma(a0 +
-    M/2) overflows or a log evidence is not finite; never returns NaN.
+    weight rows; see the module docstring.  Raises ``NumericDomainError``
+    naming the weight row and model row when some b_g <= 0 (y'Wy - quad
+    cancelled below -2 b0), lgamma(a0 + M/2) overflows or a log evidence is
+    not finite; never returns NaN.
     """
-    if plan is None:
-        plan = _ModelPlan.build(models)
-    lead, zwz, zwy, ywy, m = _flat_stats(stats, plan.d)
+    d, sizes, groups = _size_groups(models)
+    lead, zwz, zwy, ywy, m = _flat_stats(stats, d)
     r = m.size
-    quad = np.zeros((r, plan.sizes.size))
-    logdet = np.zeros((r, plan.sizes.size))
-    for rows, cols, flat in plan.groups:
+    quad = np.zeros((r, sizes.size))
+    logdet = np.zeros((r, sizes.size))
+    for rows, cols, flat in groups:
         step = max(1, _FACTOR_FLOATS // flat.size)
         for lo in range(0, r, step):
             hi = min(lo + step, r)
@@ -343,7 +330,7 @@ def model_log_marginals(
         + lgamma_a_n[:, None]
         - 0.5 * m[:, None] * LOG_2PI
         - lgamma(hyper.a0)
-        + 0.5 * plan.sizes * log(hyper.lam)
+        + 0.5 * sizes * log(hyper.lam)
         - a_n[:, None] * np.log(b_g)
         - 0.5 * logdet
     )
@@ -352,7 +339,7 @@ def model_log_marginals(
         raise NumericDomainError(
             f"log evidence{_where(lead, row, bad)} is {log_ml[row, bad]!r}"
         )
-    return log_ml.reshape(lead + (plan.sizes.size,))
+    return log_ml.reshape(lead + (sizes.size,))
 
 
 def make_evaluator(data: RegressionDataset, models: np.ndarray, hyper: NIGHyperparams):
@@ -361,14 +348,12 @@ def make_evaluator(data: RegressionDataset, models: np.ndarray, hyper: NIGHyperp
     block of weight rows to the (r, K) log evidences (a length-N vector to
     K of them).
 
-    The model set's gather plan is built once here.  Sufficient statistics
-    are formed once per block and shared by all models.  The returned
-    callable is pure and thread-safe.
+    Sufficient statistics are formed once per block and shared by all
+    models.  The returned callable is pure and thread-safe.
     """
-    plan = _ModelPlan.build(models)
 
     def evaluate(weights) -> np.ndarray:
-        return model_log_marginals(weighted_stats(data, weights), models, hyper, plan=plan)
+        return model_log_marginals(weighted_stats(data, weights), models, hyper)
 
     return evaluate
 

@@ -16,7 +16,7 @@ pessimistic coordinate value, with NA dominating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,8 +30,6 @@ __all__ = [
     "mismatch_index_proj",
     "coordinate_labels",
 ]
-
-LOG_SIGMA2 = "log_sigma2"
 
 
 @dataclass(frozen=True)
@@ -79,15 +77,7 @@ def bagged_variance_of_projection(replicate_moments) -> float:
 def coordinate_labels(n_beta: int) -> list[str]:
     """Labels for the projection coordinates: log sigma^2 then beta_1..beta_D
     (1-based, matching component numbering in reports)."""
-    return [LOG_SIGMA2] + [f"beta_{j}" for j in range(1, n_beta + 1)]
-
-
-def _coord_moments(moments: ParamMoments, label: str):
-    """(mean, variance) of one coordinate, with the moments' leading shape."""
-    if label == LOG_SIGMA2:
-        return moments.mean_log_sigma2, moments.var_log_sigma2
-    j = int(label.split("_", 1)[1]) - 1
-    return moments.mean_beta[..., j], moments.var_beta[..., j]
+    return ["log_sigma2"] + [f"beta_{j}" for j in range(1, n_beta + 1)]
 
 
 def _stacked(replicates, n_beta: int) -> ParamMoments:
@@ -113,9 +103,7 @@ def _stacked(replicates, n_beta: int) -> ParamMoments:
 
 
 def mismatch_index_proj(
-    standard: ParamMoments,
-    replicates: ParamMoments | Sequence[ParamMoments],
-    coords: Iterable[str] | None = None,
+    standard: ParamMoments, replicates: ParamMoments | Sequence[ParamMoments]
 ) -> tuple[MismatchValue, Mapping[str, MismatchValue]]:
     """Per-coordinate and overall mismatch over coordinate projections.
 
@@ -127,17 +115,15 @@ def mismatch_index_proj(
     """
     n_beta = standard.mean_beta.size
     replicates = _stacked(replicates, n_beta)
-    labels = list(coords) if coords is not None else coordinate_labels(n_beta)
-    known = set(coordinate_labels(n_beta))
-    for label in labels:
-        if label not in known:
-            raise InvalidArgumentError(f"unknown coordinate {label!r}")
-
-    per_coord: dict[str, MismatchValue] = {}
-    for label in labels:
-        v = float(_coord_moments(standard, label)[1])
-        pairs = np.column_stack(_coord_moments(replicates, label))
-        per_coord[label] = mismatch_index(v, bagged_variance_of_projection(pairs))
+    # coordinates [log sigma^2, beta_1..beta_D] as columns, one row per replicate
+    v = np.append(standard.var_log_sigma2, standard.var_beta)
+    means = np.column_stack([replicates.mean_log_sigma2, replicates.mean_beta])
+    variances = np.column_stack([replicates.var_log_sigma2, replicates.var_beta])
+    pairs = np.stack([means, variances], axis=-1)  # (B, 1 + D, 2)
+    per_coord = {
+        label: mismatch_index(float(v[j]), bagged_variance_of_projection(pairs[:, j]))
+        for j, label in enumerate(coordinate_labels(n_beta))
+    }
 
     if any(item.is_na for item in per_coord.values()):
         overall = MismatchValue(None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr, ndtri
-from scipy.stats import multivariate_normal
+from scipy.stats import kstest, multivariate_normal
 
 from bayesbag.asymptotics import (
     _bvn_cdf,
@@ -13,7 +13,6 @@ from bayesbag.asymptotics import (
     bernoulli_two_model_problem,
     estimate_effect_size,
     three_model_scenarios,
-    ks_statistic_uniform,
     mvn_cdf_at_zero,
     reduce_to_contrasts,
     sample_ubb_K,
@@ -192,7 +191,7 @@ class TestSampleUbbK:
         klaw = KModelLaw(np.array([1.4]), np.array([[4.0]]), c)  # mu/sigma = 0.7
         values = sample_ubb_K(klaw, 10_000, seed=3)
         pit = ubb_cdf(values, TwoModelLaw(delta, c))
-        assert ks_statistic_uniform(pit) < 0.02
+        assert kstest(pit, "uniform").statistic < 0.02
 
     def test_c_zero_constant(self):
         klaw = KModelLaw(np.zeros(2), np.eye(2), 0.0)
@@ -325,15 +324,6 @@ class TestBernoulliTwoModelProblem:
     def test_invalid_probability(self):
         with pytest.raises(InvalidArgumentError):
             bernoulli_two_model_problem(0.0, 0.5, 10, seed=0)
-
-
-class TestKsStatistic:
-    def test_point_mass_is_far_from_uniform(self):
-        assert ks_statistic_uniform(np.full(100, 0.5)) > 0.49
-
-    def test_regular_grid_is_close(self):
-        u = (np.arange(1, 1001) - 0.5) / 1000
-        assert ks_statistic_uniform(u) < 0.001
 
 
 class TestKModelLawValidation:

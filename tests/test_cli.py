@@ -241,6 +241,18 @@ class TestAsymptotics:
         scenarios = read_csv(out / "three_model_curves.csv")
         assert {r["scenario"] for r in scenarios} == {"vary_mean", "vary_variance", "vary_correlation"}
 
+    def test_config_negative_grid_value(self, tmp_path):
+        # a config value that starts with '-' reaches its option like a flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu3_grid=-1:1:0.5\nsigma3_grid=\nrho_grid=\nn_samples=500\n", encoding="utf-8")
+        assert run("asymptotics", "--config", cfg, "--out", tmp_path / "cfg") == 0
+        assert run("asymptotics", "--mu3-grid=-1:1:0.5", "--sigma3-grid=", "--rho-grid=",
+                   "--n-samples", 500, "--out", tmp_path / "flags") == 0
+        rows = read_csv(tmp_path / "cfg" / "three_model_curves.csv")
+        assert [float(r["value"]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        for name in ("three_model_curves.csv", "two_model_events.csv", "checkpoints.csv"):
+            assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
 
 class TestMismatch:
     def test_simulated_source_report(self, tmp_path):
@@ -436,6 +448,48 @@ class TestBlasThreads:
         assert run(*SMOKE, "--out", out) == 0
         assert manifest_run(out)["blas_threads"] is None
         assert run("schema-check", "--out", out) == 0
+
+
+NOT_UTF8 = b"z1,y\n\xff\xfe,1\n"
+
+
+def _schema_check_with(tmp_path, command, filename, content):
+    """A schema-check call on a fresh result directory in which ``filename``
+    is overwritten with ``content``."""
+    out = tmp_path / "out"
+    argv = {"simulate": SMOKE, "mismatch": ("mismatch", "--D", 3, "--k", 1, "--N", 60, "--B", 5)}
+    assert run(*argv[command], "--out", out) == 0
+    (out / filename).write_bytes(content)
+    return ("schema-check", "--out", out), out / filename
+
+
+def _input_file(tmp_path, command, flag, content, *rest):
+    """A ``command`` call whose ``flag`` names a file holding ``content``."""
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    return (command, flag, path, *rest, "--out", tmp_path / "o"), path
+
+
+UNREADABLE = {
+    "mismatch report not JSON": lambda t: _schema_check_with(t, "mismatch", "mismatch.json", b"{"),
+    "result CSV not UTF-8": lambda t: _schema_check_with(t, "simulate", "pips.csv", NOT_UTF8),
+    "manifest not an object": lambda t: _schema_check_with(t, "simulate", "manifest.json", b"[1]"),
+    "select data not UTF-8": lambda t: _input_file(t, "select", "--data", NOT_UTF8, "--target", "y"),
+    "mismatch data not UTF-8": lambda t: _input_file(t, "mismatch", "--data", NOT_UTF8, "--target", "y"),
+    "config not UTF-8": lambda t: _input_file(t, "simulate", "--config", b"D=3\n\xff=1\n"),
+    "overlap samples not UTF-8": lambda t: _input_file(t, "overlap", "--a", b"t1\n\xff\n", "--b", t / "input"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_input_is_data_error_naming_the_file(tmp_path, capsys, case):
+    argv, path = UNREADABLE[case](tmp_path)
+    blas = cli._openblas()
+    before = blas[0]() if blas else None
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert str(path) in capsys.readouterr().err
+    assert (blas[0]() if blas else None) == before
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
