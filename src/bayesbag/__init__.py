@@ -10,7 +10,6 @@ from .asymptotics import (
     KModelLaw,
     TwoModelLaw,
     bernoulli_two_model_problem,
-    estimate_effect_size,
     three_model_scenarios,
     mvn_cdf_at_zero,
     reduce_to_contrasts,
@@ -36,7 +35,6 @@ from .core import (
     bootstrap_counts,
     evaluate_replicates,
     exact_bagged_posterior,
-    mc_standard_error,
     replicate_rng,
     standard_model_posterior,
 )

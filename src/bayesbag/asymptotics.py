@@ -34,7 +34,6 @@ from math import asin, log, pi, sqrt
 import numpy as np
 
 from .errors import (
-    DegenerateContrastError,
     DegenerateLawError,
     InvalidArgumentError,
     SingularLawError,
@@ -50,7 +49,6 @@ __all__ = [
     "mvn_cdf_at_zero",
     "sample_ubb_K",
     "three_model_scenarios",
-    "estimate_effect_size",
     "bernoulli_two_model_problem",
 ]
 
@@ -289,20 +287,6 @@ def three_model_scenarios(kind: str, grid) -> list[tuple[np.ndarray, np.ndarray]
             "kind must be one of vary_mean, vary_variance, vary_correlation"
         )
     return out
-
-
-def estimate_effect_size(contrasts) -> float:
-    """Effect-size estimate sqrt(N) * mean(z) / sd(z) from per-observation
-    log-likelihood differences."""
-    z = np.asarray(contrasts, dtype=float)
-    if z.ndim != 1 or z.size < 2:
-        raise InvalidArgumentError("need a 1-D vector of at least 2 contrasts")
-    if not np.all(np.isfinite(z)):
-        raise InvalidArgumentError("contrasts must be finite")
-    sd = z.std(ddof=1)
-    if sd == 0.0:
-        raise DegenerateContrastError("contrasts have zero variance")
-    return float(sqrt(z.size) * z.mean() / sd)
 
 
 def bernoulli_two_model_problem(p1: float, p2: float, n: int, seed: int):

@@ -4,8 +4,11 @@ discrete-posterior overlap.
 
 Every subcommand is deterministic given its configuration and seed, and
 writes plot-ready CSV/JSON files plus a manifest describing their schemas
-through one writer, ``_write_results``; ``schema-check`` re-validates a
-result directory against the manifest.
+and every setting of the run through one writer, ``_write_results``;
+``schema-check`` re-validates a result directory against the manifest.
+Each setting has one name, its flag in lower case without the leading
+dashes and with ``_`` for ``-``: that is its argparse dest, its
+``--config`` key and its manifest key.
 
 Every command runs with numpy's OpenBLAS at one thread, unless the
 environment sets a thread count, and the caller's count is restored
@@ -230,23 +233,19 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-# config keys may use the flag spellings; map them onto argparse dests
-_CONFIG_ALIASES = {"D": "d", "N": "n", "B": "b_reps", "M": "m_size", "lambda": "lam"}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
     """--config values as ``--flag=value`` tokens of the command's options
-    (the ``=`` form, so a value may start with '-').  A switch takes a
-    boolean word and becomes the flag whose const is that word, or no token
-    when there is none."""
+    (the ``=`` form, so a value may start with '-').  A key is a dest in
+    any case.  A switch takes a boolean word and becomes the flag whose
+    const is that word, or no token when there is none."""
     options = [a for a in args.parser._actions if a.option_strings and a.dest != "help"]
-    dests = {a.dest for a in options}
     tokens = []
     for key, raw in _read_config_file(args.config).items():
-        dest = next((c for c in (_CONFIG_ALIASES.get(key), key, key.lower()) if c in dests), None)
-        actions = [a for a in options if a.dest == dest]
+        actions = [a for a in options if a.dest == key.lower()]
         if not actions:
             raise _UsageError(f"unknown config key {key!r}")
         if actions[0].nargs != 0:
@@ -279,26 +278,34 @@ def _format_column(values, kind: str) -> list[str]:
     return ["" if v is None else fmt(v) for v in values]
 
 
-def _write_results(outdir: Path, command: str, files: dict, config: dict) -> None:
+# namespace entries that are plumbing, not settings of the run
+_NOT_SETTINGS = ("command", "func", "parser", "config", "out")
+
+
+def _write_results(args: argparse.Namespace, files: dict, **resolved) -> None:
     """Write every result file of a run, then the manifest that lists them.
 
     ``files`` maps a filename to ``(schema, content)``.  A dict is written
     as JSON; a list of columns is written as CSV, each column formatted
-    once by its schema kind (``None`` is an empty cell).
+    once by its schema kind (``None`` is an empty cell).  The manifest's
+    ``config`` is every setting in ``args`` under its dest, with the values
+    the command ``resolved`` from the data written over it.
     """
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_SETTINGS}
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": "bayesbag",
-        "command": command,
+        "command": args.command,
         "files": {filename: schema for filename, (schema, _) in files.items()},
-        "config": config,
+        "config": {**config, **resolved},
         "run": _run_record(),
     }
     for filename, (schema, content) in {**files, "manifest.json": (None, manifest)}.items():
         with open(outdir / filename, "w", newline="\n", encoding="utf-8") as fh:
             if isinstance(content, dict):
-                json.dump(content, fh, indent=2, sort_keys=True)
+                json.dump(content, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
                 fh.write("\n")
                 continue
             spec = _dataset_spec(len(content) - 1) if schema == DATASET_SCHEMA else SCHEMAS[schema]
@@ -312,11 +319,22 @@ def _write_results(outdir: Path, command: str, files: dict, config: dict) -> Non
 # CSV ingestion
 
 
+def _csv_rows(path):
+    """``(line number, row)`` for each record of a CSV file; a record the
+    csv module cannot parse is a data error that names the file and line."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise IngestionError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]]:
     """Read a header-first CSV into regressors/response, with line-numbered
     parse errors.  Returns the dataset and the regressor column names."""
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    header = next(reader, None)
+    rows = _csv_rows(path)
+    _, header = next(rows, (0, None))
     if header is None:
         raise IngestionError(f"{path}: empty file")
     header = [h.strip() for h in header]
@@ -325,7 +343,7 @@ def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]
     t_idx = header.index(target)
     z_rows: list[list[float]] = []
     y_vals: list[float] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != len(header):
@@ -362,10 +380,11 @@ def standardize_regressors(data: RegressionDataset, names) -> RegressionDataset:
 def _selection_hyper(args, d: int, default_q0: float, default_lam: float) -> NIGHyperparams:
     """Prior settings; unset q0 and lambda take the subcommand's default,
     an unset k* means every size up to D."""
+    lam = getattr(args, "lambda")
     return NIGHyperparams(
         a0=args.a0,
         b0=args.b0,
-        lam=default_lam if args.lam is None else args.lam,
+        lam=default_lam if lam is None else lam,
         q0=default_q0 if args.q0 is None else args.q0,
         k_star=d if args.k_star is None else min(args.k_star, d),
     )
@@ -408,14 +427,14 @@ def _by_method_name(table: np.ndarray):
 
 
 def cmd_simulate(args) -> int:
-    d, k, n, seed, b = args.d, args.k, args.n, args.seed, args.b_reps
+    d, k, n, seed, b = args.d, args.k, args.n, args.seed, args.b
     if d is None or k is None or n is None:
         raise _UsageError("simulate requires --D, --k and --N")
     config = SimConfig(d=d, k=k, n=n, response_kind=args.response, h=args.h, seed=seed)
     hyper = _selection_hyper(args, d, default_q0=k / d, default_lam=16.0)
 
     models = enumerate_models(d, hyper.k_star)
-    m = _resolve_m(args.m_size, n)
+    m = _resolve_m(args.m, n)
     log.info(
         "runtime guard: %d models x %d posterior evaluations x %d replicates "
         "= %d weighted-likelihood evaluations",
@@ -436,15 +455,7 @@ def cmd_simulate(args) -> int:
     files["pips.csv"] = ("pips-v1", _pip_columns(table))
     files["summary.csv"] = ("pip-summary-v1", [*keys, values.mean(axis=1), spread, frac_mid])
     _write_results(
-        Path(args.out),
-        "simulate",
-        files,
-        {
-            "d": d, "k": k, "n": n, "response": args.response, "h": args.h,
-            "replicates": args.replicates, "a0": hyper.a0, "b0": hyper.b0,
-            "lambda": hyper.lam, "q0": hyper.q0, "k_star": hyper.k_star,
-            "m": m, "b": b, "seed": seed,
-        },
+        args, files, **{"q0": hyper.q0, "lambda": hyper.lam, "k_star": hyper.k_star, "m": m}
     )
     return 0
 
@@ -457,7 +468,7 @@ def _split_indices(n: int, n_splits: int, rng: np.random.Generator) -> list[np.n
 def cmd_select(args) -> int:
     if not args.data or not args.target:
         raise _UsageError("select requires --data and --target")
-    n_splits, seed, b, m_token = args.splits, args.seed, args.b_reps, args.m_size
+    n_splits, seed, b, m_token = args.splits, args.seed, args.b, args.m
     data, names = read_regression_csv(args.data, args.target)
     if args.standardize:
         data = standardize_regressors(data, names)
@@ -486,20 +497,13 @@ def cmd_select(args) -> int:
     keys, values = _by_method_name(splits)
     lo, hi = values.min(axis=1), values.max(axis=1)
     _write_results(
-        Path(args.out),
-        "select",
+        args,
         {
             "pips_full.csv": ("pips-full-v1", _pip_columns(full[None])[1:]),
             "pips_splits.csv": ("pips-splits-v1", _pip_columns(splits)),
             "reproducibility.csv": ("reproducibility-v1", [*keys, lo, hi, hi - lo]),
         },
-        {
-            "data": str(args.data), "target": args.target,
-            "standardize": bool(args.standardize), "splits": n_splits,
-            "a0": hyper.a0, "b0": hyper.b0, "lambda": hyper.lam,
-            "q0": hyper.q0, "k_star": hyper.k_star, "m": m_token, "b": b,
-            "seed": seed,
-        },
+        **{"q0": hyper.q0, "lambda": hyper.lam, "k_star": hyper.k_star},
     )
     return 0
 
@@ -552,24 +556,19 @@ def cmd_asymptotics(args) -> int:
             row += 1
 
     _write_results(
-        Path(args.out),
-        "asymptotics",
+        args,
         {
             "two_model_events.csv": ("two-model-events-v1", list(zip(*event_records))),
             "two_model_density.csv": ("two-model-density-v1", density_columns),
             "three_model_curves.csv": ("three-model-curves-v1", list(zip(*scenario_records))),
             "checkpoints.csv": ("checkpoint-v1", list(zip(*checkpoints))),
         },
-        {
-            "threshold": threshold, "n_samples": n_samples,
-            "three_model_c": three_model_c, "seed": seed,
-        },
     )
     return 0
 
 
 def cmd_mismatch(args) -> int:
-    seed, b = args.seed, args.b_reps
+    seed, b = args.seed, args.b
     if args.data:
         if not args.target:
             raise _UsageError("--data requires --target")
@@ -585,10 +584,11 @@ def cmd_mismatch(args) -> int:
         data = sample_dataset(config, rng=replicate_rng(seed, 0))
         source = {"d": d, "k": k, "n": n, "response": config.response_kind}
 
+    lam = getattr(args, "lambda")
     hyper = NIGHyperparams(
         a0=args.a0,
         b0=args.b0,
-        lam=(1.0 if args.data else 16.0) if args.lam is None else args.lam,
+        lam=(1.0 if args.data else 16.0) if lam is None else lam,
         q0=0.5,  # unused by the full-model moments
         k_star=data.d,
     )
@@ -627,7 +627,8 @@ def cmd_mismatch(args) -> int:
         "source": source,
     }
     _write_results(
-        Path(args.out), "mismatch", {"mismatch.json": (MISMATCH_REPORT_SCHEMA, report)}, report
+        args, {"mismatch.json": (MISMATCH_REPORT_SCHEMA, report)},
+        **{"d": data.d, "n": data.n, "m": m, "lambda": hyper.lam},
     )
     log.info("overall mismatch index: %s", "NA" if overall.is_na else _fmt(overall.value))
     return 0
@@ -654,14 +655,7 @@ def cmd_overlap(args) -> int:
     label_b = ";".join(Path(p).name for p in args.b)
     row = (label_a, label_b, level, result.mass_a, result.mass_b, result.mass_avg,
            result.count, ci_lo, ci_hi)
-    _write_results(
-        Path(args.out),
-        "overlap",
-        {"overlap.csv": ("overlap-v1", [[value] for value in row])},
-        {"a": [str(p) for p in args.a], "b": [str(p) for p in args.b],
-         "level": level, "ci": bool(args.ci), "n_boot": n_boot,
-         "ci_level": ci_level, "seed": seed},
-    )
+    _write_results(args, {"overlap.csv": ("overlap-v1", [[value] for value in row])})
     log.info(
         "overlap mass_avg=%s count=%d%s",
         _fmt(result.mass_avg), result.count,
@@ -690,7 +684,10 @@ def cmd_schema_check(args) -> int:
         raise IngestionError(
             f"manifest schema_version {manifest.get('schema_version')} != {SCHEMA_VERSION}"
         )
-    for filename, schema in manifest.get("files", {}).items():
+    files = manifest.get("files", {})
+    if not isinstance(files, dict):
+        raise IngestionError(f"{outdir / 'manifest.json'}: 'files' must be an object")
+    for filename, schema in files.items():
         path = outdir / filename
         if schema == MISMATCH_REPORT_SCHEMA:
             report = _read_json_object(path)
@@ -700,8 +697,8 @@ def cmd_schema_check(args) -> int:
             continue
         if schema != DATASET_SCHEMA and schema not in SCHEMAS:
             raise IngestionError(f"{path}: unknown schema {schema!r}")
-        reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-        header = next(reader, None)
+        rows = _csv_rows(path)
+        _, header = next(rows, (0, None))
         if schema == DATASET_SCHEMA:
             # a dataset has at least one regressor column
             spec = _dataset_spec(max(len(header or []) - 1, 1))
@@ -709,7 +706,7 @@ def cmd_schema_check(args) -> int:
             spec = SCHEMAS[schema]
         if header != [name for name, _ in spec]:
             raise IngestionError(f"{path}: header {header} does not match {schema}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if len(row) != len(spec):
                 raise IngestionError(f"{path}:{lineno}: wrong field count")
             for (name, kind), value in zip(spec, row):
@@ -731,7 +728,7 @@ def _add_common(p: _Parser) -> None:
 def _add_prior(p: _Parser) -> None:
     p.add_argument("--a0", type=float, default=2.0, help="inverse-gamma shape (default 2)")
     p.add_argument("--b0", type=float, default=1.0, help="inverse-gamma scale (default 1)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", type=float, default=None,
                    help="coefficient precision scale")
 
 
@@ -749,13 +746,13 @@ def _add_selection(p: _Parser) -> None:
     _add_prior(p)
     p.add_argument("--k-star", dest="k_star", type=int, default=None,
                    help="max regressors per model")
-    p.add_argument("--M", dest="m_size", default="N",
+    p.add_argument("--M", dest="m", default="N",
                    help="bootstrap dataset size; integer or 'N' (default N)")
     _add_replicates(p)
 
 
 def _add_replicates(p: _Parser) -> None:
-    p.add_argument("--B", dest="b_reps", type=_positive_int, default=core.DEFAULT_REPLICATES,
+    p.add_argument("--B", dest="b", type=_positive_int, default=core.DEFAULT_REPLICATES,
                    help=f"bootstrap replicates (default {core.DEFAULT_REPLICATES})")
 
 

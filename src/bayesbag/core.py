@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
-    InsufficientReplicatesError,
     InvalidArgumentError,
     ReplicateEvaluationError,
     ResourceLimitError,
@@ -49,7 +48,6 @@ __all__ = [
     "bagged_model_posterior",
     "evaluate_replicates",
     "exact_bagged_posterior",
-    "mc_standard_error",
 ]
 
 # B: this many bootstrap replicates keep the Monte Carlo error of the
@@ -338,13 +336,3 @@ def exact_bagged_posterior(evaluator: Evaluator, n_obs: int, m: int, log_prior) 
         log_pmf = log_fact[m] - log_fact[block].sum(axis=1) - m * log_n
         total += np.exp(log_pmf) @ _normalized_probs(log_ml + log_prior)
     return total
-
-
-def mc_standard_error(bagged: BaggedPosterior) -> np.ndarray:
-    """Per-model Monte Carlo standard error of the bagged mean probabilities
-    (``bagged.std_errors``); undefined for a single replicate."""
-    if not bagged.se_defined:
-        raise InsufficientReplicatesError(
-            f"standard errors need at least 2 replicates, got {bagged.replicate_probs.shape[0]}"
-        )
-    return bagged.std_errors

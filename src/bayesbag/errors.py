@@ -22,7 +22,7 @@ class NumericDomainError(BayesBagError, ArithmeticError):
     NaN input, and similar)."""
 
 
-class InsufficientReplicatesError(BayesBagError, ValueError):
+class InsufficientReplicatesError(InvalidArgumentError):
     """Fewer bootstrap replicates than the requested statistic needs."""
 
 
@@ -36,10 +36,6 @@ class DegenerateLawError(BayesBagError):
 
 class SingularLawError(BayesBagError):
     """Contrast covariance is singular (models are perfectly correlated)."""
-
-
-class DegenerateContrastError(BayesBagError):
-    """Log-likelihood contrasts have zero variance."""
 
 
 class SingularMomentError(BayesBagError):

@@ -11,7 +11,6 @@ from bayesbag.asymptotics import (
     KModelLaw,
     TwoModelLaw,
     bernoulli_two_model_problem,
-    estimate_effect_size,
     three_model_scenarios,
     mvn_cdf_at_zero,
     reduce_to_contrasts,
@@ -22,7 +21,6 @@ from bayesbag.asymptotics import (
 )
 from bayesbag.core import standard_model_posterior
 from bayesbag.errors import (
-    DegenerateContrastError,
     DegenerateLawError,
     InvalidArgumentError,
     SingularLawError,
@@ -284,21 +282,13 @@ class TestFig2Scenarios:
 
 
 class TestEstimateEffectSize:
-    def test_constant_contrasts_error(self):
-        with pytest.raises(DegenerateContrastError):
-            estimate_effect_size(np.ones(10))
-
-    def test_alternating_is_zero(self):
-        z = np.tile([1.0, -1.0], 50)
-        assert estimate_effect_size(z) == 0.0
-
     def test_symmetric_bernoulli_construction_vanishes(self):
         # p2 = 1 - p1 on fair-coin data forces the limit effect size to 0
         estimates = []
         for seed in range(20):
             x, _ = bernoulli_two_model_problem(0.6, 0.4, 10_000, seed=seed)
             z = np.where(x == 1.0, np.log(0.6 / 0.4), np.log(0.4 / 0.6))
-            estimates.append(estimate_effect_size(z))
+            estimates.append(np.sqrt(z.size) * z.mean() / z.std(ddof=1))
         assert abs(np.mean(estimates)) < 0.2
 
 

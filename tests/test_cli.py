@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, file schemas, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import os
@@ -21,6 +22,10 @@ def run(*argv):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def manifest_config(out):
+    return json.loads((Path(out) / "manifest.json").read_text())["config"]
 
 
 def write_dataset_csv(path, n, d, seed=0, target_equals_column=None):
@@ -51,6 +56,19 @@ class TestHelpers:
     def test_parse_grid(self):
         np.testing.assert_allclose(_parse_grid("0:1:0.5"), [0.0, 0.5, 1.0])
         np.testing.assert_allclose(_parse_grid("1,2,3"), [1.0, 2.0, 3.0])
+
+    def test_every_dest_is_named_by_its_first_flag(self):
+        # one name per setting: the dest is the config key and the manifest key
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for command, parser in commands.items():
+            seen = {"help"}
+            for action in parser._actions:
+                if not action.option_strings or action.dest in seen:
+                    continue
+                seen.add(action.dest)
+                flag = action.option_strings[0]
+                assert action.dest == flag.lstrip("-").replace("-", "_").lower(), (command, flag)
 
 
 class TestSimulate:
@@ -241,6 +259,14 @@ class TestAsymptotics:
         scenarios = read_csv(out / "three_model_curves.csv")
         assert {r["scenario"] for r in scenarios} == {"vary_mean", "vary_variance", "vary_correlation"}
 
+    def test_manifest_records_the_grids(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("asymptotics", "--mu3-grid=0.5", "--sigma3-grid=", "--rho-grid=",
+                   "--n-samples", 500, "--out", out) == 0
+        config = manifest_config(out)
+        assert config["mu3_grid"] == [0.5] and config["rho_grid"] == []
+        assert config["c_grid"] == [0.25, 0.5, 1.0, 2.0, 4.0]
+
     def test_config_negative_grid_value(self, tmp_path):
         # a config value that starts with '-' reaches its option like a flag
         cfg = tmp_path / "run.cfg"
@@ -274,6 +300,26 @@ class TestMismatch:
                    "--seed", 1, "--out", out) == 0
         report = json.loads((out / "mismatch.json").read_text())
         assert report["d"] == 3
+
+    def test_manifest_records_the_settings(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("mismatch", "--D", 3, "--k", 1, "--N", 60, "--B", 5, "--lambda", 5,
+                   "--a0", 3, "--out", out) == 0
+        config = manifest_config(out)
+        assert config["lambda"] == 5.0 and config["a0"] == 3.0
+        assert (config["d"], config["n"], config["m"], config["b"]) == (3, 60, 60, 5)
+        # the report itself stays in mismatch.json
+        assert not {"overall", "per_coordinate", "schema", "source"} & set(config)
+
+    def test_config_key_lambda(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("D=3\nk=1\nN=60\nB=5\nlambda=5\n", encoding="utf-8")
+        assert run("mismatch", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert manifest_config(tmp_path / "out")["lambda"] == 5.0
+        # keys are the flag names; the old dest spellings are unknown keys
+        for key in ("lam", "b_reps", "m_size"):
+            cfg.write_text(f"D=3\nk=1\nN=30\n{key}=5\n", encoding="utf-8")
+            assert run("simulate", "--config", cfg, "--out", tmp_path / key) == 1
 
 
 class TestOverlap:
@@ -363,6 +409,16 @@ class TestUsageErrors:
         out = tmp_path / "o"
         assert run("mismatch", "--D", 3, "--k", 1, "--N", 30, "--B", 0, "--out", out) == 1
         assert not out.exists()
+
+    def test_one_bootstrap_replicate_for_mismatch(self, tmp_path, capsys):
+        # the index needs two replicates: a usage error, not a data error
+        out = tmp_path / "o"
+        blas = cli._openblas()
+        before = blas[0]() if blas else None
+        assert run("mismatch", "--D", 3, "--k", 1, "--N", 30, "--B", 1, "--out", out) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+        assert (blas[0]() if blas else None) == before
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_non_positive_n_samples(self, tmp_path, n_samples):
@@ -474,6 +530,10 @@ UNREADABLE = {
     "mismatch report not JSON": lambda t: _schema_check_with(t, "mismatch", "mismatch.json", b"{"),
     "result CSV not UTF-8": lambda t: _schema_check_with(t, "simulate", "pips.csv", NOT_UTF8),
     "manifest not an object": lambda t: _schema_check_with(t, "simulate", "manifest.json", b"[1]"),
+    "manifest files not an object": lambda t: _schema_check_with(
+        t, "simulate", "manifest.json", b'{"schema_version": 1, "files": ["a.csv"]}'),
+    "select data cell over the csv field limit": lambda t: _input_file(
+        t, "select", "--data", b"z1,y\n" + b"1" * 200_000 + b",1\n", "--target", "y"),
     "select data not UTF-8": lambda t: _input_file(t, "select", "--data", NOT_UTF8, "--target", "y"),
     "mismatch data not UTF-8": lambda t: _input_file(t, "mismatch", "--data", NOT_UTF8, "--target", "y"),
     "config not UTF-8": lambda t: _input_file(t, "simulate", "--config", b"D=3\n\xff=1\n"),

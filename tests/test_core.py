@@ -9,19 +9,16 @@ import pytest
 
 from bayesbag import core
 from bayesbag.core import (
-    BaggedPosterior,
     BootstrapConfig,
     bagged_model_posterior,
     bootstrap_counts,
     evaluate_replicates,
     exact_bagged_posterior,
-    mc_standard_error,
     replicate_rng,
     standard_model_posterior,
 )
 from bayesbag.errors import (
     DegenerateInputError,
-    InsufficientReplicatesError,
     InvalidArgumentError,
     ReplicateEvaluationError,
     ResourceLimitError,
@@ -369,25 +366,7 @@ class TestMcStandardError:
         bagged = bagged_model_posterior(
             lambda w: np.tile([1.0, 0.0], (len(w), 1)), 3, UNIFORM2, BootstrapConfig(m=3, b=10, seed=0)
         )
-        np.testing.assert_allclose(mc_standard_error(bagged), 0.0, atol=1e-15)
-
-    def test_hand_computed_two_replicates(self):
-        bagged = BaggedPosterior(
-            replicate_probs=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            mean_probs=np.array([0.5, 0.5]),
-            std_errors=np.array([0.5, 0.5]),
-        )
-        np.testing.assert_allclose(mc_standard_error(bagged), [0.5, 0.5], atol=1e-15)
-
-    def test_insufficient_replicates(self):
-        bagged = BaggedPosterior(
-            replicate_probs=np.array([[1.0, 0.0]]),
-            mean_probs=np.array([1.0, 0.0]),
-            std_errors=np.zeros(2),
-            se_defined=False,
-        )
-        with pytest.raises(InsufficientReplicatesError):
-            mc_standard_error(bagged)
+        np.testing.assert_allclose(bagged.std_errors, 0.0, atol=1e-15)
 
     def test_known_column_variance(self):
         # N=2, M=2: counts[0] in {2,1,0} w.p. (1/4,1/2,1/4); map to probs
@@ -397,7 +376,7 @@ class TestMcStandardError:
             return np.log(np.column_stack([p, 1.0 - p]))
 
         bagged = bagged_model_posterior(ev, 2, UNIFORM2, BootstrapConfig(m=2, b=100, seed=9))
-        se = mc_standard_error(bagged)[0]
+        se = bagged.std_errors[0]
         expected = np.sqrt(0.045 / 100)
         assert abs(se - expected) / expected < 0.2
 
