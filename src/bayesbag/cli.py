@@ -145,13 +145,9 @@ DATASET_SCHEMA = "dataset-v1"
 METHODS = ("standard", "bayesbag")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidArgumentError(message)
 
 
 def _fmt(value) -> str:
@@ -247,13 +243,13 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     for key, raw in _read_config_file(args.config).items():
         actions = [a for a in options if a.dest == key.lower()]
         if not actions:
-            raise _UsageError(f"unknown config key {key!r}")
+            raise InvalidArgumentError(f"unknown config key {key!r}")
         if actions[0].nargs != 0:
             tokens.append(f"{actions[0].option_strings[0]}={raw}")
         elif raw.lower() in _BOOLEANS:
             tokens += [a.option_strings[0] for a in actions if a.const is _BOOLEANS[raw.lower()]][:1]
         else:
-            raise _UsageError(f"config key {key!r} expects a boolean, got {raw!r}")
+            raise InvalidArgumentError(f"config key {key!r} expects a boolean, got {raw!r}")
     return tokens
 
 
@@ -429,7 +425,7 @@ def _by_method_name(table: np.ndarray):
 def cmd_simulate(args) -> int:
     d, k, n, seed, b = args.d, args.k, args.n, args.seed, args.b
     if d is None or k is None or n is None:
-        raise _UsageError("simulate requires --D, --k and --N")
+        raise InvalidArgumentError("simulate requires --D, --k and --N")
     config = SimConfig(d=d, k=k, n=n, response_kind=args.response, h=args.h, seed=seed)
     hyper = _selection_hyper(args, d, default_q0=k / d, default_lam=16.0)
 
@@ -467,9 +463,11 @@ def _split_indices(n: int, n_splits: int, rng: np.random.Generator) -> list[np.n
 
 def cmd_select(args) -> int:
     if not args.data or not args.target:
-        raise _UsageError("select requires --data and --target")
+        raise InvalidArgumentError("select requires --data and --target")
     n_splits, seed, b, m_token = args.splits, args.seed, args.b, args.m
     data, names = read_regression_csv(args.data, args.target)
+    if n_splits > data.n:
+        raise InvalidArgumentError(f"--splits {n_splits} exceeds the {data.n} data rows")
     if args.standardize:
         data = standardize_regressors(data, names)
     if data.n < data.d:
@@ -571,7 +569,7 @@ def cmd_mismatch(args) -> int:
     seed, b = args.seed, args.b
     if args.data:
         if not args.target:
-            raise _UsageError("--data requires --target")
+            raise InvalidArgumentError("--data requires --target")
         data, names = read_regression_csv(args.data, args.target)
         if args.standardize:
             data = standardize_regressors(data, names)
@@ -579,7 +577,7 @@ def cmd_mismatch(args) -> int:
     else:
         d, k, n = args.d, args.k, args.n
         if d is None or k is None or n is None:
-            raise _UsageError("mismatch requires --data/--target or --D/--k/--N")
+            raise InvalidArgumentError("mismatch requires --data/--target or --D/--k/--N")
         config = SimConfig(d=d, k=k, n=n, response_kind=args.response, h=args.h, seed=seed)
         data = sample_dataset(config, rng=replicate_rng(seed, 0))
         source = {"d": d, "k": k, "n": n, "response": config.response_kind}
@@ -636,20 +634,11 @@ def cmd_mismatch(args) -> int:
 
 def cmd_overlap(args) -> int:
     level, seed, n_boot, ci_level = args.level, args.seed, args.n_boot, args.ci_level
-    posts_a = [load_posterior_samples(p) for p in args.a]
-    posts_b = [load_posterior_samples(p) for p in args.b]
-    post_a = posts_a[0] if len(posts_a) == 1 else average_posteriors(posts_a)
-    post_b = posts_b[0] if len(posts_b) == 1 else average_posteriors(posts_b)
-    result = hpd_overlap(post_a, post_b, level)
-
+    sides = [[load_posterior_samples(p) for p in paths] for paths in (args.a, args.b)]
+    result = hpd_overlap(*map(average_posteriors, sides), level)
     ci_lo = ci_hi = None
     if args.ci:
-        if len(posts_a) < 2:
-            raise _UsageError("--ci needs at least 2 replicate files for side a")
-        b_arg = posts_b if len(posts_b) > 1 else posts_b[0]
-        ci_lo, ci_hi = overlap_ci(
-            posts_a, b_arg, level, n_boot=n_boot, ci_level=ci_level, seed=seed
-        )
+        ci_lo, ci_hi = overlap_ci(*sides, level, n_boot=n_boot, ci_level=ci_level, seed=seed)
 
     label_a = ";".join(Path(p).name for p in args.a)
     label_b = ";".join(Path(p).name for p in args.b)
@@ -679,15 +668,20 @@ def _check_cell(value: str, kind: str, where: str) -> None:
 
 def cmd_schema_check(args) -> int:
     outdir = Path(args.out)
-    manifest = _read_json_object(outdir / "manifest.json")
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise IngestionError(
-            f"manifest schema_version {manifest.get('schema_version')} != {SCHEMA_VERSION}"
-        )
+    where = outdir / "manifest.json"
+    manifest = _read_json_object(where)
+    version = manifest.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise IngestionError(f"{where}: schema_version {version!r} is not {SCHEMA_VERSION}")
     files = manifest.get("files", {})
     if not isinstance(files, dict):
-        raise IngestionError(f"{outdir / 'manifest.json'}: 'files' must be an object")
+        raise IngestionError(f"{where}: 'files' must be an object")
     for filename, schema in files.items():
+        # results are plain names in the directory; nothing outside it is read
+        if filename in ("", ".", "..") or filename != Path(filename).name:
+            raise IngestionError(f"{where}: {filename!r} is not a file name in the result directory")
+        if not isinstance(schema, str):
+            raise IngestionError(f"{where}: schema of {filename!r} must be a string")
         path = outdir / filename
         if schema == MISMATCH_REPORT_SCHEMA:
             report = _read_json_object(path)
@@ -814,7 +808,8 @@ def build_parser() -> _Parser:
     p.add_argument("--a", nargs="+", required=True, help="sample file(s) for side a")
     p.add_argument("--b", nargs="+", required=True, help="sample file(s) for side b")
     p.add_argument("--level", type=float, default=0.99, help="HPD level (default 0.99)")
-    p.add_argument("--ci", action="store_true", help="bootstrap CI over side-a replicates")
+    p.add_argument("--ci", action="store_true",
+                   help="bootstrap CI resampling the files of each side (a one-file side is held fixed)")
     p.add_argument("--n-boot", dest="n_boot", type=int, default=1000)
     p.add_argument("--ci-level", dest="ci_level", type=float, default=0.8)
     _add_common(p)
@@ -903,9 +898,9 @@ def _run_command(argv) -> int:
             # config flags go before the command line's own, so those win
             args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         if args.out is None:
-            raise _UsageError("--out is required")
+            raise InvalidArgumentError("--out is required")
         return args.func(args)
-    except (_UsageError, InvalidArgumentError) as exc:
+    except InvalidArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

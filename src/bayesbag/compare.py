@@ -126,8 +126,8 @@ def average_posteriors(posteriors: Sequence[DiscretePosterior]) -> DiscretePoste
 
 
 def overlap_ci(
-    replicate_posteriors_a: Sequence[DiscretePosterior],
-    fixed_or_replicates_b,
+    replicates_a: Sequence[DiscretePosterior],
+    replicates_b: Sequence[DiscretePosterior],
     level: float,
     n_boot: int = 1000,
     ci_level: float = 0.8,
@@ -135,42 +135,30 @@ def overlap_ci(
 ) -> tuple[float, float]:
     """Bootstrap confidence interval for the averaged-posterior overlap mass.
 
-    Resamples the replicate posteriors with replacement, recomputes the
-    averaged posterior and the overlap ``mass_avg`` against ``b`` (a fixed
-    posterior, or a second replicate set resampled independently), and
-    returns the empirical ``ci_level`` interval.
+    Each round resamples the replicate posteriors of side a, then those of
+    side b, with replacement, averages each side and records the overlap
+    ``mass_avg``; returns the empirical ``ci_level`` interval.  A side of one
+    posterior is held fixed, and its resample draws no random bits.
     """
-    reps_a = list(replicate_posteriors_a)
-    if len(reps_a) < 2:
-        raise InsufficientReplicatesError(
-            f"need at least 2 replicate posteriors, got {len(reps_a)}"
-        )
+    reps_a, reps_b = list(replicates_a), list(replicates_b)
+    for reps, least in ((reps_a, 2), (reps_b, 1)):
+        if len(reps) < least:
+            raise InsufficientReplicatesError(
+                f"need at least {least} replicate posteriors, got {len(reps)}"
+            )
     if n_boot < 100:
         raise InvalidArgumentError(f"n_boot must be >= 100, got {n_boot}")
     if not 0.0 < ci_level < 1.0:
         raise InvalidArgumentError(f"ci_level must be in (0, 1), got {ci_level}")
-    if isinstance(fixed_or_replicates_b, DiscretePosterior):
-        reps_b = None
-        fixed_b = fixed_or_replicates_b
-    else:
-        reps_b = list(fixed_or_replicates_b)
-        if len(reps_b) < 2:
-            raise InsufficientReplicatesError(
-                f"need at least 2 replicate posteriors, got {len(reps_b)}"
-            )
-        fixed_b = None
 
     rng = np.random.default_rng(seed)
+
+    def resample(reps):
+        return average_posteriors([reps[j] for j in rng.integers(0, len(reps), size=len(reps))])
+
     stats = np.empty(n_boot)
     for i in range(n_boot):
-        pick_a = rng.integers(0, len(reps_a), size=len(reps_a))
-        post_a = average_posteriors([reps_a[j] for j in pick_a])
-        if reps_b is None:
-            post_b = fixed_b
-        else:
-            pick_b = rng.integers(0, len(reps_b), size=len(reps_b))
-            post_b = average_posteriors([reps_b[j] for j in pick_b])
-        stats[i] = hpd_overlap(post_a, post_b, level).mass_avg
+        stats[i] = hpd_overlap(resample(reps_a), resample(reps_b), level).mass_avg
     alpha = 0.5 * (1.0 - ci_level)
     lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
     return float(lo), float(hi)

@@ -276,13 +276,13 @@ def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, flat: np.ndarray
     ``t`` (r n_j, j), rows of one weight row adjacent.  If the stacked call
     fails, the group is refactored matrix by matrix, so jitter reaches only
     the failing (weight row, model) matrices."""
-    j = cols.shape[1]
-    lam_mat = np.take(zwz, flat, axis=1).reshape(-1, j, j) + lam * np.eye(j)
+    count, j = len(zwz) * len(cols), cols.shape[1]  # explicit, so j = 0 reshapes too
+    lam_mat = np.take(zwz, flat, axis=1).reshape(count, j, j) + lam * np.eye(j)
     try:
         chol = np.linalg.cholesky(lam_mat)
     except np.linalg.LinAlgError:
         chol = np.stack([_spd_cholesky(a) for a in lam_mat])
-    return chol, _forward_substitute(chol, np.take(zwy, cols, axis=1).reshape(-1, j))
+    return chol, _forward_substitute(chol, np.take(zwy, cols, axis=1).reshape(count, j))
 
 
 def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
@@ -414,9 +414,9 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
     beta_j is Student-t with variance b_g/(a_n - 1) * (Lam_g^{-1})_jj, and
     log sigma^2 has mean log b_g - digamma(a_n) and variance trigamma(a_n).
 
-    The model is factored as a one-model size group of the evidence path,
-    all weight rows in one stacked Cholesky; the mean and diag(Lam_g^{-1})
-    come from the inverses of the triangular factors.
+    The model, the empty one too, is factored as a one-model size group of
+    the evidence path, all weight rows in one stacked Cholesky; the mean
+    and diag(Lam_g^{-1}) come from the inverses of the triangular factors.
     """
     from scipy.special import digamma, polygamma  # keeps scipy out of the import path
 
@@ -429,17 +429,12 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
             f"posterior variance needs a0 + M/2 > 1, got {a_n[row]}{_where(lead, row)}"
         )
     cols = np.flatnonzero(gamma)[None, :]
-    if cols.size == 0:
-        mean_beta = var_beta = np.empty((m.size, 0))
-        b_g = hyper.b0 + 0.5 * ywy
-    else:
-        flat = cols[:, :, None] * d + cols[:, None, :]
-        chol, t = _factor(zwz, zwy, cols, flat, hyper.lam)
-        # Lam_g^{-1} = L^{-T} L^{-1}: mean L^{-T} t, diagonal the column norms of L^{-1}
-        inv_chol = np.linalg.inv(chol)
-        mean_beta = np.einsum("rki,rk->ri", inv_chol, t)
-        b_g = hyper.b0 + 0.5 * (ywy - np.einsum("ri,ri->r", t, t))
-        var_beta = (b_g / (a_n - 1.0))[:, None] * np.sum(inv_chol * inv_chol, axis=1)
+    chol, t = _factor(zwz, zwy, cols, cols[:, :, None] * d + cols[:, None, :], hyper.lam)
+    # Lam_g^{-1} = L^{-T} L^{-1}: mean L^{-T} t, diagonal the column norms of L^{-1}
+    inv_chol = np.linalg.inv(chol)
+    mean_beta = np.einsum("rki,rk->ri", inv_chol, t)
+    b_g = hyper.b0 + 0.5 * (ywy - np.einsum("ri,ri->r", t, t))
+    var_beta = (b_g / (a_n - 1.0))[:, None] * np.sum(inv_chol * inv_chol, axis=1)
     if not np.all(b_g > 0.0):
         row = int(np.flatnonzero(~(b_g > 0.0))[0])
         raise NumericDomainError(

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -354,6 +355,16 @@ class TestOverlap:
         assert row["ci_lo"] != "" and float(row["ci_lo"]) <= float(row["ci_hi"])
         assert run("schema-check", "--out", out) == 0
 
+    def test_ci_resamples_both_sides(self, tmp_path):
+        draws = {"a1.txt": "t1 t2 t1 t3", "a2.txt": "t1 t1 t2", "b.txt": "t2 t3 t3", "b2.txt": "t3 t2 t2 t1"}
+        a1, a2, b, b2 = (self.write_samples(tmp_path / name, line.split()) for name, line in draws.items())
+        out = tmp_path / "out"
+        assert run("overlap", "--a", a1, a2, "--b", b, b2, "--ci", "--n-boot", 200,
+                   "--seed", 4, "--level", 0.9, "--out", out) == 0
+        digest = hashlib.sha256((out / "overlap.csv").read_bytes()).hexdigest()
+        assert digest[:12] == "b7b55a47ae3e"
+        assert run("schema-check", "--out", out) == 0
+
     def test_empty_sample_file(self, tmp_path):
         empty = tmp_path / "e.txt"
         empty.write_text("", encoding="utf-8")
@@ -419,6 +430,14 @@ class TestUsageErrors:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
         assert (blas[0]() if blas else None) == before
+
+    def test_more_splits_than_rows(self, tmp_path, capsys):
+        data = write_dataset_csv(tmp_path / "d.csv", n=3, d=2)
+        out = tmp_path / "o"
+        assert run("select", "--data", data, "--target", "y", "--splits", 5, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "--splits 5" in err and "3 data rows" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_non_positive_n_samples(self, tmp_path, n_samples):
@@ -532,6 +551,16 @@ UNREADABLE = {
     "manifest not an object": lambda t: _schema_check_with(t, "simulate", "manifest.json", b"[1]"),
     "manifest files not an object": lambda t: _schema_check_with(
         t, "simulate", "manifest.json", b'{"schema_version": 1, "files": ["a.csv"]}'),
+    "manifest schema not a string": lambda t: _schema_check_with(
+        t, "simulate", "manifest.json", b'{"schema_version": 1, "files": {"a.csv": ["pips-v1"]}}'),
+    "manifest schema_version true": lambda t: _schema_check_with(
+        t, "simulate", "manifest.json", b'{"schema_version": true, "files": {}}'),
+    "manifest file outside the result directory": lambda t: _schema_check_with(
+        t, "simulate", "manifest.json", b'{"schema_version": 1, "files": {"../pips.csv": "pips-v1"}}'),
+    "manifest absolute file name": lambda t: _schema_check_with(
+        t, "simulate", "manifest.json", b'{"schema_version": 1, "files": {"/etc/hostname": "pips-v1"}}'),
+    "manifest file name dot": lambda t: _schema_check_with(
+        t, "simulate", "manifest.json", b'{"schema_version": 1, "files": {".": "pips-v1"}}'),
     "select data cell over the csv field limit": lambda t: _input_file(
         t, "select", "--data", b"z1,y\n" + b"1" * 200_000 + b",1\n", "--target", "y"),
     "select data not UTF-8": lambda t: _input_file(t, "select", "--data", NOT_UTF8, "--target", "y"),

@@ -123,7 +123,7 @@ class TestOverlapCi:
         p = post("ab", [0.7, 0.3])
         fixed = post("ac", [0.6, 0.4])
         point = hpd_overlap(p, fixed, 0.99).mass_avg
-        lo, hi = overlap_ci([p, p, p], fixed, 0.99, n_boot=200, seed=0)
+        lo, hi = overlap_ci([p, p, p], [fixed], 0.99, n_boot=200, seed=0)
         assert lo == pytest.approx(point)
         assert hi == pytest.approx(point)
 
@@ -136,7 +136,7 @@ class TestOverlapCi:
         no = post(["c"], [1.0])
         fixed = post(["a", "d"], [0.5, 0.5])
         reps = [yes, no] * 10
-        lo, hi = overlap_ci(reps, fixed, 0.99, n_boot=500, seed=1)
+        lo, hi = overlap_ci(reps, [fixed], 0.99, n_boot=500, seed=1)
         assert lo < 0.5 < hi
         assert hi - lo > 0.05
 
@@ -152,8 +152,8 @@ class TestOverlapCi:
 
         ratios = []
         for seed in range(10):
-            lo1, hi1 = overlap_ci(synth(20, seed), fixed, 0.99, n_boot=400, seed=seed)
-            lo2, hi2 = overlap_ci(synth(40, 100 + seed), fixed, 0.99, n_boot=400, seed=seed)
+            lo1, hi1 = overlap_ci(synth(20, seed), [fixed], 0.99, n_boot=400, seed=seed)
+            lo2, hi2 = overlap_ci(synth(40, 100 + seed), [fixed], 0.99, n_boot=400, seed=seed)
             ratios.append((hi1 - lo1) / (hi2 - lo2))
         assert 1.1 <= np.mean(ratios) <= 1.9  # CLT predicts sqrt(2) ~ 1.41
 
@@ -172,7 +172,7 @@ class TestOverlapCi:
                 post(["x", "y", "z"], row)
                 for row in rng.dirichlet((5.0, 3.0, 2.0), size=100)
             ]
-            lo, hi = overlap_ci(reps, fixed, 0.99, n_boot=500, ci_level=0.8, seed=seed)
+            lo, hi = overlap_ci(reps, [fixed], 0.99, n_boot=500, ci_level=0.8, seed=seed)
             hits += lo - 1e-12 <= exact <= hi + 1e-12
             point = hpd_overlap(average_posteriors(reps), fixed, 0.99).mass_avg
             point_hits += lo - 1e-12 <= point <= hi + 1e-12
@@ -182,9 +182,9 @@ class TestOverlapCi:
     def test_guards(self):
         p = post("ab", [0.5, 0.5])
         with pytest.raises(InsufficientReplicatesError):
-            overlap_ci([p], p, 0.99)
+            overlap_ci([p], [p], 0.99)
         with pytest.raises(InvalidArgumentError):
-            overlap_ci([p, p], p, 0.99, n_boot=10)
+            overlap_ci([p, p], [p], 0.99, n_boot=10)
 
 
 class TestLoadPosteriorSamples:

@@ -600,6 +600,23 @@ class TestParamMoments:
         np.testing.assert_allclose(moments.var_beta, expected, rtol=1e-12)
         np.testing.assert_allclose(moments.mean_beta, 0.0, atol=1e-15)
 
+    def test_empty_model_closed_form(self):
+        # no columns: b_g = b0 + y'Wy/2, and beta has no coordinates
+        rng = np.random.default_rng(8)
+        data = random_problem(rng, n=12, d=3)
+        hyper = NIGHyperparams(a0=2.0, b0=1.5, lam=4.0, q0=0.5, k_star=3)
+        for weights in (rng.integers(0, 3, size=(4, data.n)), np.ones(data.n)):
+            stats = weighted_stats(data, weights)
+            moments = param_moments_from_stats(stats, np.zeros(3, dtype=int), hyper)
+            a_n = hyper.a0 + 0.5 * stats.m
+            np.testing.assert_allclose(
+                moments.mean_log_sigma2, np.log(hyper.b0 + 0.5 * stats.ywy) - digamma(a_n), rtol=1e-14
+            )
+            np.testing.assert_allclose(moments.var_log_sigma2, polygamma(1, a_n), rtol=1e-14)
+            assert np.shape(moments.mean_log_sigma2) == weights.shape[:-1]
+            for field in (moments.mean_beta, moments.var_beta):
+                assert field.shape == weights.shape[:-1] + (0,)
+
     def test_trigamma_identity(self):
         # a_n = a0 + M/2 = 2 with a0 = 1.5, M = 1: var(log sigma^2) = pi^2/6 - 1
         data = RegressionDataset(z=np.array([[1.0]]), y=np.array([0.5]))
