@@ -16,6 +16,14 @@ afterwards: the block products gain no wall time from more threads, and
 one thread makes the results the same on any number of cores.  The
 manifest's ``run`` block records the count a command ran with.
 
+``simulate`` and ``mismatch`` without ``--data`` generate the synthetic
+dataset on one worker thread while the main thread draws the first block
+of bootstrap counts, which needs only N; the evaluator waits for the
+dataset when it first needs it.  The two use separate seeded streams and
+BLAS stays at one thread, so the results do not depend on thread timing.
+The worker is joined before the command returns, and an error of the
+generation is reported as itself.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 resource-guard
 rejection.
 """
@@ -31,7 +39,8 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+import threading
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -386,12 +395,48 @@ def _selection_hyper(args, d: int, default_q0: float, default_lam: float) -> NIG
     )
 
 
-def _selection_run(data: RegressionDataset, models, hyper, m: int, b: int, boot_seed: int):
-    """Standard and bagged posterior inclusion probabilities for one dataset,
-    as a (2, D) array in ``METHODS`` order."""
+@contextmanager
+def _dataset_ahead(config: SimConfig, rng: np.random.Generator):
+    """Generate ``sample_dataset(config, rng)`` on one worker thread while
+    the body goes on, and yield a function that waits for the dataset and
+    returns it.  The worker is joined before the context exits.  If the
+    body fails, an error of the generation is raised in its place, as it
+    would have been raised first had the dataset been generated first.
+    A bare thread costs about half the CPU of a one-worker
+    ``ThreadPoolExecutor``, and its module is already loaded."""
+    made = {}
+
+    def generate():
+        try:
+            made["data"] = sample_dataset(config, rng)
+        except BaseException as exc:
+            made["error"] = exc
+
+    worker = threading.Thread(target=generate, name="bayesbag-dataset")
+    worker.start()
+
+    def dataset():
+        worker.join()
+        if "error" in made:
+            raise made["error"]
+        return made["data"]
+
+    try:
+        yield dataset
+    except Exception:
+        dataset()
+        raise
+    finally:
+        worker.join()
+
+
+def _selection_run(dataset, n: int, models, hyper, m: int, b: int, boot_seed: int):
+    """Standard and bagged posterior inclusion probabilities for the
+    ``n``-row dataset ``dataset()``, as a (2, D) array in ``METHODS`` order.
+    ``dataset`` is first called once the first block of counts is drawn."""
     bagged = bagged_model_posterior(
-        make_evaluator(data, models, hyper), data.n, log_priors(models, hyper),
-        BootstrapConfig(m=m, b=b, seed=boot_seed),
+        lambda weights: make_evaluator(dataset(), models, hyper)(weights), n,
+        log_priors(models, hyper), BootstrapConfig(m=m, b=b, seed=boot_seed),
     )
     return np.array([pips(bagged.standard_probs, models), pips(bagged.mean_probs, models)])
 
@@ -440,10 +485,13 @@ def cmd_simulate(args) -> int:
     files = {}
     table = np.empty((args.replicates, 2, d))
     for r in range(args.replicates):
-        data = sample_dataset(config, rng=replicate_rng(seed, r, 0))
+        with _dataset_ahead(config, replicate_rng(seed, r, 0)) as dataset:
+            table[r] = _selection_run(
+                dataset, n, models, hyper, m=m, b=b, boot_seed=_child_seed(seed, r, 1)
+            )
         if args.export_data:
+            data = dataset()
             files[f"dataset_{r:03d}.csv"] = (DATASET_SCHEMA, [*data.z.T, data.y])
-        table[r] = _selection_run(data, models, hyper, m=m, b=b, boot_seed=_child_seed(seed, r, 1))
 
     keys, values = _by_method_name(table)
     spread = values.var(axis=1, ddof=1) if args.replicates > 1 else np.zeros(2 * d)
@@ -481,14 +529,15 @@ def cmd_select(args) -> int:
     )
 
     full = _selection_run(
-        data, models, hyper, m=_resolve_m(m_token, data.n), b=b, boot_seed=_child_seed(seed, 0, 1)
+        lambda: data, data.n, models, hyper, m=_resolve_m(m_token, data.n), b=b,
+        boot_seed=_child_seed(seed, 0, 1),
     )
     parts = _split_indices(data.n, n_splits, replicate_rng(seed, 99))
     splits = np.empty((n_splits, 2, data.d))
     for s, idx in enumerate(parts):
         sub = RegressionDataset(z=data.z[idx], y=data.y[idx])
         splits[s] = _selection_run(
-            sub, models, hyper, m=_resolve_m(m_token, sub.n), b=b,
+            lambda: sub, sub.n, models, hyper, m=_resolve_m(m_token, sub.n), b=b,
             boot_seed=_child_seed(seed, s + 1, 1),
         )
 
@@ -573,14 +622,16 @@ def cmd_mismatch(args) -> int:
         data, names = read_regression_csv(args.data, args.target)
         if args.standardize:
             data = standardize_regressors(data, names)
+        d, n = data.d, data.n
         source = {"data": str(args.data), "target": args.target}
+        loading = nullcontext(lambda: data)
     else:
         d, k, n = args.d, args.k, args.n
         if d is None or k is None or n is None:
             raise InvalidArgumentError("mismatch requires --data/--target or --D/--k/--N")
         config = SimConfig(d=d, k=k, n=n, response_kind=args.response, h=args.h, seed=seed)
-        data = sample_dataset(config, rng=replicate_rng(seed, 0))
         source = {"d": d, "k": k, "n": n, "response": config.response_kind}
+        loading = _dataset_ahead(config, replicate_rng(seed, 0))
 
     lam = getattr(args, "lambda")
     hyper = NIGHyperparams(
@@ -588,29 +639,32 @@ def cmd_mismatch(args) -> int:
         b0=args.b0,
         lam=(1.0 if args.data else 16.0) if lam is None else lam,
         q0=0.5,  # unused by the full-model moments
-        k_star=data.d,
+        k_star=d,
     )
-    gamma_full = np.ones(data.d, dtype=np.uint8)
-    m = data.n  # the index is defined with M = N
-
-    def moment_rows(weights) -> np.ndarray:
-        """Mean and variance of log sigma^2, then of each beta_j, per weight row."""
-        moments = param_moments_from_stats(weighted_stats(data, weights), gamma_full, hyper)
-        return np.column_stack(
-            [moments.mean_log_sigma2, moments.var_log_sigma2, moments.mean_beta, moments.var_beta]
-        )
+    gamma_full = np.ones(d, dtype=np.uint8)
+    m = n  # the index is defined with M = N
 
     def as_moments(rows: np.ndarray) -> ParamMoments:
         return ParamMoments(
             mean_log_sigma2=rows[..., 0],
             var_log_sigma2=rows[..., 1],
-            mean_beta=rows[..., 2 : 2 + data.d],
-            var_beta=rows[..., 2 + data.d :],
+            mean_beta=rows[..., 2 : 2 + d],
+            var_beta=rows[..., 2 + d :],
         )
 
-    standard, rows = evaluate_replicates(
-        moment_rows, data.n, BootstrapConfig(m=m, b=b, seed=_child_seed(seed, 1)), 2 + 2 * data.d
-    )
+    with loading as dataset:
+
+        def moment_rows(weights) -> np.ndarray:
+            """Mean and variance of log sigma^2, then of each beta_j, per weight row."""
+            stats = weighted_stats(dataset(), weights)
+            moments = param_moments_from_stats(stats, gamma_full, hyper)
+            return np.column_stack(
+                [moments.mean_log_sigma2, moments.var_log_sigma2, moments.mean_beta, moments.var_beta]
+            )
+
+        standard, rows = evaluate_replicates(
+            moment_rows, n, BootstrapConfig(m=m, b=b, seed=_child_seed(seed, 1)), 2 + 2 * d
+        )
     overall, per_coord = mismatch_index_proj(as_moments(standard), as_moments(rows))
 
     report = {
@@ -620,13 +674,13 @@ def cmd_mismatch(args) -> int:
         "b": b,
         "m": m,
         "seed": seed,
-        "n": data.n,
-        "d": data.d,
+        "n": n,
+        "d": d,
         "source": source,
     }
     _write_results(
         args, {"mismatch.json": (MISMATCH_REPORT_SCHEMA, report)},
-        **{"d": data.d, "n": data.n, "m": m, "lambda": hyper.lam},
+        **{"d": d, "n": n, "m": m, "lambda": hyper.lam},
     )
     log.info("overall mismatch index: %s", "NA" if overall.is_na else _fmt(overall.value))
     return 0

@@ -373,12 +373,10 @@ def enumerate_models(d: int, k_star: int) -> np.ndarray:
     out = np.zeros((total, d), dtype=np.uint8)
     start = 1  # row 0 is the empty model
     for j in range(1, k_star + 1):
-        block = np.zeros((counts[j], d), dtype=np.uint8)
-        for i, positions in enumerate(itertools.combinations(range(d), j)):
-            block[i, list(positions)] = 1
         # combinations order is lexicographic in positions, which is
         # reverse-lexicographic in the binary vectors.
-        out[start : start + counts[j]] = block[::-1]
+        positions = np.array(list(itertools.combinations(range(d), j)))[::-1]
+        out[np.arange(start, start + counts[j])[:, None], positions] = 1
         start += counts[j]
     return out
 

@@ -52,8 +52,7 @@ class SimConfig:
     def __post_init__(self):
         if self.d < 1 or self.n < 1:
             raise InvalidArgumentError("d and n must be >= 1")
-        if not 1 <= self.k <= self.d:
-            raise InvalidArgumentError(f"need 1 <= k <= d, got k={self.k}, d={self.d}")
+        make_beta_dagger(self.d, self.k)  # 1 <= k <= d, and the sparsity pattern fits
         if self.response_kind not in RESPONSE_KINDS:
             raise InvalidArgumentError(
                 f"response_kind must be one of {RESPONSE_KINDS}, got {self.response_kind!r}"

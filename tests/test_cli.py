@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,9 @@ import pytest
 
 from bayesbag import __version__, cli, core
 from bayesbag.cli import _parse_grid, _resolve_m, _split_indices, main
+from bayesbag.errors import NumericDomainError
+from bayesbag.linreg import NIGHyperparams, enumerate_models, log_priors, make_evaluator, pips
+from bayesbag.simgen import SimConfig, sample_dataset
 
 
 def run(*argv):
@@ -323,6 +328,95 @@ class TestMismatch:
             assert run("simulate", "--config", cfg, "--out", tmp_path / key) == 1
 
 
+@contextmanager
+def serial_dataset(config, rng):
+    """``cli._dataset_ahead`` without the worker: the dataset first."""
+    data = sample_dataset(config, rng)
+    yield lambda: data
+
+
+SMOKE = ("simulate", "--D", 3, "--k", 1, "--N", 30, "--replicates", 2, "--B", 5)
+MISMATCH_SMALL = ("mismatch", "--D", 3, "--k", 1, "--N", 60, "--B", 5, "--seed", 4)
+
+
+class TestDatasetOnAWorker:
+    """simulate and synthetic mismatch generate the dataset on a worker
+    thread while the counts are drawn; no output may depend on it."""
+
+    @pytest.mark.parametrize("argv", [
+        MISMATCH_SMALL + ("--response", "nonlinear"),
+        ("simulate", "--D", 4, "--k", 2, "--N", 50, "--replicates", 3, "--B", 6, "--seed", 8,
+         "--export-data"),
+    ])
+    def test_same_bytes_as_the_serial_composition(self, tmp_path, monkeypatch, argv):
+        assert run(*argv, "--out", tmp_path / "ahead") == 0
+        monkeypatch.setattr(cli, "_dataset_ahead", serial_dataset)
+        assert run(*argv, "--out", tmp_path / "serial") == 0
+        names = sorted(path.name for path in (tmp_path / "serial").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "ahead").iterdir())
+        for name in names:
+            assert (tmp_path / "ahead" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_simulate_pips_are_the_library_posteriors(self, tmp_path):
+        seed, d, n, b = 8, 4, 50, 6
+        out = tmp_path / "out"
+        assert run("simulate", "--D", d, "--k", 2, "--N", n, "--replicates", 2, "--B", b,
+                   "--seed", seed, "--out", out) == 0
+        config = manifest_config(out)
+        hyper = NIGHyperparams(a0=config["a0"], b0=config["b0"], lam=config["lambda"],
+                               q0=config["q0"], k_star=config["k_star"])
+        models = enumerate_models(d, hyper.k_star)
+        rows = read_csv(out / "pips.csv")
+        for r in range(2):
+            data = sample_dataset(SimConfig(d=d, k=2, n=n), rng=core.replicate_rng(seed, r, 0))
+            bagged = core.bagged_model_posterior(
+                make_evaluator(data, models, hyper), n, log_priors(models, hyper),
+                core.BootstrapConfig(m=n, b=b, seed=cli._child_seed(seed, r, 1)),
+            )
+            for method, probs in (("standard", bagged.standard_probs), ("bayesbag", bagged.mean_probs)):
+                got = [row["pip"] for row in rows if row["replicate"] == str(r) and row["method"] == method]
+                assert got == [cli._fmt(v) for v in pips(probs, models)]
+
+    @pytest.mark.parametrize("argv, code", [
+        (MISMATCH_SMALL, 0),
+        (SMOKE, 0),
+        (("mismatch", "--D", 3, "--k", 1, "--N", 30, "--B", 1), 1),
+        (("simulate", "--D", 2, "--k", 2, "--N", 30), 1),
+    ])
+    def test_no_thread_outlives_main(self, tmp_path, argv, code):
+        before = threading.active_count()
+        assert run(*argv, "--out", tmp_path / "o") == code
+        assert threading.active_count() == before
+
+    def test_generation_error_surfaces_as_itself(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NumericDomainError("generator overflow")
+
+        monkeypatch.setattr(cli, "sample_dataset", fail)
+        before = threading.active_count()
+        for argv in (MISMATCH_SMALL, SMOKE):
+            out = tmp_path / argv[0]
+            assert run(*argv, "--out", out) == 2
+            assert capsys.readouterr().err.strip().endswith("data error: generator overflow")
+            assert not out.exists()
+        assert threading.active_count() == before
+
+    def test_evaluator_error_is_still_an_evaluation_error(self, tmp_path, monkeypatch, capsys):
+        # the dataset was generated: the evaluator's own failure is reported
+        def fail(*args, **kwargs):
+            raise NumericDomainError("stats overflow")
+
+        monkeypatch.setattr(cli, "weighted_stats", fail)
+        assert run(*MISMATCH_SMALL, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "data error: evaluator failed" in err and "stats overflow" in err
+
+    @pytest.mark.parametrize("command", ["mismatch", "simulate"])
+    def test_sparsity_pattern_is_a_usage_error(self, tmp_path, capsys, command):
+        assert run(command, "--D", 2, "--k", 2, "--N", 30, "--out", tmp_path / "o") == 1
+        assert "usage error: sparsity pattern for d=2, k=2" in capsys.readouterr().err
+
+
 class TestOverlap:
     def write_samples(self, path, draws):
         Path(path).write_text("\n".join(draws) + "\n", encoding="utf-8")
@@ -451,9 +545,6 @@ class TestUsageErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("inner_samples=2000\n", encoding="utf-8")
         assert run("asymptotics", "--config", cfg, "--out", tmp_path / "o") == 1
-
-
-SMOKE = ("simulate", "--D", 3, "--k", 1, "--N", 30, "--replicates", 2, "--B", 5)
 
 
 def manifest_run(out):

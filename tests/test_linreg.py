@@ -2,6 +2,7 @@
 quadrature oracle, replication equivalence, enumeration, priors, pips, and
 posterior moments against conjugate sampling."""
 
+import itertools
 from math import exp, lgamma, log, pi
 
 import numpy as np
@@ -448,6 +449,22 @@ class TestEnumerateModels:
             [1, 1, 1],
         ]
         np.testing.assert_array_equal(models, expected)
+
+    @pytest.mark.parametrize(
+        "d, k_star", [(d, k) for d in range(1, 9) for k in range(1, d + 1)] + [(10, 2), (11, 11)]
+    )
+    def test_matches_per_row_reference(self, d, k_star):
+        # one row per itertools.combinations tuple, each size block reversed
+        blocks = [np.zeros((1, d), dtype=np.uint8)]
+        for j in range(1, k_star + 1):
+            combos = list(itertools.combinations(range(d), j))
+            block = np.zeros((len(combos), d), dtype=np.uint8)
+            for i, positions in enumerate(combos):
+                block[i, list(positions)] = 1
+            blocks.append(block[::-1])
+        models = enumerate_models(d, k_star)
+        assert models.dtype == np.uint8
+        np.testing.assert_array_equal(models, np.concatenate(blocks))
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):

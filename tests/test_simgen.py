@@ -62,6 +62,18 @@ class TestSampleRegressors:
             SimConfig(d=4, k=1, n=10, response_kind="linear", h=2.0)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("d, k", [(2, 2), (3, 3)])
+    def test_sparsity_pattern_checked_at_construction(self, d, k):
+        with pytest.raises(InvalidArgumentError, match="sparsity pattern"):
+            SimConfig(d=d, k=k, n=10)
+
+    def test_k_range(self):
+        for k in (0, 5):
+            with pytest.raises(InvalidArgumentError, match="1 <= k <= d"):
+                SimConfig(d=4, k=k, n=10)
+
+
 class TestSampleDataset:
     def test_linear_response_variance(self):
         config = SimConfig(d=10, k=1, n=100_000, response_kind="linear", seed=3)
