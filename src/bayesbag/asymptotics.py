@@ -11,6 +11,9 @@ scaled by sqrt(N)) and bootstrap ratio ``c = lim M/N``:
   F(u) = Phi(c^{-1/2} Phi^{-1}(u) - delta_inf) and density
   f(u) = phi(c^{-1/2} Phi^{-1}(u) - delta_inf) c^{-1/2} / phi(Phi^{-1}(u)).
 
+``TwoModelLaw`` may hold arrays: the two-model law functions broadcast over
+u, delta_inf and c, so a whole table of cells is one call.
+
 With K models the analogue replaces Phi by the (K-1)-dimensional normal
 CDF of log-marginal-likelihood contrasts against an anchor model:
 standard -> Bernoulli(Phi_{-mu, Sigma}(0)); bagged -> Phi_{0, Sigma}(c^{1/2} W)
@@ -20,6 +23,11 @@ Owen's T-function identity for the bivariate CDF) and seeded Genz
 quasi-Monte Carlo beyond.  ``scipy.special`` and ``scipy.stats`` are
 imported inside the functions that use them, so importing this module
 loads no scipy.
+
+Non-finite inputs fail loudly: a NaN or infinite parameter, or u outside
+(0, 1), raises ``InvalidArgumentError`` (``DegenerateLawError`` for c = 0 in
+the CDF or density), and a covariance that is not positive definite raises
+``SingularLawError``.
 
 Also provides a degenerate two-model Bernoulli testbed for validating the
 laws by simulation against the bagging engine.
@@ -56,18 +64,53 @@ __all__ = [
 STRONG_FAVOR_THRESHOLD = 0.1
 
 
+def _require(ok, values, message: str) -> None:
+    """Raise ``message`` with the first of ``values`` where ``ok`` is False."""
+    if not np.all(ok):
+        raise InvalidArgumentError(f"{message}, got {np.extract(~ok, values)[0]}")
+
+
+def _ratio(c):
+    """c = lim M/N, a float or a float array, checked finite and >= 0."""
+    c = np.asarray(c, dtype=float)[()]
+    _require(np.isfinite(c) & (c >= 0), c, "c must be finite and >= 0")
+    return c
+
+
+def _normal_law(mu, sigma, *, definite: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """A normal law's mean as (k,) and covariance as (k, k), checked finite,
+    symmetric within 1e-12 and (if ``definite``) positive definite."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    if mu.ndim != 1 or sigma.shape != (mu.size, mu.size):
+        raise InvalidArgumentError(
+            f"need a (k,) mean and a (k, k) covariance, got {mu.shape} and {sigma.shape}"
+        )
+    _require(np.isfinite(mu), mu, "mean must be finite")
+    _require(np.isfinite(sigma), sigma, "covariance must be finite")
+    if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
+        raise InvalidArgumentError("covariance must be symmetric within 1e-12")
+    if definite:
+        try:
+            np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            raise SingularLawError("covariance is not positive definite") from None
+    return mu, sigma
+
+
 @dataclass(frozen=True)
 class TwoModelLaw:
-    """Two-model limit law parameters: effect size and c = lim M/N."""
+    """Two-model limit law parameters: effect size and c = lim M/N, each a
+    float or an array; the law functions broadcast over them and u."""
 
-    delta_inf: float
-    c: float
+    delta_inf: float | np.ndarray
+    c: float | np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.delta_inf):
-            raise InvalidArgumentError("delta_inf must be finite")
-        if not (np.isfinite(self.c) and self.c >= 0):
-            raise InvalidArgumentError(f"c must be finite and >= 0, got {self.c}")
+        delta = np.asarray(self.delta_inf, dtype=float)[()]
+        _require(np.isfinite(delta), delta, "delta_inf must be finite")
+        object.__setattr__(self, "delta_inf", delta)
+        object.__setattr__(self, "c", _ratio(self.c))
 
 
 @dataclass(frozen=True)
@@ -79,25 +122,13 @@ class KModelLaw:
     c: float
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu_inf, dtype=float))
-        sigma = np.atleast_2d(np.asarray(self.sigma_inf, dtype=float))
-        if mu.ndim != 1 or sigma.shape != (mu.size, mu.size):
-            raise InvalidArgumentError(
-                f"mu_inf (k,) and sigma_inf (k, k) required; got {mu.shape}, {sigma.shape}"
-            )
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
-            raise InvalidArgumentError("sigma_inf must be symmetric within 1e-12")
-        try:
-            np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            raise SingularLawError("sigma_inf is not positive definite") from None
-        if not (np.isfinite(self.c) and self.c >= 0):
-            raise InvalidArgumentError(f"c must be finite and >= 0, got {self.c}")
+        mu, sigma = _normal_law(self.mu_inf, self.sigma_inf)
         object.__setattr__(self, "mu_inf", mu)
         object.__setattr__(self, "sigma_inf", sigma)
+        object.__setattr__(self, "c", _ratio(self.c))
 
 
-def std_limit_bernoulli_2(law: TwoModelLaw) -> float:
+def std_limit_bernoulli_2(law: TwoModelLaw):
     """Bernoulli parameter Phi(delta_inf) of the limiting standard posterior.
 
     The limiting posterior mass on model 1 is 1 with this probability and
@@ -105,47 +136,35 @@ def std_limit_bernoulli_2(law: TwoModelLaw) -> float:
     """
     from scipy.special import ndtr
 
-    return float(ndtr(law.delta_inf))
+    return ndtr(law.delta_inf)
 
 
-def _check_unit_interval(u) -> np.ndarray:
+def _bagged_z(u, law: TwoModelLaw):
+    """z = Phi^{-1}(u) and c^{-1/2} z - delta_inf, broadcast, for u strictly
+    inside (0, 1) and c > 0."""
+    from scipy.special import ndtri
+
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise InvalidArgumentError("u must lie strictly inside (0, 1)")
-    return u
+    _require((u > 0.0) & (u < 1.0), u, "u must lie strictly inside (0, 1)")
+    if np.any(law.c == 0.0):
+        raise DegenerateLawError("c = 0 gives a point-mass law with no CDF or density on (0, 1)")
+    z = ndtri(u)
+    return z, z / np.sqrt(law.c) - law.delta_inf
 
 
 def ubb_cdf(u, law: TwoModelLaw):
-    """CDF of the limiting bagged posterior probability, for c > 0.
+    """CDF of the limiting bagged posterior probability, for c > 0:
+    F(u) = Phi(c^{-1/2} Phi^{-1}(u) - delta_inf)."""
+    from scipy.special import ndtr
 
-    F(u) = Phi(c^{-1/2} Phi^{-1}(u) - delta_inf).  Accepts a scalar or an
-    array of evaluation points in (0, 1).
-    """
-    if law.c == 0.0:
-        raise DegenerateLawError(
-            "c = 0 gives a point-mass law; the CDF on (0,1) is degenerate"
-        )
-    from scipy.special import ndtr, ndtri
-
-    u_arr = _check_unit_interval(u)
-    out = ndtr(ndtri(u_arr) / sqrt(law.c) - law.delta_inf)
-    return float(out) if np.isscalar(u) else out
+    return ndtr(_bagged_z(u, law)[1])
 
 
 def ubb_density(u, law: TwoModelLaw):
     """Density of the limiting bagged posterior probability, for c > 0."""
-    if law.c == 0.0:
-        raise DegenerateLawError(
-            "c = 0 gives a point-mass law; the density on (0,1) is degenerate"
-        )
-    from scipy.special import ndtri
-
-    u_arr = _check_unit_interval(u)
-    z = ndtri(u_arr)
-    inner = z / sqrt(law.c) - law.delta_inf
+    z, inner = _bagged_z(u, law)
     # phi(inner)/phi(z) in log space to stay finite near the endpoints
-    out = np.exp(-0.5 * (inner * inner - z * z)) / sqrt(law.c)
-    return float(out) if np.isscalar(u) else out
+    return np.exp(-0.5 * (inner * inner - z * z)) / np.sqrt(law.c)
 
 
 def reduce_to_contrasts(mu_prime, sigma_prime, anchor: int = 0):
@@ -156,29 +175,15 @@ def reduce_to_contrasts(mu_prime, sigma_prime, anchor: int = 0):
     (anchor minus each other model), i.e. A mu' and A Sigma' A' for the
     contrast matrix A.
     """
-    mu_prime = np.asarray(mu_prime, dtype=float)
-    sigma_prime = np.asarray(sigma_prime, dtype=float)
+    mu_prime, sigma_prime = _normal_law(mu_prime, sigma_prime, definite=False)
     k = mu_prime.size
-    if k < 2 or sigma_prime.shape != (k, k):
-        raise InvalidArgumentError("need K >= 2 models and a (K, K) covariance")
-    if not np.allclose(sigma_prime, sigma_prime.T, rtol=0.0, atol=1e-12):
-        raise InvalidArgumentError("sigma_prime must be symmetric")
+    if k < 2:
+        raise InvalidArgumentError("need K >= 2 models")
     if not 0 <= anchor < k:
         raise InvalidArgumentError(f"anchor must index a model in [0, {k}), got {anchor}")
-    others = [j for j in range(k) if j != anchor]
-    a = np.zeros((k - 1, k))
-    a[:, anchor] = 1.0
-    a[range(k - 1), others] = -1.0
-    mu_inf = a @ mu_prime
+    a = np.eye(k)[anchor] - np.delete(np.eye(k), anchor, axis=0)
     sigma_inf = a @ sigma_prime @ a.T
-    sigma_inf = 0.5 * (sigma_inf + sigma_inf.T)
-    try:
-        np.linalg.cholesky(sigma_inf)
-    except np.linalg.LinAlgError:
-        raise SingularLawError(
-            "contrast covariance is singular: some models are perfectly correlated"
-        ) from None
-    return mu_inf, sigma_inf
+    return _normal_law(a @ mu_prime, 0.5 * (sigma_inf + sigma_inf.T))
 
 
 def _bvn_cdf(h, k, rho: float) -> np.ndarray:
@@ -215,14 +220,7 @@ def _centered_cdf(sigma: np.ndarray, x: np.ndarray, seed) -> np.ndarray:
 def mvn_cdf_at_zero(mu, sigma, *, seed=0) -> float:
     """P(X <= 0 componentwise) for X ~ Normal(mu, sigma); exact up to
     dimension 2, ``seed`` drives the quasi-Monte Carlo beyond."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if mu.ndim != 1 or sigma.shape != (mu.size, mu.size):
-        raise InvalidArgumentError("mu must be (k,) and sigma (k, k)")
-    try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise SingularLawError("covariance is not positive definite") from None
+    mu, sigma = _normal_law(mu, sigma)
     return float(_centered_cdf(sigma, -mu[None, :], seed)[0])
 
 

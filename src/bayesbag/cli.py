@@ -343,11 +343,13 @@ def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]
     if header is None:
         raise IngestionError(f"{path}: empty file")
     header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise IngestionError(f"{path}: header repeats column(s) {repeated}")
     if target not in header:
         raise IngestionError(f"{path}: target column {target!r} not in header {header}")
     t_idx = header.index(target)
-    z_rows: list[list[float]] = []
-    y_vals: list[float] = []
+    table, linenos = [], []
     for lineno, row in rows:
         if not row or all(cell.strip() == "" for cell in row):
             continue
@@ -356,15 +358,19 @@ def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
             )
         try:
-            values = [float(cell) for cell in row]
+            table.append([float(cell) for cell in row])
         except ValueError as exc:
             raise IngestionError(f"{path}:{lineno}: {exc}") from None
-        y_vals.append(values[t_idx])
-        z_rows.append([v for i, v in enumerate(values) if i != t_idx])
-    if not z_rows:
+        linenos.append(lineno)
+    if not table:
         raise IngestionError(f"{path}: no data rows")
+    table = np.array(table)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        line, cells = linenos[bad[0]], table[bad[0]].tolist()
+        raise IngestionError(f"{path}:{line}: values must be finite, got {cells}")
     names = [h for i, h in enumerate(header) if i != t_idx]
-    return RegressionDataset(z=np.array(z_rows), y=np.array(y_vals)), names
+    return RegressionDataset(z=np.delete(table, t_idx, axis=1), y=table[:, t_idx].copy()), names
 
 
 def standardize_regressors(data: RegressionDataset, names) -> RegressionDataset:
@@ -556,25 +562,18 @@ def cmd_select(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    seed, threshold, u_grid = args.seed, args.threshold, args.u_grid
-    delta_grid, c_grid = args.delta_grid, args.c_grid
+    seed, threshold = args.seed, args.threshold
     n_samples, three_model_c = args.n_samples, args.three_model_c
 
-    event_records = []
-    densities = []
-    for delta in delta_grid:
-        p_std_wrong = 1.0 - std_limit_bernoulli_2(TwoModelLaw(delta, 1.0))
-        for c in c_grid:
-            law = TwoModelLaw(float(delta), float(c))
-            event_records.append((delta, c, p_std_wrong, threshold, ubb_cdf(threshold, law)))
-            densities.append(ubb_density(u_grid, law))
+    # one law over the (delta, c) cells, one over the (delta, c, u) cells;
     # rows run over delta, then c, then u
-    density_columns = [
-        np.repeat(delta_grid, c_grid.size * u_grid.size),
-        np.tile(np.repeat(c_grid, u_grid.size), delta_grid.size),
-        np.tile(u_grid, delta_grid.size * c_grid.size),
-        np.ravel(densities),
-    ]
+    delta, c = (g.ravel() for g in np.meshgrid(args.delta_grid, args.c_grid, indexing="ij"))
+    cells = TwoModelLaw(delta, c)
+    events = [delta, c, 1.0 - std_limit_bernoulli_2(cells), [threshold] * delta.size,
+              ubb_cdf(threshold, cells)]
+    delta, c, u = (g.ravel() for g in np.meshgrid(args.delta_grid, args.c_grid, args.u_grid,
+                                                  indexing="ij"))
+    density = [delta, c, u, ubb_density(u, TwoModelLaw(delta, c))]
 
     checkpoint_law = TwoModelLaw(2.0, 1.0)
     checkpoints = [
@@ -605,8 +604,8 @@ def cmd_asymptotics(args) -> int:
     _write_results(
         args,
         {
-            "two_model_events.csv": ("two-model-events-v1", list(zip(*event_records))),
-            "two_model_density.csv": ("two-model-density-v1", density_columns),
+            "two_model_events.csv": ("two-model-events-v1", events),
+            "two_model_density.csv": ("two-model-density-v1", density),
             "three_model_curves.csv": ("three-model-curves-v1", list(zip(*scenario_records))),
             "checkpoints.csv": ("checkpoint-v1", list(zip(*checkpoints))),
         },

@@ -30,7 +30,7 @@ class VarianceUndefinedError(BayesBagError):
     """The posterior variance does not exist for these hyperparameters."""
 
 
-class DegenerateLawError(BayesBagError):
+class DegenerateLawError(InvalidArgumentError):
     """The limit law is a point mass, so the requested CDF/density is undefined."""
 
 

@@ -120,8 +120,10 @@ class NIGHyperparams:
     k_star: int
 
     def __post_init__(self):
-        if not (self.a0 > 0 and self.b0 > 0 and self.lam > 0):
-            raise InvalidArgumentError("a0, b0 and lam must be positive")
+        for name in ("a0", "b0", "lam"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.q0 < 1.0:
             raise InvalidArgumentError(f"q0 must be in (0, 1), got {self.q0}")
         if self.k_star < 1:

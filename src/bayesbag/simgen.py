@@ -57,8 +57,8 @@ class SimConfig:
             raise InvalidArgumentError(
                 f"response_kind must be one of {RESPONSE_KINDS}, got {self.response_kind!r}"
             )
-        if not self.h > 2:
-            raise InvalidArgumentError(f"h must exceed 2, got {self.h}")
+        if not 2 < self.h < np.inf:
+            raise InvalidArgumentError(f"h must be finite and exceed 2, got {self.h}")
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,54 @@ class TestUbbCdf:
         assert values[-1] < ndtr(1.0)
 
 
+class TestBroadcast:
+    """The two-model law functions on a (delta, c, u) grid equal their
+    per-cell scalar calls bit for bit."""
+
+    DELTA = np.array([-1.5, 0.0, 0.25, 2.0])
+    C = np.array([0.25, 1.0, 4.0])
+    U = np.array([1e-9, 0.02, 0.5, 0.9, 1 - 1e-9])
+
+    def test_grid_equals_cells(self):
+        delta, c, u = np.meshgrid(self.DELTA, self.C, self.U, indexing="ij")
+        law = TwoModelLaw(delta, c)
+
+        def per_cell(fn):
+            cells = zip(u.flat, delta.flat, c.flat)
+            return np.reshape([fn(float(ui), TwoModelLaw(float(di), float(ci))) for ui, di, ci in cells], u.shape)
+
+        np.testing.assert_array_equal(ubb_cdf(u, law), per_cell(ubb_cdf))
+        np.testing.assert_array_equal(ubb_density(u, law), per_cell(ubb_density))
+        np.testing.assert_array_equal(std_limit_bernoulli_2(law),
+                                      per_cell(lambda _, cell: std_limit_bernoulli_2(cell)))
+
+    def test_broadcast_shapes_and_scalar_type(self):
+        law = TwoModelLaw(self.DELTA[:, None], self.C[None, :])
+        assert ubb_cdf(0.1, law).shape == (4, 3)
+        assert ubb_density(self.U[:, None, None], law).shape == (5, 4, 3)
+        for value in (ubb_cdf(0.1, TwoModelLaw(2.0, 1.0)), ubb_density(0.3, TwoModelLaw(2.0, 1.0)),
+                      std_limit_bernoulli_2(TwoModelLaw(2.0, 1.0))):
+            assert isinstance(value, float)
+
+    def test_non_finite_parameters_raise(self):
+        law = TwoModelLaw(0.0, 1.0)
+        for bad_u in (np.nan, [0.5, np.nan], np.inf):
+            with pytest.raises(InvalidArgumentError):
+                ubb_cdf(bad_u, law)
+            with pytest.raises(InvalidArgumentError):
+                ubb_density(bad_u, law)
+        with pytest.raises(InvalidArgumentError, match="delta_inf"):
+            TwoModelLaw([0.0, np.nan], 1.0)
+        with pytest.raises(InvalidArgumentError, match="got inf"):
+            TwoModelLaw(0.0, [1.0, np.inf])
+
+    def test_one_zero_c_is_degenerate(self):
+        law = TwoModelLaw(0.0, [1.0, 0.0])
+        with pytest.raises(DegenerateLawError):
+            ubb_density(0.5, law)
+        assert issubclass(DegenerateLawError, InvalidArgumentError)
+
+
 class TestUbbDensity:
     def test_flat_when_centered_unit_c(self):
         law = TwoModelLaw(0.0, 1.0)
@@ -314,6 +362,41 @@ class TestBernoulliTwoModelProblem:
     def test_invalid_probability(self):
         with pytest.raises(InvalidArgumentError):
             bernoulli_two_model_problem(0.0, 0.5, 10, seed=0)
+
+
+class TestNormalLawValidation:
+    """One check for every normal law: shape, finite entries, symmetry and
+    positive definiteness."""
+
+    def test_non_finite_rejected(self):
+        eye = np.eye(2)
+        with pytest.raises(InvalidArgumentError):
+            KModelLaw([np.nan, 0.0], eye, 1.0)
+        with pytest.raises(InvalidArgumentError):
+            mvn_cdf_at_zero([np.nan, 0.0], eye)
+        with pytest.raises(InvalidArgumentError):
+            mvn_cdf_at_zero([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]])
+        with pytest.raises(InvalidArgumentError):
+            reduce_to_contrasts([0.0, 0.0, np.nan], np.eye(3))
+        with pytest.raises(InvalidArgumentError):
+            KModelLaw([0.0, 0.0], eye, np.nan)
+
+    def test_shape_and_symmetry_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            mvn_cdf_at_zero([0.0, 0.0], np.eye(3))
+        with pytest.raises(InvalidArgumentError):
+            mvn_cdf_at_zero([0.0, 0.0], [[1.0, 0.2], [0.3, 1.0]])
+        with pytest.raises(InvalidArgumentError):
+            reduce_to_contrasts([0.0, 0.0], [[1.0, 0.2], [0.3, 1.0]])
+        with pytest.raises(InvalidArgumentError):
+            reduce_to_contrasts([0.0], [[1.0]])
+
+    def test_singular_input_with_definite_contrasts(self):
+        # model 2's log likelihood is the sum of models 0 and 1: the input
+        # covariance is singular, its contrasts are not
+        sigma_prime = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+        mu, sigma = reduce_to_contrasts(np.zeros(3), sigma_prime)
+        np.testing.assert_allclose(sigma, [[2.0, 1.0], [1.0, 1.0]])
 
 
 class TestKModelLawValidation:

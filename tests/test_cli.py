@@ -203,6 +203,29 @@ class TestSelect:
         assert run("select", "--data", path, "--target", "y", "--out", tmp_path / "o") == 2
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["select", "mismatch"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_data_error_naming_the_line(self, tmp_path, capsys, command, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"z1,y\n1.0,2.0\n{cell},3.0\n0.5,1.0\n", encoding="utf-8")
+        assert run(command, "--data", path, "--target", "y", "--out", tmp_path / "o") == 2
+        assert f"data error: {path}:3: values must be finite" in capsys.readouterr().err
+
+    def test_repeated_header_column_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("z1,y,y\n1,2,3\n2,3,4\n3,4,5\n", encoding="utf-8")
+        assert run("select", "--data", path, "--target", "y", "--out", tmp_path / "o") == 2
+        assert f"data error: {path}: header repeats column(s) ['y']" in capsys.readouterr().err
+
+    def test_reader_splits_off_the_target_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y,b\n1,2,3\n\n4,5,6\n", encoding="utf-8")
+        data, names = cli.read_regression_csv(path, "y")
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(data.z, [[1.0, 3.0], [4.0, 6.0]])
+        np.testing.assert_array_equal(data.y, [2.0, 5.0])
+        assert data.z.flags.c_contiguous and data.y.flags.c_contiguous
+
     def test_missing_target_is_data_error(self, tmp_path):
         data = write_dataset_csv(tmp_path / "d.csv", 10, 2)
         assert run("select", "--data", data, "--target", "zz", "--out", tmp_path / "o") == 2
@@ -284,6 +307,54 @@ class TestAsymptotics:
         assert [float(r["value"]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
         for name in ("three_model_curves.csv", "two_model_events.csv", "checkpoints.csv"):
             assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+
+    def test_default_two_model_tables_match_the_closed_forms(self, tmp_path, monkeypatch):
+        # the closed forms of perfbench/make_refs.py, on the columns before
+        # they are formatted to 12 significant digits
+        from scipy.stats import norm
+
+        written = {}
+        write = cli._write_results
+
+        def capture(args, files):
+            written.update({name: content for name, (_, content) in files.items()})
+            write(args, files)
+
+        monkeypatch.setattr(cli, "_write_results", capture)
+        out = tmp_path / "o"
+        assert run("asymptotics", "--mu3-grid=", "--sigma3-grid=", "--rho-grid=", "--out", out) == 0
+        delta = np.arange(0.0, 3.0 + 0.125, 0.25)
+        c = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+        u = np.arange(0.02, 0.98 + 0.01, 0.02)
+
+        d, cc, p_std_wrong, threshold, p_bagged_below = map(np.asarray, written["two_model_events.csv"])
+        np.testing.assert_array_equal(d, np.repeat(delta, c.size))
+        np.testing.assert_array_equal(cc, np.tile(c, delta.size))
+        np.testing.assert_array_equal(threshold, 0.1)
+        np.testing.assert_allclose(p_std_wrong, norm.sf(d), rtol=1e-12)
+        np.testing.assert_allclose(p_bagged_below, norm.cdf(norm.ppf(0.1) / np.sqrt(cc) - d), rtol=1e-12)
+
+        d, cc, uu, density = written["two_model_density.csv"]
+        np.testing.assert_array_equal(d, np.repeat(delta, c.size * u.size))
+        np.testing.assert_array_equal(cc, np.tile(np.repeat(c, u.size), delta.size))
+        np.testing.assert_array_equal(uu, np.tile(u, delta.size * c.size))
+        z = norm.ppf(uu)
+        np.testing.assert_allclose(density, norm.pdf(z / np.sqrt(cc) - d) / np.sqrt(cc) / norm.pdf(z),
+                                   rtol=1e-12)
+        assert len(read_csv(out / "two_model_density.csv")) == d.size
+
+    @pytest.mark.parametrize("flag", ["--threshold=nan", "--u-grid=nan", "--mu3-grid=nan",
+                                      "--delta-grid=nan", "--c-grid=inf", "--three-model-c=nan"])
+    def test_non_finite_setting_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert run("asymptotics", flag, "--n-samples", 50, "--out", out) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_c_is_usage_error(self, tmp_path, capsys):
+        assert run("asymptotics", "--c-grid=0", "--out", tmp_path / "o") == 1
+        assert "usage error: c = 0 gives a point-mass law" in capsys.readouterr().err
 
 
 class TestMismatch:
@@ -531,6 +602,21 @@ class TestUsageErrors:
         assert run("select", "--data", data, "--target", "y", "--splits", 5, "--out", out) == 1
         err = capsys.readouterr().err
         assert "--splits 5" in err and "3 data rows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--D", 3, "--k", 1, "--N", 30, "--a0", "inf"),
+        ("simulate", "--D", 3, "--k", 1, "--N", 30, "--b0", "inf"),
+        ("simulate", "--D", 3, "--k", 1, "--N", 30, "--lambda", "inf"),
+        ("simulate", "--D", 3, "--k", 1, "--N", 30, "--h", "inf"),
+        ("mismatch", "--D", 3, "--k", 1, "--N", 30, "--a0", "inf"),
+        ("mismatch", "--D", 3, "--k", 1, "--N", 30, "--lambda", "nan"),
+    ])
+    def test_non_finite_prior_or_generator_setting(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run(*argv, "--out", out) == 1
+        setting = {"--lambda": "lam"}.get(argv[-2], argv[-2].lstrip("-"))
+        assert f"usage error: {setting} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n_samples", [0, -5])
