@@ -40,7 +40,6 @@ from .core import (
 )
 from .linreg import (
     NIGHyperparams,
-    ParamMoments,
     RegressionDataset,
     SuffStats,
     enumerate_models,

@@ -98,7 +98,7 @@ def _normal_law(mu, sigma, *, definite: bool = True) -> tuple[np.ndarray, np.nda
     return mu, sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModelLaw:
     """Two-model limit law parameters: effect size and c = lim M/N, each a
     float or an array; the law functions broadcast over them and u."""
@@ -113,7 +113,7 @@ class TwoModelLaw:
         object.__setattr__(self, "c", _ratio(self.c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KModelLaw:
     """K-model limit law: contrast mean (K-1,), covariance (K-1, K-1), c."""
 

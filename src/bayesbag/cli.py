@@ -73,7 +73,6 @@ from .errors import (
 )
 from .linreg import (
     NIGHyperparams,
-    ParamMoments,
     RegressionDataset,
     enumerate_models,
     log_priors,
@@ -348,6 +347,8 @@ def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]
         raise IngestionError(f"{path}: header repeats column(s) {repeated}")
     if target not in header:
         raise IngestionError(f"{path}: target column {target!r} not in header {header}")
+    if len(header) == 1:
+        raise IngestionError(f"{path}: no regressor columns besides target {target!r}")
     t_idx = header.index(target)
     table, linenos = [], []
     for lineno, row in rows:
@@ -643,28 +644,17 @@ def cmd_mismatch(args) -> int:
     gamma_full = np.ones(d, dtype=np.uint8)
     m = n  # the index is defined with M = N
 
-    def as_moments(rows: np.ndarray) -> ParamMoments:
-        return ParamMoments(
-            mean_log_sigma2=rows[..., 0],
-            var_log_sigma2=rows[..., 1],
-            mean_beta=rows[..., 2 : 2 + d],
-            var_beta=rows[..., 2 + d :],
-        )
-
     with loading as dataset:
 
         def moment_rows(weights) -> np.ndarray:
-            """Mean and variance of log sigma^2, then of each beta_j, per weight row."""
+            """The posterior moments of each weight row, flattened to one row."""
             stats = weighted_stats(dataset(), weights)
-            moments = param_moments_from_stats(stats, gamma_full, hyper)
-            return np.column_stack(
-                [moments.mean_log_sigma2, moments.var_log_sigma2, moments.mean_beta, moments.var_beta]
-            )
+            return param_moments_from_stats(stats, gamma_full, hyper).reshape(len(weights), -1)
 
         standard, rows = evaluate_replicates(
             moment_rows, n, BootstrapConfig(m=m, b=b, seed=_child_seed(seed, 1)), 2 + 2 * d
         )
-    overall, per_coord = mismatch_index_proj(as_moments(standard), as_moments(rows))
+    overall, per_coord = mismatch_index_proj(standard.reshape(2, -1), rows.reshape(b, 2, -1))
 
     report = {
         "schema": MISMATCH_REPORT_SCHEMA,

@@ -35,7 +35,7 @@ __all__ = [
 _PROB_SUM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePosterior:
     """Probability map over a finite set of unique item identifiers."""
 

@@ -72,7 +72,7 @@ _DRAW_GROUP = 1 << 14
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelPosterior:
     """Normalized posterior over an enumerated model set.
 
@@ -105,7 +105,7 @@ class BootstrapConfig:
             raise InvalidArgumentError(f"replicate count b must be >= 1, got {self.b}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaggedPosterior:
     """Per-replicate posteriors plus their average and Monte Carlo errors.
 

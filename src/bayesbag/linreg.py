@@ -49,7 +49,6 @@ from .errors import (
 __all__ = [
     "RegressionDataset",
     "NIGHyperparams",
-    "ParamMoments",
     "SuffStats",
     "weighted_stats",
     "model_log_marginals",
@@ -78,7 +77,7 @@ _STATS_CHUNK = 2048
 _FACTOR_FLOATS = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionDataset:
     """Regressors ``z`` (n x d) and responses ``y`` (length n)."""
 
@@ -130,23 +129,7 @@ class NIGHyperparams:
             raise InvalidArgumentError(f"k_star must be >= 1, got {self.k_star}")
 
 
-@dataclass(frozen=True)
-class ParamMoments:
-    """Posterior moments of (log sigma^2, beta) for one inclusion vector.
-
-    ``mean_beta``/``var_beta`` cover the active coordinates only, in the
-    order of the included columns (last axis).  Moments of several weight
-    rows carry the rows' leading shape on every field; for one row the
-    sigma^2 fields are 0-d (numpy scalars).
-    """
-
-    mean_log_sigma2: np.ndarray
-    var_log_sigma2: np.ndarray
-    mean_beta: np.ndarray
-    var_beta: np.ndarray
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuffStats:
     """Weighted sufficient statistics: Z'WZ, Z'Wy, y'Wy and M = sum(w).
 
@@ -404,10 +387,11 @@ def pips(posterior, models: np.ndarray) -> np.ndarray:
     return probs @ models.astype(float)
 
 
-def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> ParamMoments:
-    """Conjugate posterior moments from precomputed sufficient statistics,
-    for one set of statistics or for statistics with a leading shape (every
-    field of the result carries it).
+def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> np.ndarray:
+    """Conjugate posterior moments from precomputed sufficient statistics of
+    any leading shape ``lead``, as one array of shape ``lead + (2, 1 + |gamma|)``:
+    row 0 holds the means and row 1 the variances of the coordinates
+    [log sigma^2, beta_j for each included j in column order].
 
     The posterior is sigma^2 ~ InvGamma(a_n, b_g) with a_n = a0 + M/2, and
     beta | sigma^2 ~ Normal(beta_hat, sigma^2 Lam_g^{-1}); marginally each
@@ -441,9 +425,6 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
             f"b_g = {b_g[row]!r} is not positive{_where(lead, row)}: "
             "y'Wy - quad cancelled or overflowed"
         )
-    return ParamMoments(
-        mean_log_sigma2=(np.log(b_g) - digamma(a_n)).reshape(lead)[()],
-        var_log_sigma2=polygamma(1, a_n).reshape(lead)[()],
-        mean_beta=mean_beta.reshape(lead + (cols.size,)),
-        var_beta=var_beta.reshape(lead + (cols.size,)),
-    )
+    means = np.column_stack([np.log(b_g) - digamma(a_n), mean_beta])
+    variances = np.column_stack([polygamma(1, a_n), var_beta])
+    return np.stack([means, variances], axis=1).reshape(lead + (2, 1 + cols.size))

@@ -11,17 +11,20 @@ I ~= 0 means no evidence of mismatch, I > 0 overconfidence, I < 0
 under-confidence, and NA severe mismatch or failed asymptotics.  Over the
 coordinate-projection function class the overall index is the most
 pessimistic coordinate value, with NA dominating.
+
+Moments come in the layout of ``linreg.param_moments_from_stats``, (..., 2, C)
+arrays of means (row 0) and variances (row 1) of C coordinates, and are
+reduced for all coordinates at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import InsufficientReplicatesError, InvalidArgumentError
-from .linreg import ParamMoments
 
 __all__ = [
     "MismatchValue",
@@ -43,35 +46,34 @@ class MismatchValue:
         return self.value is None
 
 
-def mismatch_index(v: float, v_bb: float) -> MismatchValue:
-    """Index 1 - 2v/v_bb when v_bb > v, NA otherwise."""
-    if not (np.isfinite(v) and np.isfinite(v_bb)) or v < 0 or v_bb < 0:
-        raise InvalidArgumentError(
-            f"variances must be finite and nonnegative, got v={v}, v_bb={v_bb}"
-        )
-    if v_bb > v:
-        return MismatchValue(1.0 - 2.0 * v / v_bb)
-    return MismatchValue(None)
+def mismatch_index(v, v_bb):
+    """Index 1 - 2v/v_bb where v_bb > v, NaN (NA) elsewhere; broadcasts over
+    v and v_bb and returns a float for scalar inputs."""
+    v, v_bb = np.asarray(v, dtype=float), np.asarray(v_bb, dtype=float)
+    if not (np.all(np.isfinite(v) & (v >= 0)) and np.all(np.isfinite(v_bb) & (v_bb >= 0))):
+        raise InvalidArgumentError(f"variances must be finite and nonnegative, got v={v}, v_bb={v_bb}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(v_bb > v, 1.0 - 2.0 * v / v_bb, np.nan)[()]
 
 
-def bagged_variance_of_projection(replicate_moments) -> float:
-    """Variance of a scalar functional under the bagged posterior.
+def bagged_variance_of_projection(replicates):
+    """Variance of each coordinate under the bagged posterior, from (B, 2, ...)
+    replicate rows of means and variances; a float for (B, 2) rows.
 
     The bagged posterior is the equal-weight mixture of the replicate
     posteriors, so its variance is the mean of the replicate variances
     plus the (population) variance of the replicate means.
     """
-    arr = np.asarray(replicate_moments, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InvalidArgumentError("expected a sequence of (mean, variance) pairs")
+    arr = np.asarray(replicates, dtype=float)
+    if arr.ndim < 2 or arr.shape[1] != 2:
+        raise InvalidArgumentError(f"expected (B, 2, ...) replicate moments, got shape {arr.shape}")
     if arr.shape[0] < 2:
-        raise InsufficientReplicatesError(
-            f"need at least 2 replicates, got {arr.shape[0]}"
-        )
-    means, variances = arr[:, 0], arr[:, 1]
+        raise InsufficientReplicatesError(f"need at least 2 replicates, got {arr.shape[0]}")
+    # replicates on a contiguous last axis, so numpy sums each coordinate pairwise
+    means, variances = np.moveaxis(arr, 0, -1).copy()
     if np.any(variances < 0):
         raise InvalidArgumentError("replicate variances must be nonnegative")
-    return float(variances.mean() + means.var())
+    return (variances.mean(axis=-1) + means.var(axis=-1))[()]
 
 
 def coordinate_labels(n_beta: int) -> list[str]:
@@ -80,53 +82,24 @@ def coordinate_labels(n_beta: int) -> list[str]:
     return ["log_sigma2"] + [f"beta_{j}" for j in range(1, n_beta + 1)]
 
 
-def _stacked(replicates, n_beta: int) -> ParamMoments:
-    """Replicate moments with one leading replicate axis, from such moments
-    or from a sequence of single-replicate moments."""
-    if isinstance(replicates, ParamMoments):
-        if np.shape(replicates.mean_beta)[-1:] != (n_beta,):
-            raise InvalidArgumentError("replicate moments have mismatched coordinates")
-        return replicates
-    reps = list(replicates)
-    if any(np.shape(rep.mean_beta) != (n_beta,) for rep in reps):
-        raise InvalidArgumentError("replicate moments have mismatched coordinates")
-
-    def field(name: str, width: tuple) -> np.ndarray:
-        return np.array([getattr(rep, name) for rep in reps], dtype=float).reshape((len(reps),) + width)
-
-    return ParamMoments(
-        mean_log_sigma2=field("mean_log_sigma2", ()),
-        var_log_sigma2=field("var_log_sigma2", ()),
-        mean_beta=field("mean_beta", (n_beta,)),
-        var_beta=field("var_beta", (n_beta,)),
-    )
-
-
-def mismatch_index_proj(
-    standard: ParamMoments, replicates: ParamMoments | Sequence[ParamMoments]
-) -> tuple[MismatchValue, Mapping[str, MismatchValue]]:
+def mismatch_index_proj(standard, replicates) -> tuple[MismatchValue, Mapping[str, MismatchValue]]:
     """Per-coordinate and overall mismatch over coordinate projections.
 
-    ``standard`` holds the full-data posterior moments and ``replicates``
-    the per-bootstrap-replicate moments (computed with M = N): moments with
-    a leading replicate axis, as ``param_moments_from_stats`` gives for a
-    block of weight rows, or a sequence of single-replicate moments.  The
-    overall value is NA if any coordinate is NA, else the maximum.
+    ``standard`` holds the full-data posterior moments, a (2, C) array, and
+    ``replicates`` the per-bootstrap-replicate moments (computed with
+    M = N): a (B, 2, C) array, as ``param_moments_from_stats`` gives for a
+    block of weight rows, or a sequence of B (2, C) arrays.  The overall
+    value is NA if any coordinate is NA, else the maximum.
     """
-    n_beta = standard.mean_beta.size
-    replicates = _stacked(replicates, n_beta)
-    # coordinates [log sigma^2, beta_1..beta_D] as columns, one row per replicate
-    v = np.append(standard.var_log_sigma2, standard.var_beta)
-    means = np.column_stack([replicates.mean_log_sigma2, replicates.mean_beta])
-    variances = np.column_stack([replicates.var_log_sigma2, replicates.var_beta])
-    pairs = np.stack([means, variances], axis=-1)  # (B, 1 + D, 2)
-    per_coord = {
-        label: mismatch_index(float(v[j]), bagged_variance_of_projection(pairs[:, j]))
-        for j, label in enumerate(coordinate_labels(n_beta))
-    }
-
-    if any(item.is_na for item in per_coord.values()):
-        overall = MismatchValue(None)
-    else:
-        overall = MismatchValue(max(item.value for item in per_coord.values()))
-    return overall, per_coord
+    standard = np.asarray(standard, dtype=float)
+    try:
+        replicates = np.asarray(replicates, dtype=float)
+    except ValueError:
+        raise InvalidArgumentError("replicate moments have ragged shapes") from None
+    if standard.ndim != 2 or standard.shape[0] != 2 or replicates.shape[1:] != standard.shape:
+        raise InvalidArgumentError(f"expected (2, C) standard and (B, 2, C) replicate moments, "
+                                   f"got {standard.shape} and {replicates.shape}")
+    index = mismatch_index(standard[1], bagged_variance_of_projection(replicates))
+    per_coord = {label: MismatchValue(None if np.isnan(value) else float(value))
+                 for label, value in zip(coordinate_labels(index.size - 1), index)}
+    return MismatchValue(None if np.isnan(index).any() else float(index.max())), per_coord

@@ -61,7 +61,7 @@ class SimConfig:
             raise InvalidArgumentError(f"h must be finite and exceed 2, got {self.h}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KLOptimal:
     """KL-optimal linear fit under the true generator: coefficients,
     noise variance (clamped at zero; the unclamped value is kept for

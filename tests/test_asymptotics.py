@@ -1,11 +1,14 @@
 """Tests for the limit-law calculators and the simulation testbed."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest, multivariate_normal
 
+import bayesbag as bb
 from bayesbag.asymptotics import (
     _bvn_cdf,
     KModelLaw,
@@ -407,3 +410,22 @@ class TestKModelLawValidation:
     def test_non_pd_rejected(self):
         with pytest.raises(SingularLawError):
             KModelLaw(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TwoModelLaw(np.array([0.5, 1.0]), np.array([1.0, 2.0])),
+    lambda: KModelLaw([0, 1], np.eye(2), 1),
+    lambda: bb.DiscretePosterior(("a", "b"), [0.5, 0.5]),
+    lambda: bb.ModelPosterior(np.array([0.5, 0.5]), np.zeros(2)),
+    lambda: bb.BaggedPosterior(np.full((2, 2), 0.5), np.full(2, 0.5), np.zeros(2)),
+    lambda: bb.RegressionDataset(z=np.eye(2), y=np.ones(2)),
+    lambda: bb.SuffStats(zwz=np.eye(2), zwy=np.ones(2), ywy=1.0, m=2.0),
+    lambda: bb.KLOptimal(np.ones(2), 1.0, 1.0, 0.0),
+], ids=["TwoModelLaw", "KModelLaw", "DiscretePosterior", "ModelPosterior", "BaggedPosterior",
+        "RegressionDataset", "SuffStats", "KLOptimal"])
+def test_array_dataclasses_compare_by_identity(make):
+    # field-wise == on arrays is ambiguous, so these compare and hash by identity
+    law = make()
+    assert law == law
+    assert hash(law) == hash(law)
+    assert law != copy.copy(law)

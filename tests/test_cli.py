@@ -17,7 +17,15 @@ import pytest
 from bayesbag import __version__, cli, core
 from bayesbag.cli import _parse_grid, _resolve_m, _split_indices, main
 from bayesbag.errors import NumericDomainError
-from bayesbag.linreg import NIGHyperparams, enumerate_models, log_priors, make_evaluator, pips
+from bayesbag.linreg import (
+    NIGHyperparams,
+    enumerate_models,
+    log_priors,
+    make_evaluator,
+    param_moments_from_stats,
+    pips,
+    weighted_stats,
+)
 from bayesbag.simgen import SimConfig, sample_dataset
 
 
@@ -211,6 +219,13 @@ class TestSelect:
         assert run(command, "--data", path, "--target", "y", "--out", tmp_path / "o") == 2
         assert f"data error: {path}:3: values must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["select", "mismatch"])
+    def test_target_only_file_is_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "d.csv"
+        path.write_text("y\n1\n2\n3\n", encoding="utf-8")
+        assert run(command, "--data", path, "--target", "y", "--out", tmp_path / "o") == 2
+        assert f"data error: {path}: no regressor columns besides target 'y'" in capsys.readouterr().err
+
     def test_repeated_header_column_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         path.write_text("z1,y,y\n1,2,3\n2,3,4\n3,4,5\n", encoding="utf-8")
@@ -377,6 +392,33 @@ class TestMismatch:
                    "--seed", 1, "--out", out) == 0
         report = json.loads((out / "mismatch.json").read_text())
         assert report["d"] == 3
+
+    def test_per_coordinate_values_match_scalar_reference(self, tmp_path):
+        # same dataset and counts as the command, moments one row at a time,
+        # and the index by its scalar formula, coordinate by coordinate
+        n, b, d, seed = 200, 10, 4, 3
+        out = tmp_path / "out"
+        assert run("mismatch", "--D", d, "--k", 1, "--N", n, "--B", b, "--seed", seed,
+                   "--out", out) == 0
+        report = json.loads((out / "mismatch.json").read_text())
+        data = sample_dataset(SimConfig(d=d, k=1, n=n, seed=seed), core.replicate_rng(seed, 0))
+        _, counts = core.evaluate_replicates(
+            lambda w: w.astype(float), n, core.BootstrapConfig(m=n, b=b, seed=cli._child_seed(seed, 1)), n
+        )
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=16.0, q0=0.5, k_star=d)
+        gamma = np.ones(d)
+        standard = param_moments_from_stats(weighted_stats(data, np.ones(n)), gamma, hyper)
+        reps = [param_moments_from_stats(weighted_stats(data, w), gamma, hyper) for w in counts]
+        labels = ["log_sigma2", "beta_1", "beta_2", "beta_3", "beta_4"]
+        assert list(report["per_coordinate"]) == sorted(labels)  # the report sorts its keys
+        expected = []
+        for j, label in enumerate(labels):
+            v = standard[1, j]
+            v_bb = np.mean([r[1, j] for r in reps]) + np.var([r[0, j] for r in reps])
+            assert v_bb > v  # no NA at this seed
+            expected.append(1.0 - 2.0 * v / v_bb)
+            assert report["per_coordinate"][label] == pytest.approx(expected[-1], rel=1e-12)
+        assert report["overall"] == pytest.approx(max(expected), rel=1e-12)
 
     def test_manifest_records_the_settings(self, tmp_path):
         out = tmp_path / "out"

@@ -330,11 +330,12 @@ class TestBlockEngine:
         stats = weighted_stats(data, block)
         for gamma in (np.array([1, 0, 1, 1]), np.zeros(4, dtype=int)):
             moments = param_moments_from_stats(stats, gamma, HYPER)
-            assert moments.mean_beta.shape == (6, gamma.sum())
+            assert moments[..., 0, 1:].shape == (6, gamma.sum())
             for i in range(6):
                 one = param_moments_from_stats(row_of(stats, i), gamma, HYPER)
-                for field in ("mean_log_sigma2", "var_log_sigma2", "mean_beta", "var_beta"):
-                    np.testing.assert_array_equal(getattr(moments, field)[i], getattr(one, field))
+                # means and variances of log sigma^2, then of the included beta_j
+                for field in ((0, 0), (1, 0), (0, slice(1, None)), (1, slice(1, None))):
+                    np.testing.assert_array_equal(moments[i][field], one[field])
 
     def test_jitter_confined_to_failing_replicate_and_model(self):
         # z2 equals z1 on the first two rows only: weights (2, 2, 0, 0) make
@@ -585,9 +586,9 @@ class TestParamMoments:
                     continue
                 _, mean, var, mean_log_s2 = dense_moments(stats, gamma, hyper)
                 moments = param_moments_from_stats(stats, gamma, hyper)
-                np.testing.assert_allclose(moments.mean_beta, mean, rtol=1e-12)
-                np.testing.assert_allclose(moments.var_beta, var, rtol=1e-12)
-                np.testing.assert_allclose(moments.mean_log_sigma2, mean_log_s2, rtol=1e-12)
+                np.testing.assert_allclose(moments[..., 0, 1:], mean, rtol=1e-12)
+                np.testing.assert_allclose(moments[..., 1, 1:], var, rtol=1e-12)
+                np.testing.assert_allclose(moments[..., 0, 0], mean_log_s2, rtol=1e-12)
 
     def test_jitter_reaches_moments(self):
         # blocks holding columns 1 and 2 take the 1e-12 rung of the ladder
@@ -596,16 +597,16 @@ class TestParamMoments:
             jitter = 1e-12 if gamma[0] and gamma[1] else 0.0
             lam_mat, mean, var, mean_log_s2 = dense_moments(stats, gamma, hyper, jitter)
             moments = param_moments_from_stats(stats, gamma, hyper)
-            np.testing.assert_allclose(moments.var_beta, var, rtol=1e-12)
-            np.testing.assert_allclose(moments.mean_log_sigma2, mean_log_s2, rtol=1e-12)
+            np.testing.assert_allclose(moments[..., 1, 1:], var, rtol=1e-12)
+            np.testing.assert_allclose(moments[..., 0, 0], mean_log_s2, rtol=1e-12)
             if jitter:
                 # a jittered Lam_g has cond ~ 1e13, so the mean is checked by
                 # its backward residual, which does not grow with cond
-                residual = lam_mat @ moments.mean_beta - stats.zwy[np.flatnonzero(gamma)]
-                scale = np.linalg.norm(lam_mat, 2) * np.linalg.norm(moments.mean_beta)
+                residual = lam_mat @ moments[..., 0, 1:] - stats.zwy[np.flatnonzero(gamma)]
+                scale = np.linalg.norm(lam_mat, 2) * np.linalg.norm(moments[..., 0, 1:])
                 assert np.linalg.norm(residual) <= 1e-12 * scale
             else:
-                np.testing.assert_allclose(moments.mean_beta, mean, rtol=1e-12)
+                np.testing.assert_allclose(moments[..., 0, 1:], mean, rtol=1e-12)
 
     def test_prior_variance_with_zero_data(self):
         data = random_problem(np.random.default_rng(2))
@@ -614,8 +615,8 @@ class TestParamMoments:
             data, np.zeros(data.n), np.array([1, 1, 1]), hyper
         )
         expected = hyper.b0 / ((hyper.a0 - 1.0) * hyper.lam)
-        np.testing.assert_allclose(moments.var_beta, expected, rtol=1e-12)
-        np.testing.assert_allclose(moments.mean_beta, 0.0, atol=1e-15)
+        np.testing.assert_allclose(moments[..., 1, 1:], expected, rtol=1e-12)
+        np.testing.assert_allclose(moments[..., 0, 1:], 0.0, atol=1e-15)
 
     def test_empty_model_closed_form(self):
         # no columns: b_g = b0 + y'Wy/2, and beta has no coordinates
@@ -627,19 +628,29 @@ class TestParamMoments:
             moments = param_moments_from_stats(stats, np.zeros(3, dtype=int), hyper)
             a_n = hyper.a0 + 0.5 * stats.m
             np.testing.assert_allclose(
-                moments.mean_log_sigma2, np.log(hyper.b0 + 0.5 * stats.ywy) - digamma(a_n), rtol=1e-14
+                moments[..., 0, 0], np.log(hyper.b0 + 0.5 * stats.ywy) - digamma(a_n), rtol=1e-14
             )
-            np.testing.assert_allclose(moments.var_log_sigma2, polygamma(1, a_n), rtol=1e-14)
-            assert np.shape(moments.mean_log_sigma2) == weights.shape[:-1]
-            for field in (moments.mean_beta, moments.var_beta):
+            np.testing.assert_allclose(moments[..., 1, 0], polygamma(1, a_n), rtol=1e-14)
+            assert np.shape(moments[..., 0, 0]) == weights.shape[:-1]
+            for field in (moments[..., 0, 1:], moments[..., 1, 1:]):
                 assert field.shape == weights.shape[:-1] + (0,)
+
+    def test_layout_shape(self):
+        # lead + (2, 1 + |gamma|): means then variances of [log sigma^2, beta_j]
+        rng = np.random.default_rng(9)
+        data = random_problem(rng, n=12, d=4)
+        gamma = np.array([1, 0, 1, 1])
+        for weights in (np.ones(data.n), rng.integers(0, 3, size=(5, data.n))):
+            moments = param_moments_from_stats(weighted_stats(data, weights), gamma, HYPER)
+            assert moments.shape == weights.shape[:-1] + (2, 4)
+            assert moments.dtype == np.float64
 
     def test_trigamma_identity(self):
         # a_n = a0 + M/2 = 2 with a0 = 1.5, M = 1: var(log sigma^2) = pi^2/6 - 1
         data = RegressionDataset(z=np.array([[1.0]]), y=np.array([0.5]))
         hyper = NIGHyperparams(a0=1.5, b0=1.0, lam=1.0, q0=0.5, k_star=1)
         moments = moments_of(data, np.ones(1), np.array([1]), hyper)
-        assert abs(moments.var_log_sigma2 - (np.pi**2 / 6 - 1.0)) < 1e-12
+        assert abs(moments[..., 1, 0] - (np.pi**2 / 6 - 1.0)) < 1e-12
 
     def test_negative_b_g_is_a_typed_error(self):
         with pytest.raises(NumericDomainError):
@@ -671,14 +682,14 @@ class TestParamMoments:
 
         for j in range(d):
             se_mean = beta[:, j].std(ddof=1) / np.sqrt(n_mc)
-            assert abs(moments.mean_beta[j] - beta[:, j].mean()) < 3 * se_mean
+            assert abs(moments[0, 1 + j] - beta[:, j].mean()) < 3 * se_mean
             mc_var = beta[:, j].var(ddof=1)
             # relative error of a variance estimate is ~ sqrt(kurtosis/n)
-            assert abs(moments.var_beta[j] - mc_var) < 3 * mc_var * np.sqrt(10.0 / n_mc)
+            assert abs(moments[1, 1 + j] - mc_var) < 3 * mc_var * np.sqrt(10.0 / n_mc)
         log_s2 = np.log(sigma2)
         se = log_s2.std(ddof=1) / np.sqrt(n_mc)
-        assert abs(moments.mean_log_sigma2 - log_s2.mean()) < 3 * se
-        assert abs(moments.var_log_sigma2 - log_s2.var(ddof=1)) < 3 * log_s2.var(
+        assert abs(moments[..., 0, 0] - log_s2.mean()) < 3 * se
+        assert abs(moments[..., 1, 0] - log_s2.var(ddof=1)) < 3 * log_s2.var(
             ddof=1
         ) * np.sqrt(10.0 / n_mc)
-        assert abs(moments.var_log_sigma2 - float(polygamma(1, a_n))) < 1e-12
+        assert abs(moments[..., 1, 0] - float(polygamma(1, a_n))) < 1e-12

@@ -5,14 +5,8 @@ import pytest
 
 from bayesbag.core import replicate_rng
 from bayesbag.errors import InsufficientReplicatesError, InvalidArgumentError
-from bayesbag.linreg import (
-    NIGHyperparams,
-    ParamMoments,
-    param_moments_from_stats,
-    weighted_stats,
-)
+from bayesbag.linreg import NIGHyperparams, param_moments_from_stats, weighted_stats
 from bayesbag.mismatch import (
-    MismatchValue,
     bagged_variance_of_projection,
     coordinate_labels,
     mismatch_index,
@@ -22,24 +16,20 @@ from bayesbag.simgen import SimConfig, sample_dataset
 
 
 def moments(mean_beta, var_beta, mean_ls2=0.0, var_ls2=1.0):
-    return ParamMoments(
-        mean_log_sigma2=mean_ls2,
-        var_log_sigma2=var_ls2,
-        mean_beta=np.asarray(mean_beta, dtype=float),
-        var_beta=np.asarray(var_beta, dtype=float),
-    )
+    """(2, 1 + D) moments: means, then variances, of [log sigma^2, beta_j]."""
+    return np.array([[mean_ls2, *mean_beta], [var_ls2, *var_beta]], dtype=float)
 
 
 class TestMismatchIndex:
     def test_calibrated_gives_zero(self):
-        assert mismatch_index(0.7, 1.4).value == 0.0
+        assert mismatch_index(0.7, 1.4) == 0.0
 
     def test_na_branch(self):
-        assert mismatch_index(1.0, 1.0).is_na
-        assert mismatch_index(1.0, 0.5).is_na
+        assert np.isnan(mismatch_index(1.0, 1.0))
+        assert np.isnan(mismatch_index(1.0, 0.5))
 
     def test_plug_in(self):
-        assert abs(mismatch_index(1.0, 4.0).value - 0.5) < 1e-15
+        assert abs(mismatch_index(1.0, 4.0) - 0.5) < 1e-15
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -48,14 +38,25 @@ class TestMismatchIndex:
     def test_scale_invariance(self):
         for scale in (1e-6, 1.0, 1e6):
             assert (
-                mismatch_index(0.3 * scale, 0.9 * scale).value
-                == mismatch_index(0.3, 0.9).value
+                mismatch_index(0.3 * scale, 0.9 * scale)
+                == mismatch_index(0.3, 0.9)
             )
 
     def test_strictly_increasing_in_bagged_variance(self):
-        values = [mismatch_index(1.0, vbb).value for vbb in (1.5, 2.0, 3.0, 10.0)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-        assert all(v < 1.0 for v in values)
+        index = [mismatch_index(1.0, vbb) for vbb in (1.5, 2.0, 3.0, 10.0)]
+        assert all(b > a for a, b in zip(index, index[1:]))
+        assert all(v < 1.0 for v in index)
+
+    def test_broadcasts_with_nan_for_na(self):
+        index = mismatch_index([0.7, 1.4, 0.3, 0.0], [[1.4], [0.5]])
+        assert index.shape == (2, 4)
+        np.testing.assert_array_equal(index, [
+            [0.0, np.nan, 1.0 - 2.0 * 0.3 / 1.4, 1.0],
+            [np.nan, np.nan, 1.0 - 2.0 * 0.3 / 0.5, 1.0],
+        ])
+        assert isinstance(mismatch_index(1.0, 4.0), float)
+        with pytest.raises(InvalidArgumentError):
+            mismatch_index([1.0, np.nan], 2.0)
 
 
 class TestBaggedVariance:
@@ -128,16 +129,58 @@ class TestMismatchProj:
         standard = moments([0.1, -0.2], [1.0, 0.5], var_ls2=0.3)
         reps = [moments(rng.normal(size=2), rng.uniform(0.5, 2.0, 2), *rng.normal(size=2) ** 2)
                 for _ in range(5)]
-        stacked = ParamMoments(
-            mean_log_sigma2=np.array([r.mean_log_sigma2 for r in reps]),
-            var_log_sigma2=np.array([r.var_log_sigma2 for r in reps]),
-            mean_beta=np.array([r.mean_beta for r in reps]),
-            var_beta=np.array([r.var_beta for r in reps]),
-        )
+        stacked = np.stack(reps)
         overall, per = mismatch_index_proj(standard, reps)
+        # a list of (2, C) arrays reads as the stacked (B, 2, C) block
         assert mismatch_index_proj(standard, stacked) == (overall, per)
         with pytest.raises(InvalidArgumentError):
             mismatch_index_proj(moments([0.0], [1.0]), stacked)
+
+
+class TestArrayPath:
+    """The (B, 2, C) reductions against a per-coordinate scalar loop."""
+
+    @staticmethod
+    def block(rng, b, c):
+        means = rng.normal(size=(b, c))
+        variances = rng.uniform(0.1, 2.0, size=(b, c))
+        return np.stack([means, variances], axis=1)
+
+    @pytest.mark.parametrize("b, c", [(2, 1), (7, 4), (50, 11), (300, 3)])
+    def test_equals_per_coordinate_loop(self, b, c):
+        rng = np.random.default_rng(b * 100 + c)
+        reps = self.block(rng, b, c)
+        # standard variances around the bagged ones, so some coordinates are NA
+        standard = np.stack([rng.normal(size=c), rng.uniform(0.5, 2.5, size=c)])
+        v_bb = np.array([reps[:, 1, j].mean() + reps[:, 0, j].var() for j in range(c)])
+        np.testing.assert_array_equal(bagged_variance_of_projection(reps), v_bb)
+        expected = np.array([
+            1.0 - 2.0 * standard[1, j] / v_bb[j] if v_bb[j] > standard[1, j] else np.nan
+            for j in range(c)
+        ])
+        overall, per = mismatch_index_proj(standard, reps)
+        assert list(per) == coordinate_labels(c - 1)
+        got = [np.nan if item.is_na else item.value for item in per.values()]
+        np.testing.assert_array_equal(got, expected)
+        if np.isnan(expected).any():
+            assert overall.is_na
+        else:
+            assert overall.value == expected.max()
+
+    def test_ragged_or_mismatched_inputs_raise(self):
+        standard = moments([0.0, 0.0], [1.0, 1.0])
+        wide = moments([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        cases = [
+            (standard, [standard, wide]),  # ragged list
+            (standard, [wide, wide]),  # replicates wider than the standard
+            (standard, np.stack([standard] * 3)[:, :, :2]),
+            (standard[:, :, None], [standard, standard]),  # standard not (2, C)
+            (np.ones((3, 3)), np.ones((4, 3, 3))),  # three rows, not two
+            (standard, []),
+        ]
+        for std, reps in cases:
+            with pytest.raises(InvalidArgumentError):
+                mismatch_index_proj(std, reps)
 
 
 class TestWellSpecifiedCalibration:
