@@ -8,7 +8,8 @@ and every setting of the run through one writer, ``_write_results``;
 ``schema-check`` re-validates a result directory against the manifest.
 Each setting has one name, its flag in lower case without the leading
 dashes and with ``_`` for ``-``: that is its argparse dest, its
-``--config`` key and its manifest key.
+``@FILE`` line and its manifest key.  An argument ``@FILE`` stands for the
+lines of FILE, one argument a line, so a flag after it overrides the file.
 
 Every command runs with numpy's OpenBLAS at one thread, unless the
 environment sets a thread count, and the caller's count is restored
@@ -181,11 +182,14 @@ def _resolve_m(token: str, n: int) -> int:
     return m
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer that is at least ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -223,41 +227,16 @@ def _read_json_object(path) -> dict:
     return value
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Plain key=value configuration, '#' comments and blank lines ignored."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise IngestionError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
-def _config_flags(args: argparse.Namespace) -> list[str]:
-    """--config values as ``--flag=value`` tokens of the command's options
-    (the ``=`` form, so a value may start with '-').  A key is a dest in
-    any case.  A switch takes a boolean word and becomes the flag whose
-    const is that word, or no token when there is none."""
-    options = [a for a in args.parser._actions if a.option_strings and a.dest != "help"]
+def _expand_arg_files(argv: list[str]) -> list[str]:
+    """``argv`` with each ``@PATH`` token replaced, in place, by the lines
+    of that file: one token a line, stripped, blank and ``#`` lines dropped."""
     tokens = []
-    for key, raw in _read_config_file(args.config).items():
-        actions = [a for a in options if a.dest == key.lower()]
-        if not actions:
-            raise InvalidArgumentError(f"unknown config key {key!r}")
-        if actions[0].nargs != 0:
-            tokens.append(f"{actions[0].option_strings[0]}={raw}")
-        elif raw.lower() in _BOOLEANS:
-            tokens += [a.option_strings[0] for a in actions if a.const is _BOOLEANS[raw.lower()]][:1]
-        else:
-            raise InvalidArgumentError(f"config key {key!r} expects a boolean, got {raw!r}")
+    for token in argv:
+        if not token.startswith("@"):
+            tokens.append(token)
+            continue
+        lines = (line.strip() for line in _read_text(token[1:]).splitlines())
+        tokens += [line for line in lines if line and not line.startswith("#")]
     return tokens
 
 
@@ -283,7 +262,7 @@ def _format_column(values, kind: str) -> list[str]:
 
 
 # namespace entries that are plumbing, not settings of the run
-_NOT_SETTINGS = ("command", "func", "parser", "config", "out")
+_NOT_SETTINGS = ("command", "func", "out")
 
 
 def _write_results(args: argparse.Namespace, files: dict, **resolved) -> None:
@@ -476,8 +455,6 @@ def _by_method_name(table: np.ndarray):
 
 def cmd_simulate(args) -> int:
     d, k, n, seed, b = args.d, args.k, args.n, args.seed, args.b
-    if d is None or k is None or n is None:
-        raise InvalidArgumentError("simulate requires --D, --k and --N")
     config = SimConfig(d=d, k=k, n=n, response_kind=args.response, h=args.h, seed=seed)
     hyper = _selection_hyper(args, d, default_q0=k / d, default_lam=16.0)
 
@@ -517,8 +494,6 @@ def _split_indices(n: int, n_splits: int, rng: np.random.Generator) -> list[np.n
 
 
 def cmd_select(args) -> int:
-    if not args.data or not args.target:
-        raise InvalidArgumentError("select requires --data and --target")
     n_splits, seed, b, m_token = args.splits, args.seed, args.b, args.m
     data, names = read_regression_csv(args.data, args.target)
     if n_splits > data.n:
@@ -757,72 +732,63 @@ def cmd_schema_check(args) -> int:
 
 
 def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="key=value configuration file; flags override it")
-    p.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="base random seed (default 0)")
+    p.add_argument("--out", required=True, help="output directory")
 
 
 def _add_prior(p: _Parser) -> None:
     p.add_argument("--a0", type=float, default=2.0, help="inverse-gamma shape (default 2)")
     p.add_argument("--b0", type=float, default=1.0, help="inverse-gamma scale (default 1)")
-    p.add_argument("--lambda", type=float, default=None,
-                   help="coefficient precision scale")
+    p.add_argument("--lambda", type=float, help="coefficient precision scale")
 
 
-def _add_simulation(p: _Parser) -> None:
-    p.add_argument("--D", dest="d", type=int, default=None, help="number of regressors")
-    p.add_argument("--k", dest="k", type=int, default=None, help="number of causal components")
-    p.add_argument("--N", dest="n", type=int, default=None, help="dataset size per replicate")
+def _add_simulation(p: _Parser, required: bool) -> None:
+    p.add_argument("--D", dest="d", type=int, required=required, help="number of regressors")
+    p.add_argument("--k", type=int, required=required, help="number of causal components")
+    p.add_argument("--N", dest="n", type=int, required=required, help="dataset size per replicate")
     p.add_argument("--response", choices=["linear", "nonlinear"], default="linear")
-    p.add_argument("--h", dest="h", type=float, default=10.0,
-                   help="chi-squared dof of the scale mixture")
+    p.add_argument("--h", type=float, default=10.0, help="chi-squared dof of the scale mixture")
 
 
 def _add_selection(p: _Parser) -> None:
     p.add_argument("--q0", type=float, default=None, help="prior inclusion probability")
     _add_prior(p)
-    p.add_argument("--k-star", dest="k_star", type=int, default=None,
-                   help="max regressors per model")
+    p.add_argument("--k-star", type=int, help="max regressors per model")
     p.add_argument("--M", dest="m", default="N",
                    help="bootstrap dataset size; integer or 'N' (default N)")
     _add_replicates(p)
 
 
 def _add_replicates(p: _Parser) -> None:
-    p.add_argument("--B", dest="b", type=_positive_int, default=core.DEFAULT_REPLICATES,
+    p.add_argument("--B", dest="b", type=_int_at_least(1), default=core.DEFAULT_REPLICATES,
                    help=f"bootstrap replicates (default {core.DEFAULT_REPLICATES})")
-
-
-def _add_standardize(p: _Parser) -> None:
-    p.add_argument("--standardize", dest="standardize", action="store_true", default=True)
-    p.add_argument("--no-standardize", dest="standardize", action="store_false")
 
 
 @functools.cache  # built once per process and never changed
 def build_parser() -> _Parser:
-    parser = _Parser(prog="bayesbag", description=__doc__)
+    # allow_abbrev=False: a prefix such as --b must not bind to --b0
+    parser = _Parser(prog="bayesbag", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, help: str) -> _Parser:
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func, parser=p)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
         return p
 
     p = command("simulate", cmd_simulate, "synthetic feature-selection study")
-    _add_simulation(p)
-    p.add_argument("--replicates", type=_positive_int, default=50, help="replicate datasets (default 50)")
-    p.add_argument("--export-data", dest="export_data", action="store_true",
+    _add_simulation(p, required=True)
+    p.add_argument("--replicates", type=_int_at_least(1), default=50, help="replicate datasets (default 50)")
+    p.add_argument("--export-data", action="store_true",
                    help="also write each generated dataset (columns z1..zD, y)")
     _add_selection(p)
     p.set_defaults(k_star=2)
     _add_common(p)
 
     p = command("select", cmd_select, "feature selection on a CSV dataset with splits")
-    p.add_argument("--data", default=None, help="CSV file with a header row")
-    p.add_argument("--target", default=None, help="response column name")
-    _add_standardize(p)
-    p.add_argument("--splits", type=_positive_int, default=3,
-                   help="number of random splits (default 3)")
+    p.add_argument("--data", required=True, help="CSV file with a header row")
+    p.add_argument("--target", required=True, help="response column name")
+    p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--splits", type=_int_at_least(1), default=3, help="random splits (default 3)")
     _add_selection(p)
     _add_common(p)
 
@@ -834,15 +800,15 @@ def build_parser() -> _Parser:
         p.add_argument(flag, type=_parse_grid, default=default, help=f"grid (default {default})")
     p.add_argument("--threshold", type=float, default=STRONG_FAVOR_THRESHOLD,
                    help=f"'strongly favors' cutoff (default {STRONG_FAVOR_THRESHOLD})")
-    p.add_argument("--three-model-c", dest="three_model_c", type=float, default=1.0)
-    p.add_argument("--n-samples", dest="n_samples", type=_positive_int, default=4000)
+    p.add_argument("--three-model-c", type=float, default=1.0)
+    p.add_argument("--n-samples", type=_int_at_least(1), default=4000)
     _add_common(p)
 
     p = command("mismatch", cmd_mismatch, "model-data mismatch report (full model)")
     p.add_argument("--data", default=None, help="CSV file (otherwise simulate)")
     p.add_argument("--target", default=None)
-    _add_standardize(p)
-    _add_simulation(p)
+    p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
+    _add_simulation(p, required=False)
     _add_prior(p)
     _add_replicates(p)
     _add_common(p)
@@ -853,8 +819,8 @@ def build_parser() -> _Parser:
     p.add_argument("--level", type=float, default=0.99, help="HPD level (default 0.99)")
     p.add_argument("--ci", action="store_true",
                    help="bootstrap CI resampling the files of each side (a one-file side is held fixed)")
-    p.add_argument("--n-boot", dest="n_boot", type=int, default=1000)
-    p.add_argument("--ci-level", dest="ci_level", type=float, default=0.8)
+    p.add_argument("--n-boot", type=int, default=1000)
+    p.add_argument("--ci-level", type=float, default=0.8)
     _add_common(p)
 
     p = command("schema-check", cmd_schema_check, "validate a result directory against its manifest")
@@ -933,15 +899,9 @@ def main(argv=None) -> int:
 
 
 def _run_command(argv) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # config flags go before the command line's own, so those win
-            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
-        if args.out is None:
-            raise InvalidArgumentError("--out is required")
+        args = build_parser().parse_args(_expand_arg_files(argv))
         return args.func(args)
     except InvalidArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

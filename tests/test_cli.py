@@ -72,7 +72,7 @@ class TestHelpers:
         np.testing.assert_allclose(_parse_grid("1,2,3"), [1.0, 2.0, 3.0])
 
     def test_every_dest_is_named_by_its_first_flag(self):
-        # one name per setting: the dest is the config key and the manifest key
+        # one name per setting: the dest is the flag of an @FILE line and the manifest key
         commands = next(a for a in cli.build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
         for command, parser in commands.items():
@@ -103,23 +103,23 @@ class TestSimulate:
 
     def test_config_file_merging(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("D=4\nk=1\nN=50\nreplicates=2\nB=4\nseed=3\n", encoding="utf-8")
+        cfg.write_text("--D=4\n--k=1\n--N=50\n--replicates=2\n--B=4\n--seed=3\n", encoding="utf-8")
         out = tmp_path / "out"
-        assert run("simulate", "--config", cfg, "--out", out) == 0
+        assert run("simulate", f"@{cfg}", "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["n"] == 50
-        # explicit flag overrides the config value
+        # a flag after the file overrides the file's value
         out2 = tmp_path / "out2"
-        assert run("simulate", "--config", cfg, "--N", 40, "--out", out2) == 0
+        assert run("simulate", f"@{cfg}", "--N", 40, "--out", out2) == 0
         assert json.loads((out2 / "manifest.json").read_text())["config"]["n"] == 40
 
     def test_config_does_not_leak_into_later_runs(self, tmp_path):
-        # the parser is built once per process; a config's defaults last
+        # the parser is built once per process; an @FILE's settings last
         # for its own run only
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("B=7\n", encoding="utf-8")
+        cfg.write_text("--B=7\n", encoding="utf-8")
         argv = ["simulate", "--D", 3, "--k", 1, "--N", 30, "--replicates", 1]
-        assert run(*argv, "--config", cfg, "--out", tmp_path / "cfg") == 0
+        assert run(*argv, f"@{cfg}", "--out", tmp_path / "cfg") == 0
         assert run(*argv, "--out", tmp_path / "plain") == 0
         assert json.loads((tmp_path / "cfg" / "manifest.json").read_text())["config"]["b"] == 7
         plain = json.loads((tmp_path / "plain" / "manifest.json").read_text())
@@ -127,16 +127,16 @@ class TestSimulate:
 
     def test_config_booleans_take_effect(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("D=3\nk=1\nN=30\nreplicates=2\nB=4\nexport_data=1\n", encoding="utf-8")
+        cfg.write_text("--D=3\n--k=1\n--N=30\n--replicates=2\n--B=4\n--export-data\n", encoding="utf-8")
         out = tmp_path / "out"
-        assert run("simulate", "--config", cfg, "--out", out) == 0
+        assert run("simulate", f"@{cfg}", "--out", out) == 0
         assert (out / "dataset_000.csv").exists() and (out / "dataset_001.csv").exists()
         assert run("schema-check", "--out", out) == 0
 
     def test_config_bad_value_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("D=3\nk=1\nN=abc\n", encoding="utf-8")
-        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 1
+        cfg.write_text("--D=3\n--k=1\n--N=abc\n", encoding="utf-8")
+        assert run("simulate", f"@{cfg}", "--out", tmp_path / "o") == 1
 
     def test_missing_required_is_usage_error(self, tmp_path):
         assert run("simulate", "--k", 1, "--N", 50, "--out", tmp_path / "x") == 1
@@ -179,10 +179,10 @@ class TestSelect:
     def test_config_standardize_false(self, tmp_path):
         data = write_dataset_csv(tmp_path / "d.csv", 60, 3, seed=5)
         cfg = tmp_path / "sel.cfg"
-        cfg.write_text(f"data={data}\ntarget=y\nsplits=2\nB=5\nstandardize=false\n",
+        cfg.write_text(f"--data={data}\n--target=y\n--splits=2\n--B=5\n--no-standardize\n",
                        encoding="utf-8")
         out, flag_out, std_out = tmp_path / "cfg", tmp_path / "flag", tmp_path / "std"
-        assert run("select", "--config", cfg, "--out", out) == 0
+        assert run("select", f"@{cfg}", "--out", out) == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["standardize"] is False
         argv = ["select", "--data", data, "--target", "y", "--splits", 2, "--B", 5]
         assert run(*argv, "--no-standardize", "--out", flag_out) == 0
@@ -312,10 +312,11 @@ class TestAsymptotics:
         assert config["c_grid"] == [0.25, 0.5, 1.0, 2.0, 4.0]
 
     def test_config_negative_grid_value(self, tmp_path):
-        # a config value that starts with '-' reaches its option like a flag
+        # an @FILE value that starts with '-' reaches its option like a flag
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("mu3_grid=-1:1:0.5\nsigma3_grid=\nrho_grid=\nn_samples=500\n", encoding="utf-8")
-        assert run("asymptotics", "--config", cfg, "--out", tmp_path / "cfg") == 0
+        cfg.write_text("--mu3-grid=-1:1:0.5\n--sigma3-grid=\n--rho-grid=\n--n-samples=500\n",
+                       encoding="utf-8")
+        assert run("asymptotics", f"@{cfg}", "--out", tmp_path / "cfg") == 0
         assert run("asymptotics", "--mu3-grid=-1:1:0.5", "--sigma3-grid=", "--rho-grid=",
                    "--n-samples", 500, "--out", tmp_path / "flags") == 0
         rows = read_csv(tmp_path / "cfg" / "three_model_curves.csv")
@@ -432,13 +433,13 @@ class TestMismatch:
 
     def test_config_key_lambda(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("D=3\nk=1\nN=60\nB=5\nlambda=5\n", encoding="utf-8")
-        assert run("mismatch", "--config", cfg, "--out", tmp_path / "out") == 0
+        cfg.write_text("--D=3\n--k=1\n--N=60\n--B=5\n--lambda=5\n", encoding="utf-8")
+        assert run("mismatch", f"@{cfg}", "--out", tmp_path / "out") == 0
         assert manifest_config(tmp_path / "out")["lambda"] == 5.0
-        # keys are the flag names; the old dest spellings are unknown keys
-        for key in ("lam", "b_reps", "m_size"):
-            cfg.write_text(f"D=3\nk=1\nN=30\n{key}=5\n", encoding="utf-8")
-            assert run("simulate", "--config", cfg, "--out", tmp_path / key) == 1
+        # lines are the flag names; the old dest spellings are unknown flags
+        for key in ("lam", "b-reps", "m-size"):
+            cfg.write_text(f"--D=3\n--k=1\n--N=30\n--{key}=5\n", encoding="utf-8")
+            assert run("simulate", f"@{cfg}", "--out", tmp_path / key) == 1
 
 
 @contextmanager
@@ -671,8 +672,95 @@ class TestUsageErrors:
     def test_inner_samples_rejected(self, tmp_path):
         assert run("asymptotics", "--inner-samples", 2000, "--out", tmp_path / "o") == 1
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("inner_samples=2000\n", encoding="utf-8")
-        assert run("asymptotics", "--config", cfg, "--out", tmp_path / "o") == 1
+        cfg.write_text("--inner-samples=2000\n", encoding="utf-8")
+        assert run("asymptotics", f"@{cfg}", "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--D", 3, "--k", 1, "--N", 30, "--b", 5),  # not --b0
+        ("simulate", "--D", 3, "--k", 1, "--N", 30, "--lam", 5),  # not --lambda
+        ("select", "--data", "d.csv", "--target", "y", "--n"),  # not --no-standardize
+    ])
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, capsys, argv):
+        write_dataset_csv(tmp_path / "d.csv", 20, 2)
+        argv = [tmp_path / a if a == "d.csv" else a for a in argv]
+        out = tmp_path / "o"
+        assert run(*argv, "--out", out) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--D", 3, "--k", 1, "--N", 30),
+        ("select", "--data", "d.csv", "--target", "y"),
+        ("mismatch", "--D", 3, "--k", 1, "--N", 30),
+        ("asymptotics",),
+        ("overlap", "--a", "a.txt", "--b", "a.txt", "--ci"),
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        write_dataset_csv(tmp_path / "d.csv", 20, 2)
+        (tmp_path / "a.txt").write_text("t1\nt2\n", encoding="utf-8")
+        argv = [tmp_path / a if str(a).endswith((".csv", ".txt")) else a for a in argv]
+        out = tmp_path / "o"
+        assert run(*argv, "--seed", -1, "--out", out) == 1
+        assert "usage error: argument --seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestArgumentFiles:
+    def test_comments_and_blank_lines_are_dropped(self, tmp_path):
+        args = tmp_path / "run.args"
+        args.write_text("# a small study\n\n--D=3\n  # indented comment\n--k\n1\n\n--N=30  \n"
+                        f"--B=4\n--replicates=1\n--out={tmp_path / 'o'}\n", encoding="utf-8")
+        assert run("simulate", f"@{args}") == 0
+        config = manifest_config(tmp_path / "o")
+        assert (config["d"], config["k"], config["n"], config["b"]) == (3, 1, 30, 4)
+
+    def test_required_options_from_a_file(self, tmp_path):
+        sim = tmp_path / "sim.args"
+        sim.write_text(f"--D=3\n--k=1\n--N=30\n--B=4\n--replicates=1\n--out={tmp_path / 'sim'}\n",
+                       encoding="utf-8")
+        assert run("simulate", f"@{sim}") == 0
+        assert run("schema-check", "--out", tmp_path / "sim") == 0
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("t1\nt2\nt1\n", encoding="utf-8")
+        b.write_text("t2\nt2\n", encoding="utf-8")
+        sides = tmp_path / "sides.args"
+        sides.write_text(f"--a\n{a}\n{a}\n--b\n{b}\n", encoding="utf-8")
+        assert run("overlap", f"@{sides}", "--out", tmp_path / "ov") == 0
+        row = read_csv(tmp_path / "ov" / "overlap.csv")[0]
+        assert (row["label_a"], row["label_b"]) == ("a.txt;a.txt", "b.txt")
+
+    def test_flag_after_the_file_wins_and_before_it_loses(self, tmp_path):
+        args = tmp_path / "run.args"
+        args.write_text("--D=3\n--k=1\n--N=30\n--replicates=1\n--B=4\n", encoding="utf-8")
+        assert run("simulate", "--B", 6, f"@{args}", "--out", tmp_path / "before") == 0
+        assert run("simulate", f"@{args}", "--B", 6, "--out", tmp_path / "after") == 0
+        assert manifest_config(tmp_path / "before")["b"] == 4
+        assert manifest_config(tmp_path / "after")["b"] == 6
+
+    def test_key_value_line_is_usage_error(self, tmp_path, capsys):
+        args = tmp_path / "old.cfg"
+        args.write_text("B=7\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("simulate", "--D", 3, "--k", 1, "--N", 30, f"@{args}", "--out", out) == 1
+        assert "unrecognized arguments: B=7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_file_is_data_error_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "missing.args"
+        assert run("simulate", f"@{missing}", "--out", tmp_path / "o") == 2
+        assert f"data error: cannot read {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_file_run_equals_flag_run(self, tmp_path):
+        flags = ["--D", "4", "--k", "1", "--N", "60", "--replicates", "2", "--B", "6",
+                 "--export-data", "--seed", "3"]
+        args = tmp_path / "run.args"
+        args.write_text("\n".join(flags) + "\n", encoding="utf-8")
+        assert run("simulate", *flags, "--out", tmp_path / "flags") == 0
+        assert run("simulate", f"@{args}", "--out", tmp_path / "file") == 0
+        for name in ("pips.csv", "summary.csv", "dataset_001.csv"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+        assert manifest_config(tmp_path / "file") == manifest_config(tmp_path / "flags")
 
 
 def manifest_run(out):
@@ -758,10 +846,12 @@ def _schema_check_with(tmp_path, command, filename, content):
 
 
 def _input_file(tmp_path, command, flag, content, *rest):
-    """A ``command`` call whose ``flag`` names a file holding ``content``."""
+    """A ``command`` call whose ``flag`` names a file holding ``content``;
+    the flag ``@`` names it as an argument file."""
     path = tmp_path / "input"
     path.write_bytes(content)
-    return (command, flag, path, *rest, "--out", tmp_path / "o"), path
+    named = (f"@{path}",) if flag == "@" else (flag, path)
+    return (command, *named, *rest, "--out", tmp_path / "o"), path
 
 
 UNREADABLE = {
@@ -784,7 +874,7 @@ UNREADABLE = {
         t, "select", "--data", b"z1,y\n" + b"1" * 200_000 + b",1\n", "--target", "y"),
     "select data not UTF-8": lambda t: _input_file(t, "select", "--data", NOT_UTF8, "--target", "y"),
     "mismatch data not UTF-8": lambda t: _input_file(t, "mismatch", "--data", NOT_UTF8, "--target", "y"),
-    "config not UTF-8": lambda t: _input_file(t, "simulate", "--config", b"D=3\n\xff=1\n"),
+    "config not UTF-8": lambda t: _input_file(t, "simulate", "@", b"--D=3\n--\xff=1\n"),
     "overlap samples not UTF-8": lambda t: _input_file(t, "overlap", "--a", b"t1\n\xff\n", "--b", t / "input"),
 }
 
