@@ -70,6 +70,7 @@ from .errors import (
     BayesBagError,
     IngestionError,
     InvalidArgumentError,
+    NumericDomainError,
     ResourceLimitError,
 )
 from .linreg import (
@@ -249,6 +250,11 @@ def _dataset_spec(d: int) -> list[tuple[str, str]]:
     return [(f"z{j}", "float") for j in range(1, d + 1)] + [("y", "float")]
 
 
+def _spec(schema: str, columns: list) -> list[tuple[str, str]]:
+    """The (name, kind) columns of a CSV result of this schema."""
+    return _dataset_spec(len(columns) - 1) if schema == DATASET_SCHEMA else SCHEMAS[schema]
+
+
 _FORMATS = {"int": lambda v: str(int(v)), "str": str}
 
 
@@ -272,8 +278,18 @@ def _write_results(args: argparse.Namespace, files: dict, **resolved) -> None:
     as JSON; a list of columns is written as CSV, each column formatted
     once by its schema kind (``None`` is an empty cell).  The manifest's
     ``config`` is every setting in ``args`` under its dest, with the values
-    the command ``resolved`` from the data written over it.
+    the command ``resolved`` from the data written over it.  A float cell
+    that is not finite is a ``NumericDomainError`` naming the file and
+    column, raised before any file is written.
     """
+    for filename, (schema, content) in files.items():
+        if isinstance(content, dict):
+            continue
+        for values, (name, kind) in zip(content, _spec(schema, content)):
+            if kind in ("float", "float?") and not np.all(np.isfinite(
+                values if isinstance(values, np.ndarray) else [v for v in values if v is not None]
+            )):
+                raise NumericDomainError(f"{filename}: column {name!r} has a non-finite value")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     config = {key: value for key, value in vars(args).items() if key not in _NOT_SETTINGS}
@@ -291,7 +307,7 @@ def _write_results(args: argparse.Namespace, files: dict, **resolved) -> None:
                 json.dump(content, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
                 fh.write("\n")
                 continue
-            spec = _dataset_spec(len(content) - 1) if schema == DATASET_SCHEMA else SCHEMAS[schema]
+            spec = _spec(schema, content)
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([name for name, _ in spec])
             writer.writerows(zip(*(_format_column(v, kind) for v, (_, kind) in zip(content, spec))))
@@ -354,14 +370,14 @@ def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]
 
 
 def standardize_regressors(data: RegressionDataset, names) -> RegressionDataset:
-    """Center and scale each regressor to mean 0, variance 1."""
-    mean = data.z.mean(axis=0)
-    sd = data.z.std(axis=0)
-    dead = np.flatnonzero(sd == 0.0)
+    """Center and scale each regressor to mean 0, variance 1.  A constant
+    column is a data error; it is found by its extremes, since its computed
+    standard deviation can round to a tiny nonzero value."""
+    dead = np.flatnonzero(data.z.max(axis=0) == data.z.min(axis=0))
     if dead.size:
         bad = ", ".join(names[i] for i in dead)
         raise IngestionError(f"zero-variance column(s) cannot be standardized: {bad}")
-    return RegressionDataset(z=(data.z - mean) / sd, y=data.y)
+    return RegressionDataset(z=(data.z - data.z.mean(axis=0)) / data.z.std(axis=0), y=data.y)
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +695,11 @@ def _check_cell(value: str, kind: str, where: str) -> None:
             return
         raise IngestionError(f"{where}: empty cell not allowed")
     try:
-        int(value) if kind == "int" else float(value)
+        number = int(value) if kind == "int" else float(value)
     except ValueError:
         raise IngestionError(f"{where}: {value!r} is not {kind}") from None
+    if kind != "int" and not np.isfinite(number):
+        raise IngestionError(f"{where}: {value!r} is not finite")
 
 
 def cmd_schema_check(args) -> int:

@@ -22,17 +22,32 @@ on the dataset with rows replicated per their counts.
 Work is batched over weight rows and models.  ``weighted_stats`` takes an
 (r, N) block of weight rows and forms all r sets of statistics by one
 matrix product with the per-observation moment rows; its fields keep the
-block's leading shape.  All models of a set are evaluated in one pass:
-models are grouped by size j, each group's Lam_g blocks of every weight
-row are gathered into one (r n_j, j, j) stack and factored by a single
-stacked Cholesky, and quad, log|Lam_g|, b_g and log ml are formed as
-arrays.  ``param_moments_from_stats`` factors its one model through the
-same stacked path, so jitter reaches moments exactly as it reaches
-evidences.
+block's leading shape.  All models of a set are evaluated in one pass,
+by one of two paths that fill the same (r, K) arrays quad =
+y'WZ_g Lam_g^{-1} Z_g'Wy and log|Lam_g|, from which b_g and log ml are
+formed as arrays:
+
+- the stacked path groups models by size j, gathers each group's Lam_g
+  blocks of every weight row into one (r n_j, j, j) stack and factors it
+  by a single stacked Cholesky;
+- the sweep visits every subset of at most kmax columns once, in D(D+1)/2
+  numpy steps, taking each subset's Schur complement from its parent's
+  (Furnival & Wilson, "Regressions by leaps and bounds", Technometrics
+  16, 1974): O(1) work per model amortized, against O(j^3).
+
+``model_log_marginals`` takes the sweep for a model set with at least as
+many rows as the subsets the sweep visits, as ``enumerate_models`` gives
+for every k*, and the stacked path for a sparser set, such as one model,
+where visiting every smaller subset would be the larger work.  A weight
+row whose sweep meets a pivot that is not positive and finite is
+recomputed by the stacked path, so the jitter ladder holds on both.
+``param_moments_from_stats`` factors its one model through the stacked
+path, so jitter reaches moments exactly as it reaches evidences.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, lgamma, log, pi
@@ -234,16 +249,11 @@ def _forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return t
 
 
-def _size_groups(models):
-    """The model set's width D, model sizes, and gather indices grouped by
-    size: for each size j >= 1 the model rows, their active columns
-    ``cols`` (n_j, j) and the flat indices ``flat`` (n_j, j, j) of their
-    Z'WZ sub-blocks.  The empty model is in no group."""
-    mask = np.asarray(models) != 0
-    if mask.ndim != 2:
-        raise InvalidArgumentError(
-            f"models must be a (count, d) inclusion matrix, got shape {mask.shape}"
-        )
+def _size_groups(mask: np.ndarray):
+    """Gather indices of the stacked path, grouped by model size: for each
+    size j >= 1 the model rows, their active columns ``cols`` (n_j, j) and
+    the flat indices ``flat`` (n_j, j, j) of their Z'WZ sub-blocks.  The
+    empty model is in no group."""
     d = mask.shape[1]
     sizes = mask.sum(axis=1)
     groups = []
@@ -251,7 +261,7 @@ def _size_groups(models):
         rows = np.flatnonzero(sizes == j)
         cols = np.nonzero(mask[rows])[1].reshape(rows.size, j)
         groups.append((rows, cols, cols[:, :, None] * d + cols[:, None, :]))
-    return d, sizes.astype(float), groups
+    return groups
 
 
 def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, flat: np.ndarray, lam: float):
@@ -270,30 +280,161 @@ def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, flat: np.ndarray
     return chol, _forward_substitute(chol, np.take(zwy, cols, axis=1).reshape(count, j))
 
 
+def _stacked(zwz: np.ndarray, zwy: np.ndarray, mask: np.ndarray, lam: float):
+    """quad = |L_g^{-1} Z_g'Wy|^2 and log|Lam_g| (r, K) of every model by the
+    stacked Cholesky of its size group, ``_FACTOR_FLOATS`` at a time."""
+    r = len(zwz)
+    quad = np.zeros((r, mask.shape[0]))
+    logdet = np.zeros((r, mask.shape[0]))
+    for rows, cols, flat in _size_groups(mask):
+        step = max(1, _FACTOR_FLOATS // flat.size)
+        for lo in range(0, r, step):
+            hi = min(lo + step, r)
+            chol, t = _factor(zwz[lo:hi], zwy[lo:hi], cols, flat, lam)
+            quad[lo:hi, rows] = np.einsum("ij,ij->i", t, t).reshape(hi - lo, -1)
+            diag = np.log(np.diagonal(chol, axis1=1, axis2=2))
+            logdet[lo:hi, rows] = 2.0 * np.sum(diag, axis=1).reshape(hi - lo, -1)
+    return quad, logdet
+
+
+def _frozen(index):
+    """``index`` as a slice when it is a run of consecutive integers, which
+    numpy reads and writes without a gather, else as a read-only array."""
+    if index.size and index[-1] - index[0] == index.size - 1 and np.all(np.diff(index) == 1):
+        return slice(int(index[0]), int(index[-1]) + 1)
+    index.setflags(write=False)
+    return index
+
+
+@functools.lru_cache(maxsize=4)
+def _sweep_plan(d: int, kmax: int):
+    """Node layout of the sweep over every subset of size <= kmax of D
+    columns, which depends on D and kmax only and is built once for each.
+
+    Nodes are stored group by group: group c holds the subsets whose
+    largest column is c, after the root (the empty set).  A group's nodes of
+    size < kmax keep a Schur-complement state and come first; the others
+    keep only quad and log|Lam_g|.  Returns the nodes' bit codes, their
+    argsort, the state-keeping node count of each group, the floats of
+    state and results per weight row, and for each c the moves that build
+    group c, one per parent group p < c with state: ``(p, parents, dest,
+    grow, at)``, the parents' node slice, their children's node positions,
+    the parents whose children keep a state (None for none) and the slice
+    of group c's state those children fill.
+    """
+    codes, sizes, stateful, offsets = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)], [1], [0]
+    moves = []
+    for c in range(d):
+        parents = [p for p in range(-1, c) if stateful[p + 1]]
+        grows = [sizes[p + 1][: stateful[p + 1]] < kmax - 1 for p in parents]
+        n_grow = sum(int(grow.sum()) for grow in grows)
+        offset = offsets[-1] + codes[-1].size
+        built, grown, leaves, a, b = [], [], [], 0, 0
+        for p, grow in zip(parents, grows):
+            g, ns, start = int(grow.sum()), grow.size, offsets[p + 1]
+            dest = np.where(grow, offset + a + np.cumsum(grow), offset + n_grow + b + np.cumsum(~grow)) - 1
+            which = None if g == 0 else slice(None) if g == ns else _frozen(np.flatnonzero(grow))
+            built.append((p, slice(start, start + ns), _frozen(dest), which, slice(a, a + g)))
+            child = (codes[p + 1][:ns] | (1 << c), sizes[p + 1][:ns] + 1)
+            grown.append([x[grow] for x in child])
+            leaves.append([x[~grow] for x in child])
+            a, b = a + g, b + ns - g
+        codes.append(np.concatenate([x for x, _ in grown + leaves]))
+        sizes.append(np.concatenate([y for _, y in grown + leaves]))
+        stateful.append(n_grow)
+        offsets.append(offset)
+        moves.append(tuple(built))
+    codes = np.concatenate(codes)
+    per_row = 2 * codes.size + sum(ns * (d - g) * (d - g + 1) for g, ns in enumerate(stateful))
+    order = np.argsort(codes)
+    codes.setflags(write=False)
+    order.setflags(write=False)
+    return codes, order, tuple(stateful), per_row, tuple(moves)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _sweep(zwz: np.ndarray, zwy: np.ndarray, mask: np.ndarray, lam: float):
+    """quad and log|Lam_g| (r, K) of every model by a forward sweep over all
+    subsets of size <= kmax (the largest model size).
+
+    A node's state, for each weight row, is the Schur complement S of its
+    columns in Lam = Z'WZ + lam I on the columns after its largest one p,
+    with a last row t, the matching entries of Z'Wy reduced alike; the root
+    (the empty model) holds S = Lam and t = Z'Wy.  Adding column c at
+    i = c - p - 1 adds t_i^2 / S_ii to quad and log S_ii to log|Lam_g|, and
+    the child's state is S[i+1:, i+1:] - S[i+1:, i] S[i, i+1:] / S_ii, the
+    t row included: a Cholesky in elimination order, one numpy step per
+    (p, c) for all nodes of group p.  States are stored (row, column, weight
+    row, node), so each step runs over long contiguous node axes.  Every
+    operation is elementwise, so a row's values do not depend on the rows
+    beside it.  Weight rows are swept ``_FACTOR_FLOATS`` floats of state at
+    a time.  A pivot that is not positive and finite leaves log|Lam_g|
+    non-finite.
+    """
+    r, d = len(zwz), mask.shape[1]
+    codes, order, stateful, per_row, moves = _sweep_plan(d, int(mask.sum(axis=1).max()))
+    pos = order[np.searchsorted(codes, mask @ (1 << np.arange(d)), sorter=order)]
+    step = max(1, _FACTOR_FLOATS // per_row)
+    quad = np.empty((r, mask.shape[0]))
+    logdet = np.empty((r, mask.shape[0]))
+    lam_mat = zwz.reshape(r, d, d) + lam * np.eye(d)
+    root = np.concatenate([lam_mat, zwy[:, None, :]], axis=1).transpose(1, 2, 0)[..., None]
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        q = np.zeros((hi - lo, codes.size))
+        ld = np.zeros((hi - lo, codes.size))
+        states = [root[:, :, lo:hi]]
+        for c, built in enumerate(moves):
+            m = d - c - 1
+            group = np.empty((m + 1, m, hi - lo, stateful[c + 1]))
+            for p, parents, dest, grow, at in built:
+                state = states[p + 1]
+                i = c - p - 1
+                piv, t_i = state[i, i], state[-1, i]
+                q[:, dest] = q[:, parents] + t_i * t_i / piv
+                ld[:, dest] = ld[:, parents] + np.log(piv)
+                if grow is not None:
+                    f = state[i + 1 :, i][..., grow] / piv[:, grow]
+                    child = group[..., at]
+                    np.multiply(f[:, None], state[i, i + 1 :][..., grow], out=child)
+                    np.subtract(state[i + 1 :, i + 1 :][..., grow], child, out=child)
+            states.append(group)
+        quad[lo:hi] = q[:, pos]
+        logdet[lo:hi] = ld[:, pos]
+    return quad, logdet
+
+
 def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
     """Log marginal likelihoods for every row of an enumerated model set,
     for one set of statistics (shape (K,)) or for statistics with a leading
     shape (shape (..., K)).
 
-    Models of equal size share one stacked Cholesky factorization over all
-    weight rows; see the module docstring.  Raises ``NumericDomainError``
-    naming the weight row and model row when some b_g <= 0 (y'Wy - quad
-    cancelled below -2 b0), lgamma(a0 + M/2) overflows or a log evidence is
-    not finite; never returns NaN.
+    One sweep over all subsets serves a set that has as many rows as the
+    subsets it visits; in a sparser set, models of equal size share one
+    stacked Cholesky over all weight rows (see the module docstring).
+    Raises ``NumericDomainError`` naming the weight row and model row when
+    some b_g <= 0 (y'Wy - quad cancelled below -2 b0), lgamma(a0 + M/2)
+    overflows or a log evidence is not finite; never returns NaN.
     """
-    d, sizes, groups = _size_groups(models)
+    mask = np.asarray(models) != 0
+    if mask.ndim != 2:
+        raise InvalidArgumentError(
+            f"models must be a (count, d) inclusion matrix, got shape {mask.shape}"
+        )
+    d, sizes = mask.shape[1], mask.sum(axis=1)
     lead, zwz, zwy, ywy, m = _flat_stats(stats, d)
     r = m.size
-    quad = np.zeros((r, sizes.size))
-    logdet = np.zeros((r, sizes.size))
-    for rows, cols, flat in groups:
-        step = max(1, _FACTOR_FLOATS // flat.size)
-        for lo in range(0, r, step):
-            hi = min(lo + step, r)
-            chol, t = _factor(zwz[lo:hi], zwy[lo:hi], cols, flat, hyper.lam)
-            quad[lo:hi, rows] = np.einsum("ij,ij->i", t, t).reshape(hi - lo, -1)
-            diag = np.log(np.diagonal(chol, axis1=1, axis2=2))
-            logdet[lo:hi, rows] = 2.0 * np.sum(diag, axis=1).reshape(hi - lo, -1)
+    kmax = int(sizes.max(initial=0))
+    # the sweep's node bit codes are int64
+    if d <= 62 and sum(comb(d, j) for j in range(kmax + 1)) <= sizes.size:
+        quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
+        # a pivot was not positive and finite: the row takes the jitter ladder
+        bad = np.flatnonzero(~np.isfinite(logdet).all(axis=1))
+        if bad.size:
+            quad[bad], logdet[bad] = _stacked(zwz[bad], zwy[bad], mask, hyper.lam)
+    else:
+        quad, logdet = _stacked(zwz, zwy, mask, hyper.lam)
+    sizes = sizes.astype(float)
     a_n = hyper.a0 + 0.5 * m
     b_g = hyper.b0 + 0.5 * (ywy[:, None] - quad)
     if not np.all(b_g > 0.0):

@@ -196,7 +196,7 @@ class TestSelect:
         assert run("select", "--data", data, "--target", "y", "--splits", 0,
                    "--out", tmp_path / "o") == 1
 
-    def test_zero_variance_column_is_data_error(self, tmp_path):
+    def test_zero_variance_column_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -204,6 +204,20 @@ class TestSelect:
             for i in range(10):
                 writer.writerow([i * 0.1, 1.0, i * 0.2])
         assert run("select", "--data", path, "--target", "y", "--out", tmp_path / "o") == 2
+        # a constant whose computed standard deviation rounds to about 1e-15
+        # at N = 1000 is caught too, by select and by mismatch
+        rng = np.random.default_rng(3)
+        for constant in (0.1, 7.7):
+            assert np.full(1000, constant).std() > 0.0
+            path = tmp_path / f"c{constant}.csv"
+            rows = [[x, constant, x + 0.5 * y] for x, y in rng.standard_normal((1000, 2)).tolist()]
+            path.write_text("x0,x1,y\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows),
+                            encoding="utf-8")
+            for command in ("select", "mismatch"):
+                capsys.readouterr()
+                out = tmp_path / f"{command}{constant}"
+                assert run(command, "--data", path, "--target", "y", "--out", out) == 2
+                assert "zero-variance column(s) cannot be standardized: x1" in capsys.readouterr().err
 
     def test_ragged_row_reports_line_number(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -366,6 +380,16 @@ class TestAsymptotics:
         out = tmp_path / "o"
         assert run("asymptotics", flag, "--n-samples", 50, "--out", out) == 1
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_is_data_error(self, tmp_path, capsys):
+        # u = 1e-320 is inside (0, 1), but the c = 100 density overflows to inf
+        out = tmp_path / "o"
+        assert run("asymptotics", "--c-grid=100", "--u-grid=1e-320", "--mu3-grid=",
+                   "--sigma3-grid=", "--rho-grid=", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "two_model_density.csv" in err and "'density'" in err and "non-finite" in err
         assert not out.exists()
 
     def test_zero_c_is_usage_error(self, tmp_path, capsys):
@@ -589,6 +613,21 @@ class TestSchemaCheck:
         content[1] = content[1].replace(content[1].split(",")[3], "not-a-number")
         pips.write_text("\n".join(content) + "\n", encoding="utf-8")
         assert run("schema-check", "--out", out) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, cell):
+        out = tmp_path / "out"
+        assert run("simulate", "--D", 3, "--k", 1, "--N", 40, "--replicates", 2,
+                   "--B", 4, "--out", out) == 0
+        pips = out / "pips.csv"
+        content = pips.read_text().splitlines()
+        fields = content[2].split(",")
+        fields[3] = cell
+        content[2] = ",".join(fields)
+        pips.write_text("\n".join(content) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("schema-check", "--out", out) == 2
+        assert f"data error: {pips}:3:pip: {cell!r} is not finite" in capsys.readouterr().err
 
     def test_missing_manifest(self, tmp_path):
         assert run("schema-check", "--out", tmp_path) == 2

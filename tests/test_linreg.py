@@ -3,6 +3,7 @@ quadrature oracle, replication equivalence, enumeration, priors, pips, and
 posterior moments against conjugate sampling."""
 
 import itertools
+import tracemalloc
 from math import exp, lgamma, log, pi
 
 import numpy as np
@@ -244,6 +245,122 @@ class TestBatchedModelLayer:
         stats = weighted_stats(random_problem(np.random.default_rng(3)), np.ones(6))
         with pytest.raises(InvalidArgumentError):
             model_log_marginals(stats, enumerate_models(2, 2), HYPER)
+
+
+def stacked_only(call):
+    """``call()`` with every weight row's sweep failing, so the model layer
+    computes each row by the stacked path, whatever the model set."""
+
+    def failing(zwz, zwy, mask, lam):
+        return np.zeros((len(zwz), mask.shape[0])), np.full((len(zwz), mask.shape[0]), np.nan)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linreg, "_sweep", failing)
+        return call()
+
+
+def as_chosen(call):
+    return call()
+
+
+class TestSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 7), k_frac=st.floats(0, 1), rows=st.integers(1, 5),
+        lam=st.floats(1e-2, 1e2), whole=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_paths_match_per_model_reference(self, d, k_frac, rows, lam, whole, seed):
+        rng = np.random.default_rng(seed)
+        data = random_problem(rng, n=int(rng.integers(2, 12)), d=d)
+        # rows with zeros, none all zero (whose log evidence is 0 up to rounding)
+        block = rng.integers(0, 3, size=(rows, data.n))
+        zero = rng.integers(data.n)
+        block[:, zero] = 0
+        block[:, (zero + 1) % data.n] += 1
+        stats = weighted_stats(data, block)
+        every = enumerate_models(d, 1 + int(k_frac * (d - 1)))
+        # the whole set, shuffled, takes the sweep; a part of it, the stacked path
+        count = len(every) if whole else rng.integers(1, len(every) + 1)
+        models = every[rng.permutation(len(every))[:count]]
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=lam, q0=0.5, k_star=d)
+        reference = np.array(
+            [[per_model_log_ml(row_of(stats, i), g, hyper) for g in models] for i in range(rows)]
+        )
+        for path in (as_chosen, stacked_only):
+            values = path(lambda: model_log_marginals(stats, models, hyper))
+            np.testing.assert_allclose(values, reference, rtol=1e-10)
+            for i in range(rows):
+                one = path(lambda: model_log_marginals(row_of(stats, i), models, hyper))
+                np.testing.assert_array_equal(values[i], one)
+
+    def test_model_sets_of_every_subset_take_the_sweep(self, monkeypatch):
+        # simulate's synthetic study (D = 10, k* = 2, B = 100) and select's
+        # all-subsets default (D = 11, k* = D, B = 3) both take the sweep;
+        # a set missing a subset, or one model, takes the stacked path
+        calls = []
+        sweep = linreg._sweep
+        monkeypatch.setattr(linreg, "_sweep", lambda *args: (calls.append(1), sweep(*args))[1])
+        rng = np.random.default_rng(71)
+        for d, k_star, rows in ((10, 2, 101), (11, 11, 4)):
+            data = random_problem(rng, n=40, d=d)
+            stats = weighted_stats(data, rng.integers(0, 3, size=(rows, 40)))
+            models = enumerate_models(d, k_star)
+            models = models[rng.permutation(len(models))]
+            pair = models[models.sum(axis=1) == 2][:1]
+            for subset, taken in ((models, 1), (models[1:], 0), (pair, 0)):
+                calls.clear()
+                model_log_marginals(stats, subset, HYPER)
+                assert len(calls) == taken
+
+    def test_failing_pivot_row_takes_the_stacked_path(self):
+        # the {1, 2} pivot of the jitter problem is 4 - 4 * 4 / 4 = 0
+        stats, hyper = jitter_problem()
+        models = enumerate_models(3, 3)
+        pair = [list(g) for g in models].index([1, 1, 0])
+        _, logdet = linreg._sweep(stats.zwz.reshape(1, 9), stats.zwy[None], models != 0, hyper.lam)
+        assert not np.isfinite(logdet[0, pair])
+        swept = model_log_marginals(stats, models, hyper)
+        stacked = stacked_only(lambda: model_log_marginals(stats, models, hyper))
+        np.testing.assert_array_equal(swept, stacked)
+        # in a block, only the failing weight row is refactored
+        rng = np.random.default_rng(66)
+        z = np.column_stack([np.ones(4), [1.0, 1.0, 0.0, 0.0], rng.standard_normal(4)])
+        data = RegressionDataset(z=z, y=rng.standard_normal(4))
+        block = weighted_stats(data, np.array([[1, 1, 1, 1], [2, 2, 0, 0]], dtype=np.uint8))
+        values = model_log_marginals(block, models, hyper)
+        for i, path in ((0, as_chosen), (1, stacked_only)):
+            one = path(lambda: model_log_marginals(row_of(block, i), models, hyper))
+            np.testing.assert_array_equal(values[i], one)
+
+    def test_all_subsets_agree_with_stacked_path(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        data = random_problem(rng, n=200, d=11)
+        stats = weighted_stats(data, rng.integers(0, 4, size=(4, 200)))
+        models = enumerate_models(11, 11)
+        for lam in (1.0, 16.0):
+            hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=lam, q0=0.5, k_star=11)
+            swept = model_log_marginals(stats, models, hyper)
+            stacked = stacked_only(lambda: model_log_marginals(stats, models, hyper))
+            np.testing.assert_allclose(swept, stacked, rtol=1e-12)
+        # weight rows swept one at a time give the same rows
+        monkeypatch.setattr(linreg, "_FACTOR_FLOATS", 64)
+        np.testing.assert_array_equal(model_log_marginals(stats, models, hyper), swept)
+
+    def test_peak_memory_within_the_stacked_paths(self):
+        rng = np.random.default_rng(73)
+        data = random_problem(rng, n=100, d=11)
+        stats = weighted_stats(data, rng.integers(0, 3, size=(101, 100)))
+        zwz, zwy, mask = stats.zwz.reshape(101, 121), stats.zwy, enumerate_models(11, 11) != 0
+        linreg._sweep(zwz[:1], zwy[:1], mask, 1.0)  # the node layout is built once
+        peaks = []
+        for path in (linreg._stacked, linreg._sweep):
+            tracemalloc.start()
+            try:
+                path(zwz, zwy, mask, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 def einsum_stats(data, w):
