@@ -26,8 +26,9 @@ loads no scipy.
 
 Non-finite inputs fail loudly: a NaN or infinite parameter, or u outside
 (0, 1), raises ``InvalidArgumentError`` (``DegenerateLawError`` for c = 0 in
-the CDF or density), and a covariance that is not positive definite raises
-``SingularLawError``.
+the CDF or density), a covariance that is not positive definite raises
+``SingularLawError``, and a density beyond the float range raises
+``NumericDomainError``.
 
 Also provides a degenerate two-model Bernoulli testbed for validating the
 laws by simulation against the bagging engine.
@@ -44,6 +45,7 @@ import numpy as np
 from .errors import (
     DegenerateLawError,
     InvalidArgumentError,
+    NumericDomainError,
     SingularLawError,
 )
 
@@ -161,10 +163,19 @@ def ubb_cdf(u, law: TwoModelLaw):
 
 
 def ubb_density(u, law: TwoModelLaw):
-    """Density of the limiting bagged posterior probability, for c > 0."""
+    """Density of the limiting bagged posterior probability, for c > 0.  A
+    density beyond the float range (large c at u near 0 or 1) raises
+    ``NumericDomainError`` naming the first such (delta_inf, c, u) cell."""
     z, inner = _bagged_z(u, law)
     # phi(inner)/phi(z) in log space to stay finite near the endpoints
-    return np.exp(-0.5 * (inner * inner - z * z)) / np.sqrt(law.c)
+    with np.errstate(over="ignore"):
+        density = np.exp(-0.5 * (inner * inner - z * z)) / np.sqrt(law.c)
+    overflow = ~np.isfinite(density)
+    if np.any(overflow):
+        first = np.argmax(overflow)
+        cell = tuple(float(g.flat[first]) for g in np.broadcast_arrays(law.delta_inf, law.c, u))
+        raise NumericDomainError(f"density overflows the float range at (delta_inf, c, u) = {cell}")
+    return density
 
 
 def reduce_to_contrasts(mu_prime, sigma_prime, anchor: int = 0):

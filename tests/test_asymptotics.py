@@ -26,6 +26,7 @@ from bayesbag.core import standard_model_posterior
 from bayesbag.errors import (
     DegenerateLawError,
     InvalidArgumentError,
+    NumericDomainError,
     SingularLawError,
 )
 
@@ -149,6 +150,15 @@ class TestUbbDensity:
     def test_plug_in_value(self):
         value = ubb_density(0.5, TwoModelLaw(1.0, 1.0))
         assert abs(value - np.exp(-0.5)) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_the_first_cell(self):
+        # u = 1e-320 lies inside (0, 1), but at c = 100 the density is exp(~722)
+        law = TwoModelLaw(np.array([[0.0], [1.0]]), np.array([1.0, 100.0]))
+        u = np.array([[[0.5]], [[1e-320]]])
+        with pytest.raises(NumericDomainError, match=r"\(delta_inf, c, u\) = \(0\.0, 100\.0, 1e-320\)"):
+            ubb_density(u, law)
+        assert np.isfinite(ubb_density(u, TwoModelLaw(0.0, 1.0))).all()
 
     def test_matches_cdf_derivative(self):
         law = TwoModelLaw(0.7, 2.0)

@@ -3,16 +3,20 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bayesbag import __version__, cli, core
 from bayesbag.cli import _parse_grid, _resolve_m, _split_indices, main
@@ -382,14 +386,16 @@ class TestAsymptotics:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_result_is_data_error(self, tmp_path, capsys):
-        # u = 1e-320 is inside (0, 1), but the c = 100 density overflows to inf
+        # u = 1e-320 is inside (0, 1), but the c = 100 density overflows:
+        # a data error naming the cell, with no numpy warning
         out = tmp_path / "o"
         assert run("asymptotics", "--c-grid=100", "--u-grid=1e-320", "--mu3-grid=",
                    "--sigma3-grid=", "--rho-grid=", "--out", out) == 2
         err = capsys.readouterr().err
-        assert "two_model_density.csv" in err and "'density'" in err and "non-finite" in err
+        assert "data error: density overflows the float range at (delta_inf, c, u) = (0.0, 100.0, 1e-320)" in err
+        assert "Warning" not in err
         assert not out.exists()
 
     def test_zero_c_is_usage_error(self, tmp_path, capsys):
@@ -641,6 +647,104 @@ class TestSchemaCheck:
         width = len(header.split(","))
         dataset.write_text(header + "\n" + ",".join(["0.5"] * width) + "\n", encoding="utf-8")
         assert run("schema-check", "--out", out) == 2
+
+
+# doubles at the ends of the float range, subnormals and signed zeros
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -1e-320, 2.2250738585072014e-308, 1e-300, -1e300,
+               1.7976931348623157e308, 0.1, 1 / 3, 123456789012.5, 1e16]
+FINITE_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+CELL_TEXT = st.text(alphabet=st.sampled_from(["a", "b", ",", '"', "\r", "\n", " ", ";", "é"]), max_size=6)
+
+
+@st.composite
+def result_tables(draw):
+    """An ``overlap-v1`` table (every cell kind) and a dataset table, with
+    float columns that repeat a few values, as lists or as arrays."""
+    rows = draw(st.integers(0, 9))
+    pool = draw(st.lists(FINITE_FLOATS, min_size=1, max_size=3))
+    cell = st.one_of(st.sampled_from(pool), FINITE_FLOATS)
+
+    def floats():
+        values = draw(st.lists(cell, min_size=rows, max_size=rows))
+        return np.array(values) if draw(st.booleans()) else values
+
+    ints = draw(st.one_of(
+        st.lists(st.integers(-10**12, 10**12), min_size=rows, max_size=rows).map(np.array),
+        st.lists(st.floats(-1e9, 1e9), min_size=rows, max_size=rows).map(np.array),
+    ))
+    optional = st.lists(st.one_of(st.none(), cell), min_size=rows, max_size=rows)
+    overlap = [draw(st.lists(CELL_TEXT, min_size=rows, max_size=rows)) for _ in range(2)]
+    overlap += [floats() for _ in range(4)] + [ints, draw(optional), draw(optional)]
+    dataset = [floats() for _ in range(draw(st.integers(2, 4)))]
+    return {"overlap.csv": ("overlap-v1", overlap), "dataset_000.csv": (cli.DATASET_SCHEMA, dataset)}
+
+
+def reference_csv(spec, columns) -> str:
+    """A table as ``csv.writer`` writes it with each cell formatted by
+    ``format(v, ".12g")``, ``str(int(v))`` or ``str``."""
+    formats = {"int": lambda v: str(int(v)), "str": str}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([name for name, _ in spec])
+    columns = [np.asarray(values).tolist() if isinstance(values, np.ndarray) else values
+               for values in columns]
+    for row in zip(*columns):
+        writer.writerow(["" if v is None else formats.get(kind, lambda x: format(x, ".12g"))(v)
+                         for v, (_, kind) in zip(row, spec)])
+    return buf.getvalue()
+
+
+def write_tables(out, files):
+    cli._write_results(argparse.Namespace(command="overlap", out=str(out)), files)
+
+
+class TestResultWriter:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(files=result_tables())
+    def test_same_bytes_as_csv_writer(self, files):
+        with tempfile.TemporaryDirectory() as out:
+            write_tables(out, files)
+            for filename, (schema, columns) in files.items():
+                with open(Path(out) / filename, newline="", encoding="utf-8") as fh:
+                    assert fh.read() == reference_csv(cli._spec(schema, columns), columns)
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        # a sweep with no rows gives no columns at all, or empty ones
+        write_tables(tmp_path, {"three_model_curves.csv": ("three-model-curves-v1", []),
+                                "overlap.csv": ("overlap-v1", [[] for _ in range(9)])})
+        assert (tmp_path / "three_model_curves.csv").read_bytes() == (
+            b"scenario,value,c,p_std_wrong,p_std_wrong_se,threshold,frac_bagged_below,"
+            b"frac_bagged_below_se\n")
+        assert (tmp_path / "overlap.csv").read_bytes() == (
+            b"label_a,label_b,level,mass_a,mass_b,mass_avg,count,ci_lo,ci_hi\n")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, None])
+    def test_non_finite_or_missing_float_writes_nothing(self, tmp_path, bad):
+        # only a float? column may hold an empty cell
+        files = {"checkpoints.csv": ("checkpoint-v1", [["a"], [1.0]]),
+                 "overlap.csv": ("overlap-v1", [["a"], ["b"], [0.9], [1.0], [1.0], [bad], [2], [None], [None]])}
+        with pytest.raises(NumericDomainError, match="overlap.csv: column 'mass_avg' has a non-finite value"):
+            write_tables(tmp_path / "o", files)
+        assert not (tmp_path / "o").exists()
+
+    # sha256 of data files of two fixed runs: any changed byte shows here
+    DIGESTS = {
+        "asy/two_model_density.csv": "450b688aa7f811030191d39f58c749500225b0b10b71f1da3827f189af2eb17c",
+        "asy/two_model_events.csv": "96d5e7cfb3957401f167c0fa50ae952fadb205fb1868a027eeabce55224d49b7",
+        "sim/dataset_000.csv": "023b349b7d1a98d2c4947b08f2d5da4c1924fcc2edd9eccd2fe06ce757c3c56d",
+    }
+
+    def test_recorded_digests(self, tmp_path):
+        # -0 and 0 are distinct deltas, written as "-0" and "0"
+        assert run("asymptotics", "--delta-grid=-0,0,1", "--c-grid=0.5,1", "--u-grid=0.1,0.5",
+                   "--mu3-grid=", "--sigma3-grid=", "--rho-grid=", "--out", tmp_path / "asy") == 0
+        assert run("simulate", "--D", 4, "--k", 2, "--N", 50, "--replicates", 2, "--B", 6,
+                   "--seed", 8, "--export-data", "--out", tmp_path / "sim") == 0
+        assert (tmp_path / "asy" / "two_model_events.csv").read_text().splitlines()[1:3] == [
+            "-0,0.5,0.5,0.1,0.0349631633603", "-0,1,0.5,0.1,0.1"]
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert run("schema-check", "--out", tmp_path / "asy") == 0
 
 
 class TestUsageErrors:
@@ -932,9 +1036,23 @@ def test_unreadable_input_is_data_error_naming_the_file(tmp_path, capsys, case):
 def test_cli_import_leaves_scipy_stats_unloaded():
     # importing scipy roughly doubles the start-up time and memory of every
     # CLI call (scipy.linalg also brings a second OpenBLAS whose threads
-    # contend with numpy's), so only the functions that use it import it
+    # contend with numpy's), so only the functions that use it import it;
+    # the run record reads scipy's version from its metadata
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import bayesbag.cli, sys; "
+    code = ("import bayesbag.cli, sys; record = bayesbag.cli._run_record(); "
+            "assert record['scipy'], record; "
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_run_record_holds_the_scipy_version(monkeypatch):
+    from importlib import metadata
+
+    assert cli._run_record()["scipy"] == metadata.version("scipy")
+
+    def absent(name):
+        raise metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(metadata, "version", absent)
+    assert cli._scipy_version.__wrapped__() is None
