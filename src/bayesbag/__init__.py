@@ -31,6 +31,7 @@ from .core import (
     BaggedPosterior,
     BootstrapConfig,
     ModelPosterior,
+    bagged_from_log_evidence,
     bagged_model_posterior,
     bootstrap_counts,
     evaluate_replicates,

@@ -27,6 +27,18 @@ BLAS stays at one thread, so the results do not depend on thread timing.
 The worker is joined before the command returns, and an error of the
 generation is reported as itself.
 
+``select`` and ``simulate`` run their selection runs (the full data and
+each split; each replicate dataset) in two stages.  Per run,
+``evaluate_replicates`` gathers the weighted sufficient statistics of the
+data and of its bootstrap replicates, one row each.  Then one
+``model_log_marginals`` call evaluates the rows of consecutive runs
+together, as many runs as fit in ``_PASS_FLOATS`` log evidences (a run
+larger than that alone), and each run is normalized by
+``bagged_from_log_evidence``.  A row's evidences do not depend on the rows
+beside it, so the passes do not change any result.  ``read_regression_csv``
+parses a ``--data`` CSV's body with one ``np.loadtxt`` call and falls back
+to a row loop that gives the same arrays or the line-numbered error.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 resource-guard
 rejection.
 """
@@ -43,6 +55,7 @@ import logging
 import os
 import sys
 import threading
+import warnings
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
@@ -64,7 +77,7 @@ from .asymptotics import (
 from .compare import average_posteriors, hpd_overlap, load_posterior_samples, overlap_ci
 from .core import (
     BootstrapConfig,
-    bagged_model_posterior,
+    bagged_from_log_evidence,
     evaluate_replicates,
     replicate_rng,
 )
@@ -78,9 +91,10 @@ from .errors import (
 from .linreg import (
     NIGHyperparams,
     RegressionDataset,
+    SuffStats,
     enumerate_models,
     log_priors,
-    make_evaluator,
+    model_log_marginals,
     param_moments_from_stats,
     pips,
     weighted_stats,
@@ -258,10 +272,11 @@ def _spec(schema: str, columns: list) -> list[tuple[str, str]]:
 
 
 def _quote(cell: str) -> str:
-    """A str cell as ``csv.QUOTE_MINIMAL`` writes it with a ``"\\n"`` line
+    """A str cell as ``csv.QUOTE_MINIMAL`` writes it with a ``"\\r\\n"`` line
     terminator: quoted, with each ``"`` doubled, if it holds a comma, a
-    quote or a newline."""
-    if "," in cell or '"' in cell or "\n" in cell:
+    quote, a newline or a carriage return, so a reader that ends records
+    at either one reads the cell whole."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -346,10 +361,11 @@ def _write_results(args: argparse.Namespace, files: dict, **resolved) -> None:
 # CSV ingestion
 
 
-def _csv_rows(path):
-    """``(line number, row)`` for each record of a CSV file; a record the
-    csv module cannot parse is a data error that names the file and line."""
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+def _csv_rows(path, text: str):
+    """``(line number, row)`` for each record of ``text``, the contents of
+    the CSV file ``path``; a record the csv module cannot parse is a data
+    error that names the file and line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         for row in reader:
             yield reader.line_num, row
@@ -357,30 +373,16 @@ def _csv_rows(path):
         raise IngestionError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]]:
-    """Read a header-first CSV into regressors/response, with line-numbered
-    parse errors.  Returns the dataset and the regressor column names."""
-    rows = _csv_rows(path)
-    _, header = next(rows, (0, None))
-    if header is None:
-        raise IngestionError(f"{path}: empty file")
-    header = [h.strip() for h in header]
-    repeated = sorted({h for h in header if header.count(h) > 1})
-    if repeated:
-        raise IngestionError(f"{path}: header repeats column(s) {repeated}")
-    if target not in header:
-        raise IngestionError(f"{path}: target column {target!r} not in header {header}")
-    if len(header) == 1:
-        raise IngestionError(f"{path}: no regressor columns besides target {target!r}")
-    t_idx = header.index(target)
+def _table_by_rows(path, rows, width: int) -> np.ndarray:
+    """The data records ``rows`` as a (records, width) float table, one
+    ``float`` call a cell; blank records are skipped, and a ragged, unparsable
+    or non-finite record is a data error naming its line."""
     table, linenos = [], []
     for lineno, row in rows:
         if not row or all(cell.strip() == "" for cell in row):
             continue
-        if len(row) != len(header):
-            raise IngestionError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
+        if len(row) != width:
+            raise IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         try:
             table.append([float(cell) for cell in row])
         except ValueError as exc:
@@ -393,6 +395,45 @@ def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]
     if bad.size:
         line, cells = linenos[bad[0]], table[bad[0]].tolist()
         raise IngestionError(f"{path}:{line}: values must be finite, got {cells}")
+    return table
+
+
+def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]]:
+    """Read a header-first CSV into regressors/response, with line-numbered
+    parse errors.  Returns the dataset and the regressor column names.
+
+    The file is read once; ``csv`` parses the header.  One ``np.loadtxt``
+    call parses every line after it, on the text with its line ends read as
+    ``\\n``, so that loadtxt counts the lines the csv module counts.  Where
+    loadtxt refuses the text, or its table is empty, narrower or wider than
+    the header, or not finite, the records are parsed one ``float`` call a
+    cell instead, which skips blank records and raises the line-numbered
+    error.  Both parses round each number correctly, so an accepted file
+    gives the same arrays either way.
+    """
+    text = _read_text(path)
+    rows = _csv_rows(path, text)
+    header_line, header = next(rows, (0, None))
+    if header is None:
+        raise IngestionError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise IngestionError(f"{path}: header repeats column(s) {repeated}")
+    if target not in header:
+        raise IngestionError(f"{path}: target column {target!r} not in header {header}")
+    if len(header) == 1:
+        raise IngestionError(f"{path}: no regressor columns besides target {target!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
+            table = np.loadtxt(io.StringIO(text, newline=None), delimiter=",", comments=None,
+                               quotechar='"', skiprows=header_line, ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or table.size == 0 or table.shape[1] != len(header) or not np.isfinite(table).all():
+        table = _table_by_rows(path, rows, len(header))
+    t_idx = header.index(target)
     names = [h for i, h in enumerate(header) if i != t_idx]
     return RegressionDataset(z=np.delete(table, t_idx, axis=1), y=table[:, t_idx].copy()), names
 
@@ -460,15 +501,65 @@ def _dataset_ahead(config: SimConfig, rng: np.random.Generator):
         worker.join()
 
 
-def _selection_run(dataset, n: int, models, hyper, m: int, b: int, boot_seed: int):
-    """Standard and bagged posterior inclusion probabilities for the
-    ``n``-row dataset ``dataset()``, as a (2, D) array in ``METHODS`` order.
-    ``dataset`` is first called once the first block of counts is drawn."""
-    bagged = bagged_model_posterior(
-        lambda weights: make_evaluator(dataset(), models, hyper)(weights), n,
-        log_priors(models, hyper), BootstrapConfig(m=m, b=b, seed=boot_seed),
+def _replicate_stats(dataset, n: int, d: int, m: int, b: int, boot_seed: int) -> np.ndarray:
+    """Stage one of a selection run: the weighted sufficient statistics of
+    the ``n``-row, ``d``-regressor dataset ``dataset()`` at unit weights and
+    at ``b`` bootstrap replicates, as (1 + b) rows laid out as
+    ``_suff_stats`` reads them.  ``dataset`` is first called once the first
+    block of counts is drawn."""
+
+    def stats_rows(weights) -> np.ndarray:
+        stats = weighted_stats(dataset(), weights)
+        return np.column_stack([stats.zwz.reshape(len(weights), -1), stats.zwy, stats.ywy, stats.m])
+
+    standard, rows = evaluate_replicates(
+        stats_rows, n, BootstrapConfig(m=m, b=b, seed=boot_seed), d * d + d + 2
     )
-    return np.array([pips(bagged.standard_probs, models), pips(bagged.mean_probs, models)])
+    return np.vstack([standard, rows])
+
+
+def _suff_stats(rows: np.ndarray, d: int) -> SuffStats:
+    """Statistics rows [Z'WZ (d * d), Z'Wy (d), y'Wy, M] as ``SuffStats``."""
+    return SuffStats(zwz=rows[:, : d * d].reshape(-1, d, d), zwy=rows[:, d * d : -2],
+                     ywy=rows[:, -2], m=rows[:, -1])
+
+
+# Floats of (weight row, model) log evidences one model-layer pass holds:
+# consecutive runs share a pass while their rows x K fit, and a run is never
+# split, so no pass is larger than this or than one run alone.
+_PASS_FLOATS = 1 << 19
+
+
+def _selection_pips(runs, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
+    """Stage two: standard and bagged posterior inclusion probabilities,
+    (runs, 2, D) in ``METHODS`` order, of the statistics rows of each run
+    of the iterable ``runs``.  One ``model_log_marginals`` call evaluates
+    the rows of consecutive runs together, up to ``_PASS_FLOATS`` log
+    evidences; each row's evidences do not depend on the rows beside it."""
+    d, k = models.shape[1], models.shape[0]
+    log_prior = log_priors(models, hyper)
+    table, batch = [], []
+
+    def evaluate():
+        try:
+            log_ml = model_log_marginals(_suff_stats(np.concatenate(batch), d), models, hyper)
+        except NumericDomainError as exc:
+            first = len(table)
+            raise NumericDomainError(
+                f"runs {first}-{first + len(batch) - 1} (weight rows in run order, each run's "
+                f"unit-weight row first): {exc}"
+            ) from exc
+        for run in np.split(log_ml, np.cumsum([len(rows) for rows in batch[:-1]])):
+            bagged = bagged_from_log_evidence(run[0], run[1:], log_prior)
+            table.append([pips(bagged.standard_probs, models), pips(bagged.mean_probs, models)])
+        batch.clear()
+
+    for rows in runs:
+        if batch and (sum(map(len, batch)) + len(rows)) * k > _PASS_FLOATS:
+            evaluate()
+        batch.append(rows)
+    evaluate()
+    return np.array(table)
 
 
 def _pip_columns(table: np.ndarray) -> list:
@@ -511,16 +602,17 @@ def cmd_simulate(args) -> int:
     )
 
     files = {}
-    table = np.empty((args.replicates, 2, d))
-    for r in range(args.replicates):
-        with _dataset_ahead(config, replicate_rng(seed, r, 0)) as dataset:
-            table[r] = _selection_run(
-                dataset, n, models, hyper, m=m, b=b, boot_seed=_child_seed(seed, r, 1)
-            )
-        if args.export_data:
-            data = dataset()
-            files[f"dataset_{r:03d}.csv"] = (DATASET_SCHEMA, [*data.z.T, data.y])
 
+    def runs():
+        for r in range(args.replicates):
+            with _dataset_ahead(config, replicate_rng(seed, r, 0)) as dataset:
+                stats = _replicate_stats(dataset, n, d, m, b, _child_seed(seed, r, 1))
+            if args.export_data:
+                data = dataset()
+                files[f"dataset_{r:03d}.csv"] = (DATASET_SCHEMA, [*data.z.T, data.y])
+            yield stats
+
+    table = _selection_pips(runs(), models, hyper)
     keys, values = _by_method_name(table)
     spread = values.var(axis=1, ddof=1) if args.replicates > 1 else np.zeros(2 * d)
     frac_mid = np.mean((values > 0.1) & (values < 0.9), axis=1)
@@ -554,18 +646,16 @@ def cmd_select(args) -> int:
         models.shape[0], b + 1, n_splits + 1,
     )
 
-    full = _selection_run(
-        lambda: data, data.n, models, hyper, m=_resolve_m(m_token, data.n), b=b,
-        boot_seed=_child_seed(seed, 0, 1),
-    )
+    # run 0 is the full data, run s + 1 split s
     parts = _split_indices(data.n, n_splits, replicate_rng(seed, 99))
-    splits = np.empty((n_splits, 2, data.d))
-    for s, idx in enumerate(parts):
-        sub = RegressionDataset(z=data.z[idx], y=data.y[idx])
-        splits[s] = _selection_run(
-            lambda: sub, sub.n, models, hyper, m=_resolve_m(m_token, sub.n), b=b,
-            boot_seed=_child_seed(seed, s + 1, 1),
-        )
+    subsets = [data, *(RegressionDataset(z=data.z[idx], y=data.y[idx]) for idx in parts)]
+    runs = (
+        _replicate_stats(lambda: sub, sub.n, data.d, _resolve_m(m_token, sub.n), b,
+                         _child_seed(seed, s, 1))
+        for s, sub in enumerate(subsets)
+    )
+    table = _selection_pips(runs, models, hyper)
+    full, splits = table[0], table[1:]
 
     keys, values = _by_method_name(splits)
     lo, hi = values.min(axis=1), values.max(axis=1)
@@ -755,7 +845,7 @@ def cmd_schema_check(args) -> int:
             continue
         if schema != DATASET_SCHEMA and schema not in SCHEMAS:
             raise IngestionError(f"{path}: unknown schema {schema!r}")
-        rows = _csv_rows(path)
+        rows = _csv_rows(path, _read_text(path))
         _, header = next(rows, (0, None))
         if schema == DATASET_SCHEMA:
             # a dataset has at least one regressor column

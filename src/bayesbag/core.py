@@ -16,9 +16,14 @@ holds its counts in the smallest unsigned type that holds M, and at most
 first block is led by one more row, the original data (every weight 1), so
 the standard posterior comes from the same evaluator call as the first
 replicates.  An evaluator built on weighted sufficient statistics forms
-them for the whole block at once and shares them across all models.  The
-(B, K) log evidences of all replicates are normalized together by one
-row-wise log-sum-exp.
+them for the whole block at once and shares them across all models.
+
+A bagging run is two stages: ``evaluate_replicates`` gathers the
+evaluator's rows, and ``bagged_from_log_evidence`` normalizes the (B, K)
+log evidences of all replicates together by one row-wise log-sum-exp.
+``bagged_model_posterior`` is the two in turn.  A caller whose evaluator
+returns per-row statistics instead of log evidences can evaluate the
+models of several runs at once between the stages.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
     "replicate_rng",
     "standard_model_posterior",
     "bagged_model_posterior",
+    "bagged_from_log_evidence",
     "evaluate_replicates",
     "exact_bagged_posterior",
 ]
@@ -273,14 +279,24 @@ def bagged_model_posterior(
     config: BootstrapConfig,
 ) -> BaggedPosterior:
     """Average the standard posterior over bootstrap-resampled datasets,
-    evaluated by ``evaluate_replicates``; the standard posterior of the
-    original data comes with it."""
+    evaluated by ``evaluate_replicates`` and normalized by
+    ``bagged_from_log_evidence``; the standard posterior of the original
+    data comes with it."""
     log_prior = np.asarray(log_prior, dtype=float)
     standard, log_ml = evaluate_replicates(evaluator, n_obs, config, log_prior.size)
-    replicate_probs = _normalized_probs(log_ml + log_prior)
+    return bagged_from_log_evidence(standard, log_ml, log_prior)
+
+
+def bagged_from_log_evidence(standard, log_ml, log_prior) -> BaggedPosterior:
+    """The bagged posterior of one run from its log marginal likelihoods:
+    ``standard`` (K,) of the original data and ``log_ml`` (B, K) of its B
+    replicates, each row normalized with ``log_prior`` (K,) added."""
+    log_prior = np.asarray(log_prior, dtype=float)
+    replicate_probs = _normalized_probs(np.asarray(log_ml, dtype=float) + log_prior)
+    b = replicate_probs.shape[0]
     mean_probs = replicate_probs.mean(axis=0)
-    if config.b >= 2:
-        std_errors = replicate_probs.std(axis=0, ddof=1) / np.sqrt(config.b)
+    if b >= 2:
+        std_errors = replicate_probs.std(axis=0, ddof=1) / np.sqrt(b)
         se_defined = True
     else:
         std_errors = np.zeros(replicate_probs.shape[1])
@@ -290,7 +306,7 @@ def bagged_model_posterior(
         mean_probs=mean_probs,
         std_errors=std_errors,
         se_defined=se_defined,
-        standard_probs=_normalized_probs(standard + log_prior),
+        standard_probs=_normalized_probs(np.asarray(standard, dtype=float) + log_prior),
     )
 
 

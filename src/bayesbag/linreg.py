@@ -501,7 +501,8 @@ def enumerate_models(d: int, k_star: int) -> np.ndarray:
     for j in range(1, k_star + 1):
         # combinations order is lexicographic in positions, which is
         # reverse-lexicographic in the binary vectors.
-        positions = np.array(list(itertools.combinations(range(d), j)))[::-1]
+        combos = itertools.chain.from_iterable(itertools.combinations(range(d), j))
+        positions = np.fromiter(combos, dtype=np.intp, count=counts[j] * j).reshape(-1, j)[::-1]
         out[np.arange(start, start + counts[j])[:, None], positions] = 1
         start += counts[j]
     return out

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 
 from bayesbag import __version__, cli, core
 from bayesbag.cli import _parse_grid, _resolve_m, _split_indices, main
-from bayesbag.errors import NumericDomainError
+from bayesbag.errors import IngestionError, NumericDomainError
 from bayesbag.linreg import (
     NIGHyperparams,
+    RegressionDataset,
     enumerate_models,
     log_priors,
     make_evaluator,
@@ -162,6 +164,62 @@ class TestSimulate:
         ) == 0
 
 
+# numbers as a CSV writer may spell them: repr, %.17g, %.6g and ints
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.6g" % v),
+    st.integers(-10**20, 10**20).map(str),
+)
+
+
+@st.composite
+def regression_csvs(draw):
+    """CSV text with a header and numeric records, with blank and
+    whitespace-only lines, LF, CRLF or CR line ends and quoted cells mixed
+    in, and the name of its target column."""
+    width = draw(st.integers(2, 4))
+    names = [f"c{j}" for j in range(width)]
+    target = draw(st.sampled_from(names))
+
+    def cell(text):
+        return f'"{text}"' if draw(st.integers(0, 4)) == 0 else text
+
+    # a quoted line break ends a header name, which the reader strips
+    breaks = st.sampled_from(["\r", "\n", "\r\n"])
+    lines = [",".join('"' + name + draw(breaks) + '"' if draw(st.integers(0, 5)) == 0 else cell(name)
+                      for name in names)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["record"] * 6 + ["blank", "spaces", "commas", "ragged", "inf"]))
+        if kind == "record":
+            lines.append(",".join(cell(draw(NUMBER_CELLS)) for _ in range(width)))
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "  ", "\t", " \t "])))
+        elif kind == "commas":
+            lines.append("," * (width - 1))
+        elif kind == "ragged":
+            lines.append(",".join(draw(NUMBER_CELLS) for _ in range(width + draw(st.sampled_from([-1, 1])))))
+        else:
+            lines.append(",".join(["inf"] + ["1"] * (width - 1)))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(line + end for line, end in zip(lines, ends)), target
+
+
+def read_by_row_loop(path, target):
+    """``read_regression_csv`` with every record parsed by the row loop:
+    regressors, response and regressor names."""
+    rows = cli._csv_rows(path, cli._read_text(path))
+    _, header = next(rows)
+    header = [h.strip() for h in header]
+    table = cli._table_by_rows(path, rows, len(header))
+    t_idx = header.index(target)
+    return np.delete(table, t_idx, axis=1), table[:, t_idx].copy(), [h for h in header if h != target]
+
+
 class TestSelect:
     def test_outputs_and_perfect_predictor(self, tmp_path):
         data = write_dataset_csv(tmp_path / "d.csv", 80, 3, seed=1, target_equals_column=1)
@@ -259,6 +317,46 @@ class TestSelect:
         np.testing.assert_array_equal(data.y, [2.0, 5.0])
         assert data.z.flags.c_contiguous and data.y.flags.c_contiguous
 
+    def test_header_only_file_is_data_error_without_warnings(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("z1,z2,y\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match="no data rows") as err:
+            cli.read_regression_csv(path, "y")
+        assert str(err.value) == f"{path}: no data rows"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("select", "--data", path, "--target", "y", "--out", tmp_path / "o") == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"data error: {path}: no data rows\n"
+
+    def test_plain_file_is_parsed_without_the_row_loop(self, tmp_path, monkeypatch):
+        path = write_dataset_csv(tmp_path / "d.csv", 50, 3, seed=6)
+        expected = cli.read_regression_csv(path, "y")
+        monkeypatch.setattr(cli, "_table_by_rows", None)  # calling it would raise
+        data, names = cli.read_regression_csv(path, "y")
+        assert names == expected[1] == ["x0", "x1", "x2"]
+        assert data.z.tobytes() == expected[0].z.tobytes() and data.y.tobytes() == expected[0].y.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=regression_csvs())
+    def test_reader_matches_the_row_loop(self, case):
+        text, target = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = read_by_row_loop(path, target)
+            except IngestionError as exc:
+                with pytest.raises(IngestionError) as err:
+                    cli.read_regression_csv(path, target)
+                assert str(err.value) == str(exc)
+                return
+            data, names = cli.read_regression_csv(path, target)
+        z, y, expected_names = expected
+        assert names == expected_names
+        assert data.z.shape == z.shape and data.z.tobytes() == z.tobytes()
+        assert data.y.tobytes() == y.tobytes()
+
     def test_missing_target_is_data_error(self, tmp_path):
         data = write_dataset_csv(tmp_path / "d.csv", 10, 2)
         assert run("select", "--data", data, "--target", "zz", "--out", tmp_path / "o") == 2
@@ -299,6 +397,68 @@ class TestSelect:
                 ranges[row["method"]].append(float(row["pip_range"]))
             wins += np.mean(ranges["bayesbag"]) <= np.mean(ranges["standard"])
         assert wins >= 7
+
+    def test_select_pips_are_the_library_posteriors(self, tmp_path):
+        # the full data and every split, each as bagged_model_posterior gives it alone
+        seed, b, n_splits = 4, 6, 3
+        path = write_dataset_csv(tmp_path / "d.csv", 90, 4, seed=2)
+        out = tmp_path / "out"
+        assert run("select", "--data", path, "--target", "y", "--splits", n_splits, "--B", b,
+                   "--seed", seed, "--out", out) == 0
+        config = manifest_config(out)
+        hyper = NIGHyperparams(a0=config["a0"], b0=config["b0"], lam=config["lambda"],
+                               q0=config["q0"], k_star=config["k_star"])
+        data, names = cli.read_regression_csv(path, "y")
+        data = cli.standardize_regressors(data, names)
+        models = enumerate_models(data.d, hyper.k_star)
+        parts = _split_indices(data.n, n_splits, core.replicate_rng(seed, 99))
+        subsets = [data] + [RegressionDataset(z=data.z[idx], y=data.y[idx]) for idx in parts]
+        full = read_csv(out / "pips_full.csv")
+        splits = read_csv(out / "pips_splits.csv")
+        for s, sub in enumerate(subsets):
+            bagged = core.bagged_model_posterior(
+                make_evaluator(sub, models, hyper), sub.n, log_priors(models, hyper),
+                core.BootstrapConfig(m=sub.n, b=b, seed=cli._child_seed(seed, s, 1)),
+            )
+            rows = full if s == 0 else [row for row in splits if row["split"] == str(s - 1)]
+            for method, probs in (("standard", bagged.standard_probs), ("bayesbag", bagged.mean_probs)):
+                got = [row["pip"] for row in rows if row["method"] == method]
+                assert got == [cli._fmt(v) for v in pips(probs, models)], (s, method)
+
+    def test_evidence_error_names_the_runs_of_its_pass(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NumericDomainError("b_g = -1.0 is not positive for model row 3 of weight row 7")
+
+        monkeypatch.setattr(cli, "model_log_marginals", fail)
+        path = write_dataset_csv(tmp_path / "d.csv", 40, 3)
+        out = tmp_path / "o"
+        assert run("select", "--data", path, "--target", "y", "--splits", 2, "--B", 3, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "data error: runs 0-2 (weight rows in run order, each run's unit-weight row first): "
+            "b_g = -1.0 is not positive for model row 3 of weight row 7\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["select", "simulate"])
+    def test_one_run_per_pass_gives_the_same_bytes(self, tmp_path, monkeypatch, command):
+        if command == "select":
+            argv = ["select", "--data", write_dataset_csv(tmp_path / "d.csv", 70, 5, seed=3),
+                    "--target", "y", "--splits", 2, "--B", 5, "--seed", 1]
+        else:
+            argv = ["simulate", "--D", 4, "--k", 2, "--N", 50, "--replicates", 3, "--B", 6,
+                    "--seed", 8, "--export-data"]
+        calls = []
+        evidence = cli.model_log_marginals
+        monkeypatch.setattr(cli, "model_log_marginals",
+                            lambda *a, **k: (calls.append(1), evidence(*a, **k))[1])
+        assert run(*argv, "--out", tmp_path / "shared") == 0
+        assert len(calls) == 1  # all three runs in one pass
+        monkeypatch.setattr(cli, "_PASS_FLOATS", 1)
+        assert run(*argv, "--out", tmp_path / "alone") == 0
+        assert len(calls) == 1 + 3
+        names = sorted(f.name for f in (tmp_path / "alone").iterdir() if f.name != "manifest.json")
+        assert names == sorted(f.name for f in (tmp_path / "shared").iterdir() if f.name != "manifest.json")
+        for name in names:
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 class TestAsymptotics:
@@ -603,6 +763,15 @@ class TestOverlap:
         assert digest[:12] == "b7b55a47ae3e"
         assert run("schema-check", "--out", out) == 0
 
+    def test_carriage_return_in_a_label_is_quoted(self, tmp_path):
+        # the label is the file name; unquoted, its \r would end the record
+        a = self.write_samples(tmp_path / "a\rb.txt", ["t1", "t2"])
+        b = self.write_samples(tmp_path / "b.txt", ["t1"])
+        out = tmp_path / "out"
+        assert run("overlap", "--a", a, "--b", b, "--out", out) == 0
+        assert (out / "overlap.csv").read_bytes().split(b"\n")[1].startswith(b'"a\rb.txt",b.txt,')
+        assert run("schema-check", "--out", out) == 0
+
     def test_empty_sample_file(self, tmp_path):
         empty = tmp_path / "e.txt"
         empty.write_text("", encoding="utf-8")
@@ -680,18 +849,24 @@ def result_tables(draw):
 
 
 def reference_csv(spec, columns) -> str:
-    """A table as ``csv.writer`` writes it with each cell formatted by
+    """A table as ``csv.writer`` writes it with a ``\r\n`` terminator, so
+    that a cell holding ``\r`` or ``\n`` is quoted, and each record's
+    trailing ``\r\n`` then replaced by ``\n``; each cell is formatted by
     ``format(v, ".12g")``, ``str(int(v))`` or ``str``."""
     formats = {"int": lambda v: str(int(v)), "str": str}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([name for name, _ in spec])
     columns = [np.asarray(values).tolist() if isinstance(values, np.ndarray) else values
                for values in columns]
-    for row in zip(*columns):
-        writer.writerow(["" if v is None else formats.get(kind, lambda x: format(x, ".12g"))(v)
-                         for v, (_, kind) in zip(row, spec)])
-    return buf.getvalue()
+    records = [[name for name, _ in spec]]
+    records += [["" if v is None else formats.get(kind, lambda x: format(x, ".12g"))(v)
+                 for v, (_, kind) in zip(row, spec)] for row in zip(*columns)]
+    out = []
+    for record in records:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(record)
+        text = buf.getvalue()
+        assert text.endswith("\r\n")
+        out.append(text[:-2] + "\n")
+    return "".join(out)
 
 
 def write_tables(out, files):
