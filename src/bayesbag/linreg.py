@@ -22,27 +22,18 @@ on the dataset with rows replicated per their counts.
 Work is batched over weight rows and models.  ``weighted_stats`` takes an
 (r, N) block of weight rows and forms all r sets of statistics by one
 matrix product with the per-observation moment rows; its fields keep the
-block's leading shape.  All models of a set are evaluated in one pass,
-by one of two paths that fill the same (r, K) arrays quad =
-y'WZ_g Lam_g^{-1} Z_g'Wy and log|Lam_g|, from which b_g and log ml are
-formed as arrays:
-
-- the stacked path groups models by size j, gathers each group's Lam_g
-  blocks of every weight row into one (r n_j, j, j) stack and factors it
-  by a single stacked Cholesky;
-- the sweep visits every subset of at most kmax columns once, in D(D+1)/2
-  numpy steps, taking each subset's Schur complement from its parent's
-  (Furnival & Wilson, "Regressions by leaps and bounds", Technometrics
-  16, 1974): O(1) work per model amortized, against O(j^3).
-
-``model_log_marginals`` takes the sweep for a model set with at least as
-many rows as the subsets the sweep visits, as ``enumerate_models`` gives
-for every k*, and the stacked path for a sparser set, such as one model,
-where visiting every smaller subset would be the larger work.  A weight
-row whose sweep meets a pivot that is not positive and finite is
-recomputed by the stacked path, so the jitter ladder holds on both.
-``param_moments_from_stats`` factors its one model through the stacked
-path, so jitter reaches moments exactly as it reaches evidences.
+block's leading shape.  All models of a set are evaluated in one pass:
+a sweep over the prefix trie of the models' ascending column lists fills
+the (r, K) arrays quad = y'WZ_g Lam_g^{-1} Z_g'Wy and log|Lam_g|, from which
+b_g and log ml are formed as arrays.  Each trie node takes its Schur
+complement from its parent's (Furnival & Wilson, "Regressions by leaps and
+bounds", Technometrics 16, 1974), so a set of every subset costs O(1) work
+per model amortized and one model of j columns a chain of j steps.  The
+trie is built once for each model set and cached with the map from model
+rows to its nodes.  A (weight row, model) cell whose sweep meets a pivot
+that is not positive and finite is refactored alone by a Cholesky with a
+jitter ladder, the one that ``param_moments_from_stats`` factors its model
+with, so jitter reaches moments exactly as it reaches evidences.
 """
 
 from __future__ import annotations
@@ -87,8 +78,8 @@ _JITTERS = (0.0, 1e-12, 1e-10)
 # Observations per chunk of moment rows in ``weighted_stats``.
 _STATS_CHUNK = 2048
 
-# Floats of gathered Lam_g blocks per stacked Cholesky call; a size group
-# over many weight rows is factored in slices of rows of this size.
+# Floats of sweep state and results per slice of weight rows; a block of
+# many rows is swept a slice at a time, at least one row a slice.
 _FACTOR_FLOATS = 1 << 20
 
 
@@ -225,16 +216,17 @@ def _where(lead: tuple, row: int, model: int | None = None) -> str:
     return " for " + " of ".join(parts) if parts else ""
 
 
-def _spd_cholesky(a: np.ndarray) -> np.ndarray:
+def _spd_cholesky(a: np.ndarray, where: str = "") -> np.ndarray:
     """Cholesky factor of a symmetric matrix that is positive definite in
-    exact arithmetic, escalating a diagonal jitter when rounding breaks it."""
+    exact arithmetic, escalating a diagonal jitter when rounding breaks it.
+    ``where`` locates the matrix in the error raised when no rung works."""
     for jitter in _JITTERS:
         try:
             return np.linalg.cholesky(a if jitter == 0.0 else a + jitter * np.eye(a.shape[0]))
         except np.linalg.LinAlgError:
             continue
     raise NumericDomainError(
-        "matrix is not positive definite even with diagonal jitter; "
+        f"matrix{where} is not positive definite even with diagonal jitter; "
         "inputs contain NaN or are corrupt"
     )
 
@@ -249,192 +241,186 @@ def _forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return t
 
 
-def _size_groups(mask: np.ndarray):
-    """Gather indices of the stacked path, grouped by model size: for each
-    size j >= 1 the model rows, their active columns ``cols`` (n_j, j) and
-    the flat indices ``flat`` (n_j, j, j) of their Z'WZ sub-blocks.  The
-    empty model is in no group."""
-    d = mask.shape[1]
-    sizes = mask.sum(axis=1)
-    groups = []
-    for j in np.unique(sizes[sizes > 0]):
-        rows = np.flatnonzero(sizes == j)
-        cols = np.nonzero(mask[rows])[1].reshape(rows.size, j)
-        groups.append((rows, cols, cols[:, :, None] * d + cols[:, None, :]))
-    return groups
-
-
-def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, flat: np.ndarray, lam: float):
-    """Factor one size group over r weight rows: gather every row's
-    Z_g'WZ_g blocks from ``zwz`` (r, D * D) by ``flat``, add lam I, take one
-    stacked Cholesky ``chol`` (r n_j, j, j) and solve chol t = Z_g'Wy for
-    ``t`` (r n_j, j), rows of one weight row adjacent.  If the stacked call
-    fails, the group is refactored matrix by matrix, so jitter reaches only
-    the failing (weight row, model) matrices."""
+def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, lam: float, where):
+    """Factor n models of j columns each, ``cols`` (n, j), over r weight
+    rows: gather every row's Z_g'WZ_g blocks from ``zwz`` (r, D * D), add
+    lam I, take one stacked Cholesky ``chol`` (r n, j, j) and solve
+    chol t = Z_g'Wy for ``t`` (r n, j), the models of one weight row
+    adjacent.  If the stacked call fails, the matrices are refactored one
+    by one through the jitter ladder, so jitter reaches only the failing
+    ones; ``where(i)`` locates matrix i in the error the ladder raises."""
     count, j = len(zwz) * len(cols), cols.shape[1]  # explicit, so j = 0 reshapes too
+    flat = cols[:, :, None] * zwy.shape[1] + cols[:, None, :]
     lam_mat = np.take(zwz, flat, axis=1).reshape(count, j, j) + lam * np.eye(j)
     try:
         chol = np.linalg.cholesky(lam_mat)
     except np.linalg.LinAlgError:
-        chol = np.stack([_spd_cholesky(a) for a in lam_mat])
+        chol = np.stack([_spd_cholesky(a, where(i)) for i, a in enumerate(lam_mat)])
     return chol, _forward_substitute(chol, np.take(zwy, cols, axis=1).reshape(count, j))
-
-
-def _stacked(zwz: np.ndarray, zwy: np.ndarray, mask: np.ndarray, lam: float):
-    """quad = |L_g^{-1} Z_g'Wy|^2 and log|Lam_g| (r, K) of every model by the
-    stacked Cholesky of its size group, ``_FACTOR_FLOATS`` at a time."""
-    r = len(zwz)
-    quad = np.zeros((r, mask.shape[0]))
-    logdet = np.zeros((r, mask.shape[0]))
-    for rows, cols, flat in _size_groups(mask):
-        step = max(1, _FACTOR_FLOATS // flat.size)
-        for lo in range(0, r, step):
-            hi = min(lo + step, r)
-            chol, t = _factor(zwz[lo:hi], zwy[lo:hi], cols, flat, lam)
-            quad[lo:hi, rows] = np.einsum("ij,ij->i", t, t).reshape(hi - lo, -1)
-            diag = np.log(np.diagonal(chol, axis1=1, axis2=2))
-            logdet[lo:hi, rows] = 2.0 * np.sum(diag, axis=1).reshape(hi - lo, -1)
-    return quad, logdet
 
 
 def _frozen(index):
     """``index`` as a slice when it is a run of consecutive integers, which
     numpy reads and writes without a gather, else as a read-only array."""
-    if index.size and index[-1] - index[0] == index.size - 1 and np.all(np.diff(index) == 1):
+    if index.size and index[-1] - index[0] == index.size - 1 and (index[1:] > index[:-1]).all():
         return slice(int(index[0]), int(index[-1]) + 1)
     index.setflags(write=False)
     return index
 
 
 @functools.lru_cache(maxsize=4)
-def _sweep_plan(d: int, kmax: int):
-    """Node layout of the sweep over every subset of size <= kmax of D
-    columns, which depends on D and kmax only and is built once for each.
+def _sweep_plan(key: bytes, shape: tuple):
+    """The sweep's plan for the model set whose boolean (K, D) inclusion
+    matrix has the bytes ``key``: the prefix trie of its rows' ascending
+    column lists, built column by column.  Group c holds the nodes whose
+    last column is c, one child for each distinct node that the models
+    holding c have reached; its nodes with a child keep a Schur-complement
+    state and are numbered first.  Models still to be extended are kept in
+    the order of the nodes they reached, so each group's parents come
+    sorted.  Results are kept by slot: the children of each group with
+    states take the next run of slots.
 
-    Nodes are stored group by group: group c holds the subsets whose
-    largest column is c, after the root (the empty set).  A group's nodes of
-    size < kmax keep a Schur-complement state and come first; the others
-    keep only quad and log|Lam_g|.  Returns the nodes' bit codes, their
-    argsort, the state-keeping node count of each group, the floats of
-    state and results per weight row, and for each c the moves that build
-    group c, one per parent group p < c with state: ``(p, parents, dest,
-    grow, at)``, the parents' node slice, their children's node positions,
-    the parents whose children keep a state (None for none) and the slice
-    of group c's state those children fill.
+    Returns the slot count, each model row's slot, the floats per weight
+    row, the groups ``(c, count)`` with ``count`` states, and for each such
+    group p (-1 for the root) ``(p, gains, parents, dest, fills)``: its
+    children add the gains ``gains`` of its (column, state) pairs to the
+    results in slots ``parents`` and keep them in slots ``dest``; each fill
+    ``(c, i, grow, at)`` forms the states ``at`` of group c from the states
+    ``grow`` of group p, adding column c = p + 1 + i.
     """
-    codes, sizes, stateful, offsets = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)], [1], [0]
-    moves = []
-    for c in range(d):
-        parents = [p for p in range(-1, c) if stateful[p + 1]]
-        grows = [sizes[p + 1][: stateful[p + 1]] < kmax - 1 for p in parents]
-        n_grow = sum(int(grow.sum()) for grow in grows)
-        offset = offsets[-1] + codes[-1].size
-        built, grown, leaves, a, b = [], [], [], 0, 0
-        for p, grow in zip(parents, grows):
-            g, ns, start = int(grow.sum()), grow.size, offsets[p + 1]
-            dest = np.where(grow, offset + a + np.cumsum(grow), offset + n_grow + b + np.cumsum(~grow)) - 1
-            which = None if g == 0 else slice(None) if g == ns else _frozen(np.flatnonzero(grow))
-            built.append((p, slice(start, start + ns), _frozen(dest), which, slice(a, a + g)))
-            child = (codes[p + 1][:ns] | (1 << c), sizes[p + 1][:ns] + 1)
-            grown.append([x[grow] for x in child])
-            leaves.append([x[~grow] for x in child])
-            a, b = a + g, b + ns - g
-        codes.append(np.concatenate([x for x, _ in grown + leaves]))
-        sizes.append(np.concatenate([y for _, y in grown + leaves]))
-        stateful.append(n_grow)
-        offsets.append(offset)
-        moves.append(tuple(built))
-    codes = np.concatenate(codes)
-    per_row = 2 * codes.size + sum(ns * (d - g) * (d - g + 1) for g, ns in enumerate(stateful))
-    order = np.argsort(codes)
-    codes.setflags(write=False)
-    order.setflags(write=False)
-    return codes, order, tuple(stateful), per_row, tuple(moves)
+    mask = np.frombuffer(key, dtype=bool).reshape(shape)
+    d = shape[1]
+    left = mask.sum(axis=1)  # columns each model has still to add
+    node = np.zeros(shape[0], dtype=np.intp)  # the node each model has reached
+    going = np.flatnonzero(left)  # models with columns to add, by the node reached
+    # group with states -> its first node, its state count, its children and fills
+    owners = {-1: (0, 1, [], [])} if going.size else {}
+    total, per_row, groups = 1, 2 + len(owners) * (d + 1) * d, []
+    for c in np.flatnonzero(mask.any(axis=0)).tolist():
+        has = mask[going, c]
+        movers = going[has]
+        reached = node[movers]
+        first = np.ones(reached.size, dtype=bool)
+        np.not_equal(reached[1:], reached[:-1], out=first[1:])
+        kid = np.cumsum(first) - 1
+        parents = reached[first]
+        left[movers] -= 1
+        more = left[movers] > 0
+        inner = np.zeros(parents.size, dtype=bool)
+        inner[kid[more]] = True
+        count = int(inner.sum())
+        kids = total + np.where(inner, np.cumsum(inner), count + np.cumsum(~inner)) - 1
+        node[movers] = kids[kid]
+        going = np.concatenate([going[~has], movers[more]])
+        cuts = np.searchsorted(parents, [owner[0] for owner in owners.values()] + [total]).tolist()
+        at = 0
+        for (p, (start, n_states, children, fills)), a, b in zip(owners.items(), cuts, cuts[1:]):
+            if a < b:
+                take = parents[a:b] - start
+                children.append(((c - p - 1) * n_states + take, parents[a:b], kids[a:b]))
+                grow = take[inner[a:b]]
+                if grow.size:
+                    fills.append((c, c - p - 1, _frozen(grow), slice(at, at + grow.size)))
+                    at += grow.size
+        if count:
+            owners[c] = (total, count, [], [])
+            groups.append((c, count))
+        per_row += 2 * parents.size + count * (d - c) * (d - c - 1)
+        total += parents.size
+    slot = np.zeros(total, dtype=np.intp)
+    moves, free = [], 1
+    for p, (_, _, children, fills) in owners.items():
+        gains, parents, kids = (np.concatenate(x) for x in zip(*children))
+        slot[kids] = free + np.arange(kids.size)
+        dest = slice(free, free + kids.size)
+        moves.append((p, _frozen(gains), _frozen(slot[parents]), dest, tuple(fills)))
+        free = dest.stop
+    return total, _frozen(slot[node]), per_row, tuple(groups), tuple(moves)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _sweep(zwz: np.ndarray, zwy: np.ndarray, mask: np.ndarray, lam: float):
-    """quad and log|Lam_g| (r, K) of every model by a forward sweep over all
-    subsets of size <= kmax (the largest model size).
+    """quad and log|Lam_g| (r, K) of every model of the boolean inclusion
+    matrix ``mask`` by a forward sweep over the prefixes of its models.
 
     A node's state, for each weight row, is the Schur complement S of its
-    columns in Lam = Z'WZ + lam I on the columns after its largest one p,
-    with a last row t, the matching entries of Z'Wy reduced alike; the root
-    (the empty model) holds S = Lam and t = Z'Wy.  Adding column c at
+    columns in Lam = Z'WZ + lam I on the columns after its last one p, with
+    a last row t, the matching entries of Z'Wy reduced alike; the root (the
+    empty model) holds S = Lam and t = Z'Wy.  Adding column c at
     i = c - p - 1 adds t_i^2 / S_ii to quad and log S_ii to log|Lam_g|, and
     the child's state is S[i+1:, i+1:] - S[i+1:, i] S[i, i+1:] / S_ii, the
-    t row included: a Cholesky in elimination order, one numpy step per
-    (p, c) for all nodes of group p.  States are stored (row, column, weight
-    row, node), so each step runs over long contiguous node axes.  Every
-    operation is elementwise, so a row's values do not depend on the rows
-    beside it.  Weight rows are swept ``_FACTOR_FLOATS`` floats of state at
-    a time.  A pivot that is not positive and finite leaves log|Lam_g|
-    non-finite.
+    t row included: a Cholesky in elimination order.  For each group p
+    with states, one numpy step takes these gains for every (i, state)
+    pair and adds them for all of the group's children, and one step per
+    group c forms the states of its children there.  States are stored
+    (row, column, weight row, node), so each step runs over long contiguous
+    node axes.  Every operation is elementwise, so a value depends neither
+    on the rows beside it nor on the other models of the set.  Weight rows
+    are swept ``_FACTOR_FLOATS`` floats of state at a time.  A pivot that
+    is not positive and finite leaves log|Lam_g| non-finite for its node
+    and every node below it.
     """
     r, d = len(zwz), mask.shape[1]
-    codes, order, stateful, per_row, moves = _sweep_plan(d, int(mask.sum(axis=1).max()))
-    pos = order[np.searchsorted(codes, mask @ (1 << np.arange(d)), sorter=order)]
+    slots, pos, per_row, groups, moves = _sweep_plan(mask.tobytes(), mask.shape)
     step = max(1, _FACTOR_FLOATS // per_row)
     quad = np.empty((r, mask.shape[0]))
     logdet = np.empty((r, mask.shape[0]))
     lam_mat = zwz.reshape(r, d, d) + lam * np.eye(d)
     root = np.concatenate([lam_mat, zwy[:, None, :]], axis=1).transpose(1, 2, 0)[..., None]
     for lo in range(0, r, step):
-        hi = min(lo + step, r)
-        q = np.zeros((hi - lo, codes.size))
-        ld = np.zeros((hi - lo, codes.size))
-        states = [root[:, :, lo:hi]]
-        for c, built in enumerate(moves):
-            m = d - c - 1
-            group = np.empty((m + 1, m, hi - lo, stateful[c + 1]))
-            for p, parents, dest, grow, at in built:
-                state = states[p + 1]
-                i = c - p - 1
-                piv, t_i = state[i, i], state[-1, i]
-                q[:, dest] = q[:, parents] + t_i * t_i / piv
-                ld[:, dest] = ld[:, parents] + np.log(piv)
-                if grow is not None:
-                    f = state[i + 1 :, i][..., grow] / piv[:, grow]
-                    child = group[..., at]
-                    np.multiply(f[:, None], state[i, i + 1 :][..., grow], out=child)
-                    np.subtract(state[i + 1 :, i + 1 :][..., grow], child, out=child)
-            states.append(group)
-        quad[lo:hi] = q[:, pos]
-        logdet[lo:hi] = ld[:, pos]
+        rows = min(step, r - lo)
+        q = np.zeros((rows, slots))
+        ld = np.zeros((rows, slots))
+        states = {c: np.empty((d - c, d - c - 1, rows, count)) for c, count in groups}
+        states[-1] = root[:, :, lo : lo + rows]
+        for p, gains, parents, dest, fills in moves:
+            state = states[p]
+            # S_ii and t_i of every (i, state) pair, as (weight row, i, state)
+            piv = np.diagonal(state, axis1=0, axis2=1).transpose(0, 2, 1)
+            t = state[-1].transpose(1, 0, 2)
+            gain = np.multiply(t, t, out=np.empty(piv.shape))
+            np.divide(gain, piv, out=gain)
+            q[:, dest] = q[:, parents] + gain.reshape(rows, -1)[:, gains]
+            np.log(piv, out=gain)
+            ld[:, dest] = ld[:, parents] + gain.reshape(rows, -1)[:, gains]
+            for c, i, grow, at in fills:
+                f = state[i + 1 :, i][..., grow] / state[i, i][:, grow]
+                child = states[c][..., at]
+                np.multiply(f[:, None], state[i, i + 1 :][..., grow], out=child)
+                np.subtract(state[i + 1 :, i + 1 :][..., grow], child, out=child)
+        quad[lo : lo + rows] = q[:, pos]
+        logdet[lo : lo + rows] = ld[:, pos]
     return quad, logdet
 
 
 def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
-    """Log marginal likelihoods for every row of an enumerated model set,
-    for one set of statistics (shape (K,)) or for statistics with a leading
-    shape (shape (..., K)).
+    """Log marginal likelihoods for every row of a model set (any 0/1
+    inclusion matrix), for one set of statistics (shape (K,)) or for
+    statistics with a leading shape (shape (..., K)).
 
-    One sweep over all subsets serves a set that has as many rows as the
-    subsets it visits; in a sparser set, models of equal size share one
-    stacked Cholesky over all weight rows (see the module docstring).
-    Raises ``NumericDomainError`` naming the weight row and model row when
-    some b_g <= 0 (y'Wy - quad cancelled below -2 b0), lgamma(a0 + M/2)
-    overflows or a log evidence is not finite; never returns NaN.
+    All models of all weight rows are evaluated by one sweep over the
+    prefixes of the models' column lists (see the module docstring).  A
+    (weight row, model) cell whose sweep meets a pivot that is not positive
+    and finite is refactored alone through the jitter ladder.  Raises
+    ``NumericDomainError`` naming the weight row and model row when the
+    ladder fails, some b_g <= 0 (y'Wy - quad cancelled below -2 b0),
+    lgamma(a0 + M/2) overflows or a log evidence is not finite; never
+    returns NaN.
     """
     mask = np.asarray(models) != 0
     if mask.ndim != 2:
         raise InvalidArgumentError(
             f"models must be a (count, d) inclusion matrix, got shape {mask.shape}"
         )
-    d, sizes = mask.shape[1], mask.sum(axis=1)
-    lead, zwz, zwy, ywy, m = _flat_stats(stats, d)
+    lead, zwz, zwy, ywy, m = _flat_stats(stats, mask.shape[1])
     r = m.size
-    kmax = int(sizes.max(initial=0))
-    # the sweep's node bit codes are int64
-    if d <= 62 and sum(comb(d, j) for j in range(kmax + 1)) <= sizes.size:
-        quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
-        # a pivot was not positive and finite: the row takes the jitter ladder
-        bad = np.flatnonzero(~np.isfinite(logdet).all(axis=1))
-        if bad.size:
-            quad[bad], logdet[bad] = _stacked(zwz[bad], zwy[bad], mask, hyper.lam)
-    else:
-        quad, logdet = _stacked(zwz, zwy, mask, hyper.lam)
-    sizes = sizes.astype(float)
+    quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
+    for row, k in np.argwhere(~(np.isfinite(quad) & np.isfinite(logdet))):
+        chol, t = _factor(zwz[row : row + 1], zwy[row : row + 1], np.flatnonzero(mask[k])[None],
+                          hyper.lam, lambda _: _where(lead, row, k))
+        quad[row, k] = np.einsum("ij,ij->i", t, t)[0]
+        logdet[row, k] = 2.0 * np.sum(np.log(np.diagonal(chol[0])))
+    sizes = mask.sum(axis=1).astype(float)
     a_n = hyper.a0 + 0.5 * m
     b_g = hyper.b0 + 0.5 * (ywy[:, None] - quad)
     if not np.all(b_g > 0.0):
@@ -540,22 +526,29 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
     beta_j is Student-t with variance b_g/(a_n - 1) * (Lam_g^{-1})_jj, and
     log sigma^2 has mean log b_g - digamma(a_n) and variance trigamma(a_n).
 
-    The model, the empty one too, is factored as a one-model size group of
-    the evidence path, all weight rows in one stacked Cholesky; the mean
-    and diag(Lam_g^{-1}) come from the inverses of the triangular factors.
+    The model, the empty one too, is factored for all weight rows in one
+    stacked Cholesky by the ladder that refactors the evidence path's
+    failing cells, so jitter reaches moments exactly as it reaches
+    evidences; the mean and diag(Lam_g^{-1}) come from the inverses of the
+    triangular factors.
     """
     from scipy.special import digamma, polygamma  # keeps scipy out of the import path
 
     d = np.shape(stats.zwz)[-1]
     lead, zwz, zwy, ywy, m = _flat_stats(stats, d)
+    gamma = np.asarray(gamma)
+    if gamma.shape != (d,):
+        raise InvalidArgumentError(
+            f"gamma must be an inclusion vector of length {d}, got shape {gamma.shape}"
+        )
+    cols = np.flatnonzero(gamma)[None, :]
     a_n = hyper.a0 + 0.5 * m
     if not np.all(a_n > 1.0):
         row = int(np.flatnonzero(~(a_n > 1.0))[0])
         raise VarianceUndefinedError(
             f"posterior variance needs a0 + M/2 > 1, got {a_n[row]}{_where(lead, row)}"
         )
-    cols = np.flatnonzero(gamma)[None, :]
-    chol, t = _factor(zwz, zwy, cols, cols[:, :, None] * d + cols[:, None, :], hyper.lam)
+    chol, t = _factor(zwz, zwy, cols, hyper.lam, lambda row: _where(lead, row))
     # Lam_g^{-1} = L^{-T} L^{-1}: mean L^{-T} t, diagonal the column norms of L^{-1}
     inv_chol = np.linalg.inv(chol)
     mean_beta = np.einsum("rki,rk->ri", inv_chol, t)

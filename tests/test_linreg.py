@@ -145,7 +145,7 @@ class TestLogMarginalLikelihood:
 
 def per_model_log_ml(stats, gamma, hyper):
     """One model's log evidence from its own sub-block, by slogdet and a
-    general solve; independent of the stacked Cholesky path."""
+    general solve; independent of the sweep."""
     idx = np.flatnonzero(gamma)
     quad, logdet = 0.0, 0.0
     if idx.size:
@@ -247,29 +247,25 @@ class TestBatchedModelLayer:
             model_log_marginals(stats, enumerate_models(2, 2), HYPER)
 
 
-def stacked_only(call):
-    """``call()`` with every weight row's sweep failing, so the model layer
-    computes each row by the stacked path, whatever the model set."""
-
-    def failing(zwz, zwy, mask, lam):
-        return np.zeros((len(zwz), mask.shape[0])), np.full((len(zwz), mask.shape[0]), np.nan)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linreg, "_sweep", failing)
-        return call()
-
-
-def as_chosen(call):
-    return call()
+def random_model_set(rng, d, count, kmax):
+    """``count`` inclusion rows over ``d`` columns of at most ``kmax`` ones
+    each, drawn with repeats, so duplicate rows and the empty model occur."""
+    pool = np.zeros((max(1, count), d), dtype=np.uint8)
+    for row in pool:
+        row[rng.choice(d, size=int(rng.integers(0, kmax + 1)), replace=False)] = 1
+    return pool[rng.integers(0, len(pool), size=count)]
 
 
 class TestSweep:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        d=st.integers(1, 7), k_frac=st.floats(0, 1), rows=st.integers(1, 5),
-        lam=st.floats(1e-2, 1e2), whole=st.booleans(), seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 70), count=st.integers(0, 12), rows=st.integers(1, 4),
+        lam=st.floats(1e-2, 1e2), full=st.booleans(), seed=st.integers(0, 2**32 - 1),
     )
-    def test_both_paths_match_per_model_reference(self, d, k_frac, rows, lam, whole, seed):
+    def test_model_sets_match_per_model_reference(self, d, count, rows, lam, full, seed):
+        # any 0/1 set: repeated rows, the empty model, no rows at all, and
+        # beyond 8 columns models of at most 3 (up to 70 columns); with
+        # ``full`` one more model holds every column of up to 8
         rng = np.random.default_rng(seed)
         data = random_problem(rng, n=int(rng.integers(2, 12)), d=d)
         # rows with zeros, none all zero (whose log evidence is 0 up to rounding)
@@ -278,61 +274,85 @@ class TestSweep:
         block[:, zero] = 0
         block[:, (zero + 1) % data.n] += 1
         stats = weighted_stats(data, block)
-        every = enumerate_models(d, 1 + int(k_frac * (d - 1)))
-        # the whole set, shuffled, takes the sweep; a part of it, the stacked path
-        count = len(every) if whole else rng.integers(1, len(every) + 1)
-        models = every[rng.permutation(len(every))[:count]]
+        models = random_model_set(rng, d, count, d if d <= 8 else 3)
+        if full and d <= 8:
+            models = np.vstack([models, np.ones((1, d), dtype=np.uint8)])
         hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=lam, q0=0.5, k_star=d)
         reference = np.array(
             [[per_model_log_ml(row_of(stats, i), g, hyper) for g in models] for i in range(rows)]
-        )
-        for path in (as_chosen, stacked_only):
-            values = path(lambda: model_log_marginals(stats, models, hyper))
-            np.testing.assert_allclose(values, reference, rtol=1e-10)
-            for i in range(rows):
-                one = path(lambda: model_log_marginals(row_of(stats, i), models, hyper))
-                np.testing.assert_array_equal(values[i], one)
+        ).reshape(rows, len(models))
+        values = model_log_marginals(stats, models, hyper)
+        np.testing.assert_allclose(values, reference, rtol=1e-10)
+        # a value depends neither on the other weight rows nor on the other models
+        for i in range(rows):
+            one = model_log_marginals(row_of(stats, i), models, hyper)
+            np.testing.assert_array_equal(values[i], one)
+        for k in range(len(models)):
+            alone = model_log_marginals(stats, models[k : k + 1], hyper)
+            np.testing.assert_array_equal(values[:, k], alone[:, 0])
 
-    def test_model_sets_of_every_subset_take_the_sweep(self, monkeypatch):
-        # simulate's synthetic study (D = 10, k* = 2, B = 100) and select's
-        # all-subsets default (D = 11, k* = D, B = 3) both take the sweep;
-        # a set missing a subset, or one model, takes the stacked path
-        calls = []
-        sweep = linreg._sweep
-        monkeypatch.setattr(linreg, "_sweep", lambda *args: (calls.append(1), sweep(*args))[1])
+    def test_plan_is_the_prefix_trie_of_the_model_set(self):
+        def plan(models):
+            mask = np.asarray(models) != 0
+            return linreg._sweep_plan(mask.tobytes(), mask.shape)
+
+        # one model of j columns is a chain of j nodes below the root
         rng = np.random.default_rng(71)
-        for d, k_star, rows in ((10, 2, 101), (11, 11, 4)):
-            data = random_problem(rng, n=40, d=d)
-            stats = weighted_stats(data, rng.integers(0, 3, size=(rows, 40)))
+        for d, j in ((1, 1), (16, 16), (70, 3), (70, 70), (5, 0)):
+            model = np.zeros((1, d), dtype=np.uint8)
+            model[0, rng.choice(d, size=j, replace=False)] = 1
+            nodes, pos, _, groups, moves = plan(model)
+            assert nodes == j + 1 and len(moves) == j and len(groups) == max(j - 1, 0)
+            assert np.arange(nodes)[pos].tolist() == [j]
+        # an enumerated set holds every prefix of its rows: one node per row,
+        # in any row order, and a repeated row adds no node
+        for d, k_star in ((10, 2), (11, 11), (6, 3)):
             models = enumerate_models(d, k_star)
             models = models[rng.permutation(len(models))]
-            pair = models[models.sum(axis=1) == 2][:1]
-            for subset, taken in ((models, 1), (models[1:], 0), (pair, 0)):
-                calls.clear()
-                model_log_marginals(stats, subset, HYPER)
-                assert len(calls) == taken
+            for subset in (models, np.vstack([models, models[:5]])):
+                nodes, pos = plan(subset)[:2]
+                assert nodes == len(models)
+                assert sorted(np.arange(nodes)[pos][: len(models)]) == list(range(nodes))
+        # no rows, or the empty model alone: the root only
+        assert plan(np.zeros((0, 4)))[0] == plan(np.zeros((3, 4)))[0] == 1
 
-    def test_failing_pivot_row_takes_the_stacked_path(self):
-        # the {1, 2} pivot of the jitter problem is 4 - 4 * 4 / 4 = 0
+    def test_failing_pivot_cells_are_refactored_alone(self, monkeypatch):
+        # the {1, 2} pivot of the jitter problem is 4 - 4 * 4 / 4 = 0, so the
+        # sweep fails for {1, 2} and {1, 2, 3}, and only those cells take the
+        # jitter ladder, one (weight row, model) at a time
         stats, hyper = jitter_problem()
         models = enumerate_models(3, 3)
-        pair = [list(g) for g in models].index([1, 1, 0])
+        both = [k for k, g in enumerate(models) if g[0] and g[1]]
         _, logdet = linreg._sweep(stats.zwz.reshape(1, 9), stats.zwy[None], models != 0, hyper.lam)
-        assert not np.isfinite(logdet[0, pair])
-        swept = model_log_marginals(stats, models, hyper)
-        stacked = stacked_only(lambda: model_log_marginals(stats, models, hyper))
-        np.testing.assert_array_equal(swept, stacked)
-        # in a block, only the failing weight row is refactored
+        assert np.flatnonzero(~np.isfinite(logdet[0])).tolist() == both
+        factored = []
+        factor = linreg._factor
+
+        def recording(zwz, zwy, cols, lam, where):
+            factored.append((len(zwz), cols.tolist()))
+            return factor(zwz, zwy, cols, lam, where)
+
+        monkeypatch.setattr(linreg, "_factor", recording)
+        values = model_log_marginals(stats, models, hyper)
+        assert factored == [(1, [np.flatnonzero(models[k]).tolist()]) for k in both]
+        others = [k for k in range(len(models)) if k not in both]
+        reference = [per_model_log_ml(stats, models[k], hyper) for k in others]
+        np.testing.assert_allclose(values[others], reference, rtol=1e-10)
+        # in a block, only the failing cells of the failing weight row are
+        # refactored; every cell equals its value computed alone
         rng = np.random.default_rng(66)
         z = np.column_stack([np.ones(4), [1.0, 1.0, 0.0, 0.0], rng.standard_normal(4)])
         data = RegressionDataset(z=z, y=rng.standard_normal(4))
         block = weighted_stats(data, np.array([[1, 1, 1, 1], [2, 2, 0, 0]], dtype=np.uint8))
+        factored.clear()
         values = model_log_marginals(block, models, hyper)
-        for i, path in ((0, as_chosen), (1, stacked_only)):
-            one = path(lambda: model_log_marginals(row_of(block, i), models, hyper))
-            np.testing.assert_array_equal(values[i], one)
+        assert factored == [(1, [np.flatnonzero(models[k]).tolist()]) for k in both]
+        for i in range(2):
+            for k in range(len(models)):
+                alone = model_log_marginals(row_of(block, i), models[k : k + 1], hyper)[0]
+                assert values[i, k] == alone
 
-    def test_all_subsets_agree_with_stacked_path(self, monkeypatch):
+    def test_all_subsets_in_row_slices_match_per_model_reference(self, monkeypatch):
         rng = np.random.default_rng(72)
         data = random_problem(rng, n=200, d=11)
         stats = weighted_stats(data, rng.integers(0, 4, size=(4, 200)))
@@ -340,27 +360,32 @@ class TestSweep:
         for lam in (1.0, 16.0):
             hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=lam, q0=0.5, k_star=11)
             swept = model_log_marginals(stats, models, hyper)
-            stacked = stacked_only(lambda: model_log_marginals(stats, models, hyper))
-            np.testing.assert_allclose(swept, stacked, rtol=1e-12)
+            reference = [[per_model_log_ml(row_of(stats, i), g, hyper) for g in models]
+                         for i in range(4)]
+            np.testing.assert_allclose(swept, reference, rtol=1e-10)
         # weight rows swept one at a time give the same rows
         monkeypatch.setattr(linreg, "_FACTOR_FLOATS", 64)
         np.testing.assert_array_equal(model_log_marginals(stats, models, hyper), swept)
 
-    def test_peak_memory_within_the_stacked_paths(self):
+    def test_peak_memory_within_the_row_slices(self, monkeypatch):
+        # beyond its inputs and (r, K) outputs, the sweep holds at most two
+        # slices of state, one for the states and one for the temporaries;
+        # with one row a slice that is far below the state of all 41 rows
         rng = np.random.default_rng(73)
-        data = random_problem(rng, n=100, d=11)
-        stats = weighted_stats(data, rng.integers(0, 3, size=(101, 100)))
-        zwz, zwy, mask = stats.zwz.reshape(101, 121), stats.zwy, enumerate_models(11, 11) != 0
-        linreg._sweep(zwz[:1], zwy[:1], mask, 1.0)  # the node layout is built once
-        peaks = []
-        for path in (linreg._stacked, linreg._sweep):
-            tracemalloc.start()
-            try:
-                path(zwz, zwy, mask, 1.0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= peaks[0]
+        r, d = 41, 11
+        data = random_problem(rng, n=100, d=d)
+        stats = weighted_stats(data, rng.integers(0, 3, size=(r, 100)))
+        zwz, zwy, mask = stats.zwz.reshape(r, d * d), stats.zwy, enumerate_models(d, d) != 0
+        linreg._sweep(zwz[:1], zwy[:1], mask, 1.0)  # the plan is built once
+        per_row = linreg._sweep_plan(mask.tobytes(), mask.shape)[2]
+        monkeypatch.setattr(linreg, "_FACTOR_FLOATS", per_row)
+        tracemalloc.start()
+        try:
+            linreg._sweep(zwz, zwy, mask, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * r * len(mask) + 2 * r * (d + 1) * d + 2 * per_row) < 8 * r * per_row
 
 
 def einsum_stats(data, w):
@@ -436,7 +461,7 @@ class TestBlockEngine:
             np.testing.assert_array_equal(values[i], model_log_marginals(row_of(stats, i), models, HYPER))
             np.testing.assert_allclose(values[i], log_ml_rows(data, w, models), rtol=1e-12)
         np.testing.assert_array_equal(make_evaluator(data, models, HYPER)(block), values)
-        # size groups factored a few weight rows at a time give the same rows
+        # weight rows swept a few at a time give the same rows
         monkeypatch.setattr(linreg, "_FACTOR_FLOATS", 64)
         np.testing.assert_array_equal(model_log_marginals(stats, models, HYPER), values)
 
@@ -494,6 +519,13 @@ class TestBlockEngine:
                              m=[1.0, 1.0])
         with pytest.raises(NumericDomainError, match="model row 0 of weight row 1"):
             model_log_marginals(overflow, np.array([[0], [1]]), HYPER)
+        # Lam_g of column 1 is -5 + 1e-6 on weight row 1: no jitter makes it positive definite
+        indefinite = SuffStats(zwz=[np.eye(2), [[-5.0, 0.0], [0.0, 1.0]]], zwy=np.zeros((2, 2)),
+                               ywy=[1.0, 1.0], m=[1.0, 1.0])
+        with pytest.raises(NumericDomainError, match="model row 2 of weight row 1"):
+            model_log_marginals(indefinite, enumerate_models(2, 2), NEGATIVE_B_G_HYPER)
+        with pytest.raises(NumericDomainError, match="weight row 1"):
+            param_moments_from_stats(indefinite, np.array([1, 0]), NEGATIVE_B_G_HYPER)
 
 
 def log_ml_rows(data, w, models, hyper=HYPER):
@@ -772,6 +804,12 @@ class TestParamMoments:
     def test_negative_b_g_is_a_typed_error(self):
         with pytest.raises(NumericDomainError):
             param_moments_from_stats(NEGATIVE_B_G, np.array([1]), NEGATIVE_B_G_HYPER)
+
+    def test_gamma_must_be_a_vector_of_length_d(self):
+        stats = weighted_stats(random_problem(np.random.default_rng(4)), np.ones(6))
+        for gamma in ([1, 1], [[1, 0, 1]], [1, 0, 1, 1], 1):
+            with pytest.raises(InvalidArgumentError):
+                param_moments_from_stats(stats, gamma, HYPER)
 
     def test_variance_undefined(self):
         data = RegressionDataset(z=np.array([[1.0]]), y=np.array([0.5]))
