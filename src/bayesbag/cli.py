@@ -535,7 +535,9 @@ def _selection_pips(runs, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarr
     (runs, 2, D) in ``METHODS`` order, of the statistics rows of each run
     of the iterable ``runs``.  One ``model_log_marginals`` call evaluates
     the rows of consecutive runs together, up to ``_PASS_FLOATS`` log
-    evidences; each row's evidences do not depend on the rows beside it."""
+    evidences; each row's evidences do not depend on the rows beside it.
+    If the pass fails, its runs are evaluated one at a time, and the error
+    names the first failing run and a weight row counted within it."""
     d, k = models.shape[1], models.shape[0]
     log_prior = log_priors(models, hyper)
     table, batch = [], []
@@ -543,12 +545,16 @@ def _selection_pips(runs, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarr
     def evaluate():
         try:
             log_ml = model_log_marginals(_suff_stats(np.concatenate(batch), d), models, hyper)
-        except NumericDomainError as exc:
-            first = len(table)
-            raise NumericDomainError(
-                f"runs {first}-{first + len(batch) - 1} (weight rows in run order, each run's "
-                f"unit-weight row first): {exc}"
-            ) from exc
+        except NumericDomainError:
+            for run, rows in enumerate(batch, start=len(table)):
+                try:
+                    model_log_marginals(_suff_stats(rows, d), models, hyper)
+                except NumericDomainError as exc:
+                    raise NumericDomainError(
+                        f"run {run} (weight row 0 is its unit-weight row, row i its replicate i): "
+                        f"{exc}"
+                    ) from exc
+            raise
         for run in np.split(log_ml, np.cumsum([len(rows) for rows in batch[:-1]])):
             bagged = bagged_from_log_evidence(run[0], run[1:], log_prior)
             table.append([pips(bagged.standard_probs, models), pips(bagged.mean_probs, models)])

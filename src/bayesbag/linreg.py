@@ -30,10 +30,11 @@ complement from its parent's (Furnival & Wilson, "Regressions by leaps and
 bounds", Technometrics 16, 1974), so a set of every subset costs O(1) work
 per model amortized and one model of j columns a chain of j steps.  The
 trie is built once for each model set and cached with the map from model
-rows to its nodes.  A (weight row, model) cell whose sweep meets a pivot
-that is not positive and finite is refactored alone by a Cholesky with a
-jitter ladder, the one that ``param_moments_from_stats`` factors its model
-with, so jitter reaches moments exactly as it reaches evidences.
+rows to its nodes.  The sweep is the one evidence path, and no matrix is
+jittered: lam > 0 makes every Lam_g positive definite in exact arithmetic,
+so a pivot that is not positive and finite means that lam is lost in
+rounding or the statistics are not finite, and the cell raises
+``NumericDomainError`` rather than return the evidence of another prior.
 """
 
 from __future__ import annotations
@@ -70,10 +71,12 @@ LOG_2PI = log(2.0 * pi)
 # Total admissible models sum_{j<=k*} C(D, j) must not exceed this.
 MODEL_ENUMERATION_GUARD = 10_000_000
 
-# Diagonal jitter escalation before declaring a matrix non-PD; lam > 0
-# guarantees positive definiteness in exact arithmetic, so jitter only
-# covers float edge cases.
-_JITTERS = (0.0, 1e-12, 1e-10)
+# The error of a Lam_g without a Cholesky factor, which lam > 0 rules out in
+# exact arithmetic.
+_BAD_PIVOT = (
+    "has a pivot that is not positive and finite: lam is too small for these data, "
+    "or they are not finite"
+)
 
 # Observations per chunk of moment rows in ``weighted_stats``.
 _STATS_CHUNK = 2048
@@ -216,21 +219,6 @@ def _where(lead: tuple, row: int, model: int | None = None) -> str:
     return " for " + " of ".join(parts) if parts else ""
 
 
-def _spd_cholesky(a: np.ndarray, where: str = "") -> np.ndarray:
-    """Cholesky factor of a symmetric matrix that is positive definite in
-    exact arithmetic, escalating a diagonal jitter when rounding breaks it.
-    ``where`` locates the matrix in the error raised when no rung works."""
-    for jitter in _JITTERS:
-        try:
-            return np.linalg.cholesky(a if jitter == 0.0 else a + jitter * np.eye(a.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericDomainError(
-        f"matrix{where} is not positive definite even with diagonal jitter; "
-        "inputs contain NaN or are corrupt"
-    )
-
-
 def _forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve chol[i] @ t[i] = rhs[i] for a (n, j, j) stack of lower
     triangular factors and a (n, j) stack of right-hand sides."""
@@ -239,24 +227,6 @@ def _forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         partial = np.einsum("ij,ij->i", chol[:, r, :r], t[:, :r])
         t[:, r] = (rhs[:, r] - partial) / chol[:, r, r]
     return t
-
-
-def _factor(zwz: np.ndarray, zwy: np.ndarray, cols: np.ndarray, lam: float, where):
-    """Factor n models of j columns each, ``cols`` (n, j), over r weight
-    rows: gather every row's Z_g'WZ_g blocks from ``zwz`` (r, D * D), add
-    lam I, take one stacked Cholesky ``chol`` (r n, j, j) and solve
-    chol t = Z_g'Wy for ``t`` (r n, j), the models of one weight row
-    adjacent.  If the stacked call fails, the matrices are refactored one
-    by one through the jitter ladder, so jitter reaches only the failing
-    ones; ``where(i)`` locates matrix i in the error the ladder raises."""
-    count, j = len(zwz) * len(cols), cols.shape[1]  # explicit, so j = 0 reshapes too
-    flat = cols[:, :, None] * zwy.shape[1] + cols[:, None, :]
-    lam_mat = np.take(zwz, flat, axis=1).reshape(count, j, j) + lam * np.eye(j)
-    try:
-        chol = np.linalg.cholesky(lam_mat)
-    except np.linalg.LinAlgError:
-        chol = np.stack([_spd_cholesky(a, where(i)) for i, a in enumerate(lam_mat)])
-    return chol, _forward_substitute(chol, np.take(zwy, cols, axis=1).reshape(count, j))
 
 
 def _frozen(index):
@@ -399,11 +369,10 @@ def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperpar
     statistics with a leading shape (shape (..., K)).
 
     All models of all weight rows are evaluated by one sweep over the
-    prefixes of the models' column lists (see the module docstring).  A
-    (weight row, model) cell whose sweep meets a pivot that is not positive
-    and finite is refactored alone through the jitter ladder.  Raises
-    ``NumericDomainError`` naming the weight row and model row when the
-    ladder fails, some b_g <= 0 (y'Wy - quad cancelled below -2 b0),
+    prefixes of the models' column lists (see the module docstring).
+    Raises ``NumericDomainError`` naming the weight row and model row when
+    a cell's sweep meets a pivot that is not positive and finite, some
+    b_g <= 0 (y'Wy - quad cancelled below -2 b0, or quad overflowed),
     lgamma(a0 + M/2) overflows or a log evidence is not finite; never
     returns NaN.
     """
@@ -415,11 +384,9 @@ def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperpar
     lead, zwz, zwy, ywy, m = _flat_stats(stats, mask.shape[1])
     r = m.size
     quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
-    for row, k in np.argwhere(~(np.isfinite(quad) & np.isfinite(logdet))):
-        chol, t = _factor(zwz[row : row + 1], zwy[row : row + 1], np.flatnonzero(mask[k])[None],
-                          hyper.lam, lambda _: _where(lead, row, k))
-        quad[row, k] = np.einsum("ij,ij->i", t, t)[0]
-        logdet[row, k] = 2.0 * np.sum(np.log(np.diagonal(chol[0])))
+    if not np.all(np.isfinite(logdet)):
+        row, bad = np.argwhere(~np.isfinite(logdet))[0]
+        raise NumericDomainError(f"Lam_g{_where(lead, row, bad)} {_BAD_PIVOT}")
     sizes = mask.sum(axis=1).astype(float)
     a_n = hyper.a0 + 0.5 * m
     b_g = hyper.b0 + 0.5 * (ywy[:, None] - quad)
@@ -526,11 +493,11 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
     beta_j is Student-t with variance b_g/(a_n - 1) * (Lam_g^{-1})_jj, and
     log sigma^2 has mean log b_g - digamma(a_n) and variance trigamma(a_n).
 
-    The model, the empty one too, is factored for all weight rows in one
-    stacked Cholesky by the ladder that refactors the evidence path's
-    failing cells, so jitter reaches moments exactly as it reaches
-    evidences; the mean and diag(Lam_g^{-1}) come from the inverses of the
-    triangular factors.
+    The model's Lam_g, the empty one's too, is gathered for every weight
+    row and factored by one stacked Cholesky, without jitter; a row whose
+    factor fails raises ``NumericDomainError`` naming the first such row.
+    The mean and diag(Lam_g^{-1}) come from the inverses of the triangular
+    factors.
     """
     from scipy.special import digamma, polygamma  # keeps scipy out of the import path
 
@@ -541,14 +508,27 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
         raise InvalidArgumentError(
             f"gamma must be an inclusion vector of length {d}, got shape {gamma.shape}"
         )
-    cols = np.flatnonzero(gamma)[None, :]
+    cols = np.flatnonzero(gamma)
     a_n = hyper.a0 + 0.5 * m
     if not np.all(a_n > 1.0):
         row = int(np.flatnonzero(~(a_n > 1.0))[0])
         raise VarianceUndefinedError(
             f"posterior variance needs a0 + M/2 > 1, got {a_n[row]}{_where(lead, row)}"
         )
-    chol, t = _factor(zwz, zwy, cols, hyper.lam, lambda row: _where(lead, row))
+    j = cols.size
+    lam_mat = np.take(zwz, cols[:, None] * d + cols, axis=1).reshape(len(zwz), j, j)
+    lam_mat += hyper.lam * np.eye(j)
+    try:
+        chol = np.linalg.cholesky(lam_mat)
+    except np.linalg.LinAlgError:
+        for row, one in enumerate(lam_mat):  # name the first row that fails alone
+            try:
+                np.linalg.cholesky(one)
+            except np.linalg.LinAlgError:
+                raise NumericDomainError(f"Lam_g{_where(lead, row)} {_BAD_PIVOT}") from None
+        raise
+    # gathered by take, which keeps the rows C-ordered as the substitution reads them
+    t = _forward_substitute(chol, np.take(zwy, cols, axis=1))
     # Lam_g^{-1} = L^{-T} L^{-1}: mean L^{-T} t, diagonal the column norms of L^{-1}
     inv_chol = np.linalg.inv(chol)
     mean_beta = np.einsum("rki,rk->ri", inv_chol, t)
@@ -562,4 +542,4 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
         )
     means = np.column_stack([np.log(b_g) - digamma(a_n), mean_beta])
     variances = np.column_stack([polygamma(1, a_n), var_beta])
-    return np.stack([means, variances], axis=1).reshape(lead + (2, 1 + cols.size))
+    return np.stack([means, variances], axis=1).reshape(lead + (2, 1 + j))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularMomentError
-from .linreg import RegressionDataset, _spd_cholesky
+from .errors import InvalidArgumentError, NumericDomainError, SingularMomentError
+from .linreg import RegressionDataset
 
 __all__ = [
     "SimConfig",
@@ -97,10 +97,19 @@ def _base_correlation(d: int) -> np.ndarray:
 def sample_regressors(config: SimConfig, rng: np.random.Generator, n_rows: int | None = None) -> np.ndarray:
     """Draw i.i.d. regressor rows from the scale-mixture generator."""
     n = config.n if n_rows is None else n_rows
-    # the squared-exponential kernel's smallest eigenvalues underflow to
-    # (slightly negative) float noise once d exceeds ~14; the ladder's tiny
-    # diagonal jitter restores positive definiteness without moving the law
-    chol = _spd_cholesky(_base_correlation(config.d))
+    # the squared-exponential kernel's smallest eigenvalues round to
+    # (slightly negative) float noise from d = 14 on; a diagonal jitter of
+    # 1e-12, or 1e-10 if that fails, restores positive definiteness without
+    # moving the law
+    kernel = _base_correlation(config.d)
+    for jitter in (0.0, 1e-12, 1e-10):
+        try:
+            chol = np.linalg.cholesky(kernel + jitter * np.eye(config.d))
+            break
+        except np.linalg.LinAlgError:
+            pass
+    else:
+        raise NumericDomainError(f"the d = {config.d} kernel is not positive definite with jitter")
     v = rng.standard_normal((n, config.d)) @ chol.T
     xi = rng.chisquare(config.h, size=n)
     scale = np.sqrt(xi / (config.h - 2.0))

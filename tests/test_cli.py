@@ -434,9 +434,35 @@ class TestSelect:
         out = tmp_path / "o"
         assert run("select", "--data", path, "--target", "y", "--splits", 2, "--B", 3, "--out", out) == 2
         assert capsys.readouterr().err == (
-            "data error: runs 0-2 (weight rows in run order, each run's unit-weight row first): "
+            "data error: run 0 (weight row 0 is its unit-weight row, row i its replicate i): "
             "b_g = -1.0 is not positive for model row 3 of weight row 7\n")
         assert not out.exists()
+
+    def test_evidence_error_names_the_failing_run_and_its_row(self):
+        # z1 == z2 on the first three observations: a weight row that counts
+        # only those makes Lam_g of {1, 2} singular at lam = 1e-20; of three
+        # runs of three rows, only run 2's replicate 2 does (row 8 of the pass)
+        rng = np.random.default_rng(5)
+        z = np.column_stack([np.ones(6), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0], rng.standard_normal(6)])
+        data = RegressionDataset(z=z, y=rng.standard_normal(6))
+        unit = np.ones(6, dtype=np.uint8)
+        weights = [[unit, [2, 0, 1, 1, 0, 2], [0, 1, 1, 2, 1, 1]],
+                   [unit, [1, 1, 0, 0, 2, 2], [3, 0, 0, 1, 1, 1]],
+                   [unit, [1, 2, 0, 1, 1, 1], [2, 1, 3, 0, 0, 0]]]
+
+        def rows(block):
+            stats = weighted_stats(data, np.array(block, dtype=np.uint8))
+            flat = stats.zwz.reshape(len(block), -1)
+            return np.column_stack([flat, stats.zwy, stats.ywy, stats.m])
+
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=3)
+        models = enumerate_models(3, 3)
+        assert cli._selection_pips(map(rows, weights[:2]), models, hyper).shape == (2, 2, 3)
+        with pytest.raises(NumericDomainError, match=(
+            r"^run 2 \(weight row 0 is its unit-weight row, row i its replicate i\): "
+            r"Lam_g for model row 6 of weight row 2 has a pivot that is not positive and finite"
+        )):
+            cli._selection_pips(map(rows, weights), models, hyper)
 
     @pytest.mark.parametrize("command", ["select", "simulate"])
     def test_one_run_per_pass_gives_the_same_bytes(self, tmp_path, monkeypatch, command):

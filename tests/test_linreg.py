@@ -162,15 +162,18 @@ def per_model_log_ml(stats, gamma, hyper):
     )
 
 
-def jitter_problem():
+def singular_problem():
     """z2 == z1 with z1'z1 = 4: with lam = 1e-20, every block holding both
-    columns rounds to a singular matrix whose Cholesky fails without jitter."""
+    columns rounds to a singular matrix, whose Cholesky fails."""
     rng = np.random.default_rng(47)
     z = np.column_stack([np.ones(4), np.ones(4), rng.standard_normal(4)])
     data = RegressionDataset(z=z, y=rng.standard_normal(4))
     hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=3)
     return weighted_stats(data, np.ones(4)), hyper
 
+
+# how a Lam_g without a Cholesky factor is reported
+PIVOT = "has a pivot that is not positive and finite"
 
 # b_g = b0 + (0 - 100 / (1 + lam)) / 2 < 0: the evidence is undefined
 NEGATIVE_B_G = SuffStats(zwz=[[1]], zwy=[10], ywy=0, m=1)
@@ -204,20 +207,22 @@ class TestBatchedModelLayer:
                 evaluate(w), model_log_marginals(weighted_stats(data, w), models, HYPER)
             )
 
-    def test_jitter_confined_to_failing_matrix(self):
-        # the {1, 2} block [[4, 4], [4, 4]] + 1e-20 I needs jitter
-        stats, hyper = jitter_problem()
+    def test_singular_lam_g_is_a_typed_error(self):
+        # the {1, 2} block [[4, 4], [4, 4]] + 1e-20 I has no Cholesky factor;
+        # model row 6 is the first of the set to hold both columns
+        stats, hyper = singular_problem()
         models = enumerate_models(3, 3)
         pair = [list(g) for g in models].index([1, 1, 0])
+        assert pair == 6
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(stats.zwz[:2, :2] + hyper.lam * np.eye(2))
-        values = model_log_marginals(stats, models, hyper)
-        assert np.all(np.isfinite(values))
-        others = [k for k in range(len(models)) if models[k].sum() == 2 and k != pair]
-        alone = model_log_marginals(stats, models[others], hyper)
-        np.testing.assert_array_equal(values[others], alone)
+        with pytest.raises(NumericDomainError, match=f"^Lam_g for model row 6 {PIVOT}"):
+            model_log_marginals(stats, models, hyper)
+        # the models without the pair still evaluate, each as it would alone
+        others = [k for k in range(len(models)) if not (models[k][0] and models[k][1])]
+        values = model_log_marginals(stats, models[others], hyper)
         reference = [per_model_log_ml(stats, models[k], hyper) for k in others]
-        np.testing.assert_allclose(alone, reference, rtol=1e-10)
+        np.testing.assert_allclose(values, reference, rtol=1e-10)
 
     def test_negative_b_g_is_a_typed_error(self):
         with pytest.raises(NumericDomainError):
@@ -232,13 +237,16 @@ class TestBatchedModelLayer:
     def test_non_finite_evidence_is_a_typed_error(self):
         # y'Wy overflows to inf, so the empty model's b_g is inf and its
         # log evidence -inf; with a column, quad is inf too and b_g NaN
+        # (the pivot 1 + lam is fine, so the error is not a pivot's)
         data = RegressionDataset(z=np.array([[1.0]]), y=np.array([1e200]))
-        for gamma in ([0], [1]):
-            with pytest.raises(NumericDomainError):
-                log_ml(data, np.ones(1), gamma, HYPER)
+        with pytest.raises(NumericDomainError, match=r"^log evidence for model row 0 is .*-inf"):
+            log_ml(data, np.ones(1), [0], HYPER)
+        overflow = r"^b_g = .*nan.* is not positive for model row 0: y'Wy - quad cancelled or overflowed"
+        with pytest.raises(NumericDomainError, match=overflow):
+            log_ml(data, np.ones(1), [1], HYPER)
         # M so large that lgamma(a0 + M/2) overflows
         huge_m = SuffStats(zwz=[[1]], zwy=[0], ywy=1, m=1e308)
-        with pytest.raises(NumericDomainError):
+        with pytest.raises(NumericDomainError, match=r"^lgamma\(a0 \+ M/2\) overflows at M = .*1e\+308"):
             model_log_marginals(huge_m, np.array([[0], [1]]), HYPER)
 
     def test_model_width_must_match_stats(self):
@@ -316,41 +324,21 @@ class TestSweep:
         # no rows, or the empty model alone: the root only
         assert plan(np.zeros((0, 4)))[0] == plan(np.zeros((3, 4)))[0] == 1
 
-    def test_failing_pivot_cells_are_refactored_alone(self, monkeypatch):
-        # the {1, 2} pivot of the jitter problem is 4 - 4 * 4 / 4 = 0, so the
-        # sweep fails for {1, 2} and {1, 2, 3}, and only those cells take the
-        # jitter ladder, one (weight row, model) at a time
-        stats, hyper = jitter_problem()
+    def test_failing_pivot_cells_raise(self):
+        # the {1, 2} pivot of the singular problem is 4 - 4 * 4 / 4 = 0, so
+        # the sweep fails for {1, 2} and {1, 2, 3} alone, and the evidence
+        # names the first of them rather than refactoring it
+        stats, hyper = singular_problem()
         models = enumerate_models(3, 3)
         both = [k for k, g in enumerate(models) if g[0] and g[1]]
         _, logdet = linreg._sweep(stats.zwz.reshape(1, 9), stats.zwy[None], models != 0, hyper.lam)
         assert np.flatnonzero(~np.isfinite(logdet[0])).tolist() == both
-        factored = []
-        factor = linreg._factor
-
-        def recording(zwz, zwy, cols, lam, where):
-            factored.append((len(zwz), cols.tolist()))
-            return factor(zwz, zwy, cols, lam, where)
-
-        monkeypatch.setattr(linreg, "_factor", recording)
-        values = model_log_marginals(stats, models, hyper)
-        assert factored == [(1, [np.flatnonzero(models[k]).tolist()]) for k in both]
-        others = [k for k in range(len(models)) if k not in both]
-        reference = [per_model_log_ml(stats, models[k], hyper) for k in others]
-        np.testing.assert_allclose(values[others], reference, rtol=1e-10)
-        # in a block, only the failing cells of the failing weight row are
-        # refactored; every cell equals its value computed alone
-        rng = np.random.default_rng(66)
-        z = np.column_stack([np.ones(4), [1.0, 1.0, 0.0, 0.0], rng.standard_normal(4)])
-        data = RegressionDataset(z=z, y=rng.standard_normal(4))
-        block = weighted_stats(data, np.array([[1, 1, 1, 1], [2, 2, 0, 0]], dtype=np.uint8))
-        factored.clear()
-        values = model_log_marginals(block, models, hyper)
-        assert factored == [(1, [np.flatnonzero(models[k]).tolist()]) for k in both]
-        for i in range(2):
-            for k in range(len(models)):
-                alone = model_log_marginals(row_of(block, i), models[k : k + 1], hyper)[0]
-                assert values[i, k] == alone
+        for k in both:
+            with pytest.raises(NumericDomainError, match=f"^Lam_g for model row 0 {PIVOT}"):
+                model_log_marginals(stats, models[k : k + 1], hyper)
+        # in reversed model order the last of them, {1, 2, 3}, is model row 0
+        with pytest.raises(NumericDomainError, match=f"^Lam_g for model row 0 {PIVOT}"):
+            model_log_marginals(stats, models[::-1], hyper)
 
     def test_all_subsets_in_row_slices_match_per_model_reference(self, monkeypatch):
         rng = np.random.default_rng(72)
@@ -479,31 +467,6 @@ class TestBlockEngine:
                 for field in ((0, 0), (1, 0), (0, slice(1, None)), (1, slice(1, None))):
                     np.testing.assert_array_equal(moments[i][field], one[field])
 
-    def test_jitter_confined_to_failing_replicate_and_model(self):
-        # z2 equals z1 on the first two rows only: weights (2, 2, 0, 0) make
-        # the {1, 2} block [[4, 4], [4, 4]] + 1e-20 I, which needs jitter;
-        # unit weights keep it positive definite
-        rng = np.random.default_rng(66)
-        z = np.column_stack([np.ones(4), [1.0, 1.0, 0.0, 0.0], rng.standard_normal(4)])
-        data = RegressionDataset(z=z, y=rng.standard_normal(4))
-        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=3)
-        models = enumerate_models(3, 3)
-        pair = [list(g) for g in models].index([1, 1, 0])
-        stats = weighted_stats(data, np.array([[1, 1, 1, 1], [2, 2, 0, 0]], dtype=np.uint8))
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(stats.zwz[1, :2, :2] + hyper.lam * np.eye(2))
-        values = model_log_marginals(stats, models, hyper)
-        assert np.all(np.isfinite(values))
-        np.testing.assert_array_equal(values[0], model_log_marginals(row_of(stats, 0), models, hyper))
-        others = [k for k in range(len(models)) if models[k].sum() == 2 and k != pair]
-        np.testing.assert_array_equal(
-            values[1, others], model_log_marginals(row_of(stats, 1), models[others], hyper)
-        )
-        # the failing matrix gets the jitter it gets when factored alone
-        np.testing.assert_array_equal(
-            values[1, [pair]], model_log_marginals(row_of(stats, 1), models[[pair]], hyper)
-        )
-
     def test_domain_errors_name_weight_row_and_model_row(self):
         # row 1 repeats NEGATIVE_B_G; row 0 is well defined
         stats = SuffStats(zwz=[[[1.0]], [[1.0]]], zwy=[[0.0], [10.0]], ywy=[1.0, 0.0], m=[1.0, 1.0])
@@ -519,13 +482,34 @@ class TestBlockEngine:
                              m=[1.0, 1.0])
         with pytest.raises(NumericDomainError, match="model row 0 of weight row 1"):
             model_log_marginals(overflow, np.array([[0], [1]]), HYPER)
-        # Lam_g of column 1 is -5 + 1e-6 on weight row 1: no jitter makes it positive definite
+        # Lam_g of column 1 is -5 + 1e-6 on weight row 1
         indefinite = SuffStats(zwz=[np.eye(2), [[-5.0, 0.0], [0.0, 1.0]]], zwy=np.zeros((2, 2)),
                                ywy=[1.0, 1.0], m=[1.0, 1.0])
-        with pytest.raises(NumericDomainError, match="model row 2 of weight row 1"):
+        with pytest.raises(NumericDomainError, match=f"model row 2 of weight row 1 {PIVOT}"):
             model_log_marginals(indefinite, enumerate_models(2, 2), NEGATIVE_B_G_HYPER)
-        with pytest.raises(NumericDomainError, match="weight row 1"):
+        with pytest.raises(NumericDomainError, match=f"weight row 1 {PIVOT}"):
             param_moments_from_stats(indefinite, np.array([1, 0]), NEGATIVE_B_G_HYPER)
+
+    def test_jitter_confined_to_failing_replicate_and_model(self):
+        # no jitter is added: z2 equals z1 on the first two rows only, so
+        # weights (2, 2, 0, 0) make the {1, 2} block [[4, 4], [4, 4]] + 1e-20 I,
+        # which has no Cholesky factor, while unit weights keep it positive
+        # definite; the error names that weight row and model row 6, the first
+        # to hold both columns, and the unit-weight row still evaluates
+        rng = np.random.default_rng(66)
+        z = np.column_stack([np.ones(4), [1.0, 1.0, 0.0, 0.0], rng.standard_normal(4)])
+        data = RegressionDataset(z=z, y=rng.standard_normal(4))
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=3)
+        singular = weighted_stats(data, np.array([[1, 1, 1, 1], [2, 2, 0, 0]], dtype=np.uint8))
+        models = enumerate_models(3, 3)
+        with pytest.raises(NumericDomainError, match=f"model row 6 of weight row 1 {PIVOT}"):
+            model_log_marginals(singular, models, hyper)
+        with pytest.raises(NumericDomainError, match=f"weight row 1 {PIVOT}"):
+            param_moments_from_stats(singular, np.array([1, 1, 0]), hyper)
+        np.testing.assert_allclose(
+            model_log_marginals(row_of(singular, 0), models, hyper),
+            [per_model_log_ml(row_of(singular, 0), g, hyper) for g in models], rtol=1e-10,
+        )
 
 
 def log_ml_rows(data, w, models, hyper=HYPER):
@@ -709,12 +693,11 @@ class TestPips:
         np.testing.assert_allclose(run(permuted), run(data)[perm], atol=1e-10)
 
 
-def dense_moments(stats, gamma, hyper, jitter=0.0):
-    """Lam_g (plus ``jitter`` I) and the moments (mean_beta, var_beta,
-    mean_log_sigma2) by a dense solve and inverse; independent of the
-    triangular-factor path."""
+def dense_moments(stats, gamma, hyper):
+    """Lam_g and the moments (mean_beta, var_beta, mean_log_sigma2) by a
+    dense solve and inverse; independent of the triangular-factor path."""
     idx = np.flatnonzero(gamma)
-    lam_mat = stats.zwz[np.ix_(idx, idx)] + hyper.lam * np.eye(idx.size) + jitter * np.eye(idx.size)
+    lam_mat = stats.zwz[np.ix_(idx, idx)] + hyper.lam * np.eye(idx.size)
     mean = np.linalg.solve(lam_mat, stats.zwy[idx])
     a_n = hyper.a0 + 0.5 * stats.m
     b_g = hyper.b0 + 0.5 * (stats.ywy - stats.zwy[idx] @ mean)
@@ -739,23 +722,20 @@ class TestParamMoments:
                 np.testing.assert_allclose(moments[..., 1, 1:], var, rtol=1e-12)
                 np.testing.assert_allclose(moments[..., 0, 0], mean_log_s2, rtol=1e-12)
 
-    def test_jitter_reaches_moments(self):
-        # blocks holding columns 1 and 2 take the 1e-12 rung of the ladder
-        stats, hyper = jitter_problem()
+    def test_singular_lam_g_is_a_typed_error(self):
+        # models holding columns 1 and 2 have no Cholesky factor; the rest
+        # match the dense reference
+        stats, hyper = singular_problem()
         for gamma in enumerate_models(3, 3)[1:]:
-            jitter = 1e-12 if gamma[0] and gamma[1] else 0.0
-            lam_mat, mean, var, mean_log_s2 = dense_moments(stats, gamma, hyper, jitter)
+            if gamma[0] and gamma[1]:
+                with pytest.raises(NumericDomainError, match=f"^Lam_g {PIVOT}"):
+                    param_moments_from_stats(stats, gamma, hyper)
+                continue
+            _, mean, var, mean_log_s2 = dense_moments(stats, gamma, hyper)
             moments = param_moments_from_stats(stats, gamma, hyper)
+            np.testing.assert_allclose(moments[..., 0, 1:], mean, rtol=1e-12)
             np.testing.assert_allclose(moments[..., 1, 1:], var, rtol=1e-12)
             np.testing.assert_allclose(moments[..., 0, 0], mean_log_s2, rtol=1e-12)
-            if jitter:
-                # a jittered Lam_g has cond ~ 1e13, so the mean is checked by
-                # its backward residual, which does not grow with cond
-                residual = lam_mat @ moments[..., 0, 1:] - stats.zwy[np.flatnonzero(gamma)]
-                scale = np.linalg.norm(lam_mat, 2) * np.linalg.norm(moments[..., 0, 1:])
-                assert np.linalg.norm(residual) <= 1e-12 * scale
-            else:
-                np.testing.assert_allclose(moments[..., 0, 1:], mean, rtol=1e-12)
 
     def test_prior_variance_with_zero_data(self):
         data = random_problem(np.random.default_rng(2))

@@ -7,6 +7,7 @@ from scipy.stats import kurtosis
 from bayesbag.errors import InvalidArgumentError
 from bayesbag.simgen import (
     SimConfig,
+    _base_correlation,
     kl_optimal_params,
     make_beta_dagger,
     sample_dataset,
@@ -56,6 +57,27 @@ class TestSampleRegressors:
         even = kurtosis(self.z[:, 1::2], axis=0, fisher=True)
         assert np.all(odd > 0.5)
         assert np.all(even < 0.2)
+
+    def test_kernel_factor_takes_the_first_rung_that_works(self, monkeypatch):
+        # no jitter at d = 10; at d = 20 the kernel itself has no Cholesky
+        # factor, and K + 1e-12 I is factored
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def recording(a):
+            factored.append(a)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        for d, jitters in ((10, [0.0]), (20, [0.0, 1e-12])):
+            factored.clear()
+            sample_regressors(SimConfig(d=d, k=2, n=5), np.random.default_rng(0))
+            kernel = _base_correlation(d)
+            assert len(factored) == len(jitters)
+            for a, jitter in zip(factored, jitters):
+                np.testing.assert_array_equal(a, kernel + jitter * np.eye(d))
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(_base_correlation(20))
 
     def test_h_guard(self):
         with pytest.raises(InvalidArgumentError):
