@@ -27,15 +27,16 @@ BLAS stays at one thread, so the results do not depend on thread timing.
 The worker is joined before the command returns, and an error of the
 generation is reported as itself.
 
-``select`` and ``simulate`` run their selection runs (the full data and
-each split; each replicate dataset) in two stages.  Per run,
-``evaluate_replicates`` gathers the weighted sufficient statistics of the
-data and of its bootstrap replicates, one row each.  Then one
-``model_log_marginals`` call evaluates the rows of consecutive runs
-together, as many runs as fit in ``_PASS_FLOATS`` log evidences (a run
-larger than that alone), and each run is normalized by
-``bagged_from_log_evidence``.  A row's evidences do not depend on the rows
-beside it, so the passes do not change any result.  ``read_regression_csv``
+``select``, ``simulate`` and ``mismatch`` run each bagging run (the full
+data and each split; each replicate dataset; the dataset) in two stages.
+``evaluate_replicates`` gathers the run's weighted sufficient statistics
+as one (1 + B)-row array, row 0 of the data and row i of its replicate i,
+the numbering errors use.  ``select`` and ``simulate`` then evaluate the
+rows of consecutive runs by one ``model_log_marginals`` call, up to
+``_PASS_FLOATS`` log evidences (a larger run alone), and normalize each
+run by ``bagged_from_log_evidence``; ``mismatch`` takes the moments of
+all its rows by one ``param_moments_from_stats`` call.  A row's values do
+not depend on the rows beside it, so passes change no result.  ``read_regression_csv``
 parses a ``--data`` CSV's body with one ``np.loadtxt`` call and falls back
 to a row loop that gives the same arrays or the line-numbered error.
 
@@ -502,9 +503,9 @@ def _dataset_ahead(config: SimConfig, rng: np.random.Generator):
 
 
 def _replicate_stats(dataset, n: int, d: int, m: int, b: int, boot_seed: int) -> np.ndarray:
-    """Stage one of a selection run: the weighted sufficient statistics of
-    the ``n``-row, ``d``-regressor dataset ``dataset()`` at unit weights and
-    at ``b`` bootstrap replicates, as (1 + b) rows laid out as
+    """Stage one of a bagging run: the weighted sufficient statistics of
+    the ``n``-row, ``d``-regressor dataset ``dataset()``, row 0 at unit
+    weights and row i at bootstrap replicate i, as (1 + b) rows laid out as
     ``_suff_stats`` reads them.  ``dataset`` is first called once the first
     block of counts is drawn."""
 
@@ -512,10 +513,7 @@ def _replicate_stats(dataset, n: int, d: int, m: int, b: int, boot_seed: int) ->
         stats = weighted_stats(dataset(), weights)
         return np.column_stack([stats.zwz.reshape(len(weights), -1), stats.zwy, stats.ywy, stats.m])
 
-    standard, rows = evaluate_replicates(
-        stats_rows, n, BootstrapConfig(m=m, b=b, seed=boot_seed), d * d + d + 2
-    )
-    return np.vstack([standard, rows])
+    return evaluate_replicates(stats_rows, n, BootstrapConfig(m=m, b=b, seed=boot_seed), d * d + d + 2)
 
 
 def _suff_stats(rows: np.ndarray, d: int) -> SuffStats:
@@ -528,6 +526,13 @@ def _suff_stats(rows: np.ndarray, d: int) -> SuffStats:
 # consecutive runs share a pass while their rows x K fit, and a run is never
 # split, so no pass is larger than this or than one run alone.
 _PASS_FLOATS = 1 << 19
+
+
+def _run_error(run: int, exc: NumericDomainError) -> NumericDomainError:
+    """The model-layer error ``exc`` on the rows of bagging run ``run``, naming the run."""
+    return NumericDomainError(
+        f"run {run} (weight row 0 is its unit-weight row, row i its replicate i): {exc}"
+    )
 
 
 def _selection_pips(runs, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
@@ -550,13 +555,10 @@ def _selection_pips(runs, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarr
                 try:
                     model_log_marginals(_suff_stats(rows, d), models, hyper)
                 except NumericDomainError as exc:
-                    raise NumericDomainError(
-                        f"run {run} (weight row 0 is its unit-weight row, row i its replicate i): "
-                        f"{exc}"
-                    ) from exc
+                    raise _run_error(run, exc) from exc
             raise
         for run in np.split(log_ml, np.cumsum([len(rows) for rows in batch[:-1]])):
-            bagged = bagged_from_log_evidence(run[0], run[1:], log_prior)
+            bagged = bagged_from_log_evidence(run, log_prior)
             table.append([pips(bagged.standard_probs, models), pips(bagged.mean_probs, models)])
         batch.clear()
 
@@ -756,20 +758,15 @@ def cmd_mismatch(args) -> int:
         q0=0.5,  # unused by the full-model moments
         k_star=d,
     )
-    gamma_full = np.ones(d, dtype=np.uint8)
     m = n  # the index is defined with M = N
 
     with loading as dataset:
-
-        def moment_rows(weights) -> np.ndarray:
-            """The posterior moments of each weight row, flattened to one row."""
-            stats = weighted_stats(dataset(), weights)
-            return param_moments_from_stats(stats, gamma_full, hyper).reshape(len(weights), -1)
-
-        standard, rows = evaluate_replicates(
-            moment_rows, n, BootstrapConfig(m=m, b=b, seed=_child_seed(seed, 1)), 2 + 2 * d
-        )
-    overall, per_coord = mismatch_index_proj(standard.reshape(2, -1), rows.reshape(b, 2, -1))
+        rows = _replicate_stats(dataset, n, d, m, b, _child_seed(seed, 1))
+    try:
+        moments = param_moments_from_stats(_suff_stats(rows, d), np.ones(d), hyper)
+    except NumericDomainError as exc:
+        raise _run_error(0, exc) from exc
+    overall, per_coord = mismatch_index_proj(moments[0], moments[1:])
 
     report = {
         "schema": MISMATCH_REPORT_SCHEMA,

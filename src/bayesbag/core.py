@@ -18,12 +18,13 @@ the standard posterior comes from the same evaluator call as the first
 replicates.  An evaluator built on weighted sufficient statistics forms
 them for the whole block at once and shares them across all models.
 
-A bagging run is two stages: ``evaluate_replicates`` gathers the
-evaluator's rows, and ``bagged_from_log_evidence`` normalizes the (B, K)
-log evidences of all replicates together by one row-wise log-sum-exp.
-``bagged_model_posterior`` is the two in turn.  A caller whose evaluator
-returns per-row statistics instead of log evidences can evaluate the
-models of several runs at once between the stages.
+A bagging run is one (1 + B, width) array of evaluator rows, numbered as
+errors name them: row 0 is the original data (unit weights) and row i is
+bootstrap replicate i.  ``evaluate_replicates`` fills it, and
+``bagged_from_log_evidence`` normalizes its (1 + B, K) log evidences by
+one row-wise log-sum-exp; ``bagged_model_posterior`` is the two stages in
+turn.  A caller whose evaluator returns per-row statistics instead of log
+evidences can evaluate the models of several runs at once between them.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ class BaggedPosterior:
     is the per-model sample standard deviation across replicates divided by
     sqrt(b); with a single replicate it is reported as zeros and
     ``se_defined`` is False.  ``standard_probs`` is the standard posterior
-    of the original data (the evaluator at unit weights), which
-    ``bagged_model_posterior`` evaluates in the first block of replicates.
+    of the original data (the evaluator at unit weights), row 0 of the run
+    whose rows 1..b are ``replicate_probs``.
     """
 
     replicate_probs: np.ndarray
@@ -189,17 +190,17 @@ def _block_rows(n: int, dtype: np.dtype, total: int) -> int:
     return max(1, min(total, BLOCK_BYTES // (n * dtype.itemsize)))
 
 
-def _evaluate_block(evaluator: Evaluator, first: int, block: np.ndarray, width: int):
+def _evaluate_block(evaluator: Evaluator, start: int, block: np.ndarray, width: int):
     """The evaluator's (r, width) output for one block whose first row is
-    replicate ``first``; any failure is a ``ReplicateEvaluationError``."""
+    row ``start`` of the run; any failure is a ``ReplicateEvaluationError``."""
     try:
         values = np.asarray(evaluator(block), dtype=float)
     except Exception as exc:
-        raise ReplicateEvaluationError(first, exc) from exc
+        raise ReplicateEvaluationError(start, exc) from exc
     expected = (block.shape[0], width)
     if values.shape != expected:
         raise ReplicateEvaluationError(
-            first, InvalidArgumentError(f"evaluator returned shape {values.shape}, expected {expected}")
+            start, InvalidArgumentError(f"evaluator returned shape {values.shape}, expected {expected}")
         )
     return values
 
@@ -239,37 +240,33 @@ def standard_model_posterior(log_ml, log_prior) -> ModelPosterior:
     return ModelPosterior(probs=_normalized_probs(log_evidence), log_evidence=log_evidence)
 
 
-def evaluate_replicates(
-    evaluator: Evaluator, n_obs: int, config: BootstrapConfig, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The evaluator's row at unit weights and its (config.b, width) rows of
-    ``config.b`` bootstrap replicates.
+def evaluate_replicates(evaluator: Evaluator, n_obs: int, config: BootstrapConfig, width: int) -> np.ndarray:
+    """The (1 + config.b, width) evaluator rows of one bagging run: row 0 at
+    unit weights (the original data) and row i at bootstrap replicate i.
 
-    The unit-weight row (the original data) leads the first block, so the
-    evaluator sees the data once for the standard and the bagged posterior.
-    The replicate weight rows are drawn in replicate order from the one
-    stream ``replicate_rng(config.seed)``: replicate ``i`` depends only on
+    The unit-weight row leads the first block, so the evaluator sees the
+    data once for the standard and the bagged posterior.  The replicate
+    weight rows are drawn in replicate order from the one stream
+    ``replicate_rng(config.seed)``: replicate ``i`` depends only on
     ``(config.seed, i)``, and a run with more replicates repeats the first
     ``config.b`` of this one.  They reach the evaluator in blocks (see the
     module docstring); a failing block raises ``ReplicateEvaluationError``
-    naming its first replicate.
+    naming its first row.
     """
     if n_obs < 1:
         raise InvalidArgumentError(f"number of observations must be >= 1, got {n_obs}")
     rng = replicate_rng(config.seed)
     dtype = np.min_scalar_type(config.m)
     rows = _block_rows(n_obs, dtype, config.b)
-    out = np.empty((config.b, width))
+    out = np.empty((1 + config.b, width))
     for first in range(0, config.b, rows):
         lead = int(first == 0)  # the unit-weight row
         block = np.empty((lead + min(rows, config.b - first), n_obs), dtype=dtype)
         block[:lead] = 1
         _draw_counts(block[lead:], config.m, rng)
-        values = _evaluate_block(evaluator, first, block, width)
-        if lead:
-            standard, values = values[0], values[1:]
-        out[first : first + len(values)] = values
-    return standard, out
+        start = first + 1 - lead
+        out[start : start + len(block)] = _evaluate_block(evaluator, start, block, width)
+    return out
 
 
 def bagged_model_posterior(
@@ -283,16 +280,16 @@ def bagged_model_posterior(
     ``bagged_from_log_evidence``; the standard posterior of the original
     data comes with it."""
     log_prior = np.asarray(log_prior, dtype=float)
-    standard, log_ml = evaluate_replicates(evaluator, n_obs, config, log_prior.size)
-    return bagged_from_log_evidence(standard, log_ml, log_prior)
+    log_ml = evaluate_replicates(evaluator, n_obs, config, log_prior.size)
+    return bagged_from_log_evidence(log_ml, log_prior)
 
 
-def bagged_from_log_evidence(standard, log_ml, log_prior) -> BaggedPosterior:
-    """The bagged posterior of one run from its log marginal likelihoods:
-    ``standard`` (K,) of the original data and ``log_ml`` (B, K) of its B
-    replicates, each row normalized with ``log_prior`` (K,) added."""
-    log_prior = np.asarray(log_prior, dtype=float)
-    replicate_probs = _normalized_probs(np.asarray(log_ml, dtype=float) + log_prior)
+def bagged_from_log_evidence(log_ml, log_prior) -> BaggedPosterior:
+    """The bagged posterior of one run from its (1 + B, K) log marginal
+    likelihoods, row 0 of the original data and row i of replicate i, all
+    normalized with ``log_prior`` (K,) added by one row-wise log-sum-exp."""
+    probs = _normalized_probs(np.asarray(log_ml, dtype=float) + np.asarray(log_prior, dtype=float))
+    replicate_probs = probs[1:]
     b = replicate_probs.shape[0]
     mean_probs = replicate_probs.mean(axis=0)
     if b >= 2:
@@ -306,7 +303,7 @@ def bagged_from_log_evidence(standard, log_ml, log_prior) -> BaggedPosterior:
         mean_probs=mean_probs,
         std_errors=std_errors,
         se_defined=se_defined,
-        standard_probs=_normalized_probs(np.asarray(standard, dtype=float) + log_prior),
+        standard_probs=probs[0],
     )
 
 
@@ -325,9 +322,10 @@ def exact_bagged_posterior(evaluator: Evaluator, n_obs: int, m: int, log_prior) 
 
     Enumerates every multinomial count vector, weighting each posterior by
     its multinomial pmf; the vectors reach the evaluator in blocks, as in
-    ``evaluate_replicates``.  Feasible only for tiny problems; guarded at
-    C(m+n-1, n-1) <= 1e5 enumerated vectors.  Serves as the oracle for
-    ``bagged_model_posterior``.
+    ``evaluate_replicates``, and an error names a block by its first vector,
+    counted from 0 (there is no unit-weight row).  Feasible only for tiny
+    problems; guarded at C(m+n-1, n-1) <= 1e5 enumerated vectors.  Serves as
+    the oracle for ``bagged_model_posterior``.
     """
     if n_obs < 1:
         raise InvalidArgumentError(f"number of observations must be >= 1, got {n_obs}")

@@ -43,12 +43,14 @@ class SingularMomentError(BayesBagError):
 
 
 class ReplicateEvaluationError(BayesBagError):
-    """An evaluator raised, or returned the wrong shape, on a block of
-    bootstrap replicates; ``replicate`` is the block's first replicate."""
+    """An evaluator raised, or returned the wrong shape, on a block of weight
+    rows; ``replicate`` is the block's first row as a bagging run counts its
+    rows: 0 the original data (unit weights), i bootstrap replicate i."""
 
     def __init__(self, replicate: int, cause: BaseException):
         super().__init__(
-            f"evaluator failed on the block of bootstrap replicates from {replicate}: {cause!r}"
+            f"evaluator failed on the block from run row {replicate} (row 0 the original data, row i "
+            f"replicate i; its row j is run row {replicate} + j): {type(cause).__name__}: {cause}"
         )
         self.replicate = replicate
 

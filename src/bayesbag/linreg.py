@@ -393,7 +393,7 @@ def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperpar
     if not np.all(b_g > 0.0):
         row, bad = np.argwhere(~(b_g > 0.0))[0]
         raise NumericDomainError(
-            f"b_g = {b_g[row, bad]!r} is not positive{_where(lead, row, bad)}: "
+            f"b_g = {float(b_g[row, bad])} is not positive{_where(lead, row, bad)}: "
             "y'Wy - quad cancelled or overflowed"
         )
     lgamma_a_n = np.empty(r)
@@ -402,7 +402,7 @@ def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperpar
             lgamma_a_n[row] = lgamma(value)
         except OverflowError:
             raise NumericDomainError(
-                f"lgamma(a0 + M/2) overflows at M = {m[row]!r}{_where(lead, row)}"
+                f"lgamma(a0 + M/2) overflows at M = {float(m[row])}{_where(lead, row)}"
             ) from None
     log_ml = (
         hyper.a0 * log(hyper.b0)
@@ -416,7 +416,7 @@ def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperpar
     if not np.all(np.isfinite(log_ml)):
         row, bad = np.argwhere(~np.isfinite(log_ml))[0]
         raise NumericDomainError(
-            f"log evidence{_where(lead, row, bad)} is {log_ml[row, bad]!r}"
+            f"log evidence{_where(lead, row, bad)} is {float(log_ml[row, bad])}"
         )
     return log_ml.reshape(lead + (sizes.size,))
 
@@ -537,7 +537,7 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
     if not np.all(b_g > 0.0):
         row = int(np.flatnonzero(~(b_g > 0.0))[0])
         raise NumericDomainError(
-            f"b_g = {b_g[row]!r} is not positive{_where(lead, row)}: "
+            f"b_g = {float(b_g[row])} is not positive{_where(lead, row)}: "
             "y'Wy - quad cancelled or overflowed"
         )
     means = np.column_stack([np.log(b_g) - digamma(a_n), mean_beta])

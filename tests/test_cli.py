@@ -610,6 +610,23 @@ class TestMismatch:
         report = json.loads((out / "mismatch.json").read_text())
         assert report["d"] == 3
 
+    def test_singular_row_is_named_by_its_run_row(self, tmp_path, monkeypatch, capsys):
+        # a = 1 and b = 1 on the first three rows: Lam_g is singular at
+        # lam = 1e-20 for a weight row that counts only those, which at the
+        # default seed is replicate 78 alone, in the eighth block of 10 rows
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n" + "".join(f"1,{b},{y}\n" for b, y in
+                                            zip([1, 1, 1, 0, 0, 0], [0.3, -1.2, 0.8, 1.5, -0.4, 0.1])))
+        monkeypatch.setattr(core, "BLOCK_BYTES", 60)
+        out = tmp_path / "o"
+        assert run("mismatch", "--data", path, "--target", "y", "--no-standardize",
+                   "--lambda", 1e-20, "--B", 200, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "data error: run 0 (weight row 0 is its unit-weight row, row i its replicate i): "
+            "Lam_g for weight row 78 has a pivot that is not positive and finite: lam is too "
+            "small for these data, or they are not finite\n")
+        assert not out.exists()
+
     def test_per_coordinate_values_match_scalar_reference(self, tmp_path):
         # same dataset and counts as the command, moments one row at a time,
         # and the index by its scalar formula, coordinate by coordinate
@@ -619,9 +636,9 @@ class TestMismatch:
                    "--out", out) == 0
         report = json.loads((out / "mismatch.json").read_text())
         data = sample_dataset(SimConfig(d=d, k=1, n=n, seed=seed), core.replicate_rng(seed, 0))
-        _, counts = core.evaluate_replicates(
+        counts = core.evaluate_replicates(
             lambda w: w.astype(float), n, core.BootstrapConfig(m=n, b=b, seed=cli._child_seed(seed, 1)), n
-        )
+        )[1:]
         hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=16.0, q0=0.5, k_star=d)
         gamma = np.ones(d)
         standard = param_moments_from_stats(weighted_stats(data, np.ones(n)), gamma, hyper)

@@ -198,7 +198,7 @@ class TestBaggedModelPosterior:
         for b in (1, 9):
             bagged = bagged_model_posterior(ev, 6, log_prior, BootstrapConfig(m=4, b=b, seed=2))
             expected = standard_model_posterior(ev(np.ones(6)), log_prior).probs
-            np.testing.assert_allclose(bagged.standard_probs, expected, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(bagged.standard_probs, expected)
 
     def test_replicates_prefix_stable_in_b(self):
         # a run with more replicates repeats the first replicates of a
@@ -237,7 +237,7 @@ class TestBaggedModelPosterior:
         with pytest.raises(ReplicateEvaluationError) as err:
             bagged_model_posterior(broken, 3, UNIFORM2, BootstrapConfig(m=3, b=2, seed=0))
         assert err.value.replicate == 0
-        assert "boom" in str(err.value)
+        assert "RuntimeError: boom" in str(err.value)
 
 
 def regression_evaluator(n=12, d=3, seed=5):
@@ -269,14 +269,14 @@ class TestReplicateBlocks:
         # across several groups
         blocks = []
         cfg = BootstrapConfig(m=m, b=b, seed=12)
-        standard, _ = evaluate_replicates(
+        run = evaluate_replicates(
             lambda w: (blocks.append(w.copy()), np.zeros((len(w), 1)))[1], n, cfg, 1
         )
         rows = np.concatenate(blocks)[1:]
         rng = replicate_rng(12)
         expected = np.array([bootstrap_counts(n, m, rng) for _ in range(b)])
         np.testing.assert_array_equal(rows, expected)
-        assert standard.shape == (1,)
+        assert run.shape == (1 + b, 1)
 
     def test_many_blocks_equal_one_row_blocks(self, monkeypatch):
         # 12 replicates in blocks of 5, 5 and 2 rows against one-row blocks
@@ -298,7 +298,7 @@ class TestReplicateBlocks:
         short = bagged_model_posterior(ev, 12, log_prior, BootstrapConfig(m=12, b=7, seed=6))
         np.testing.assert_allclose(short.replicate_probs, rows.replicate_probs[:7], rtol=0, atol=1e-12)
 
-    def test_failures_name_the_first_replicate_of_the_block(self, monkeypatch):
+    def test_failures_name_the_first_row_of_the_block(self, monkeypatch):
         monkeypatch.setattr(core, "BLOCK_BYTES", 3 * 4)  # 3 rows of 4 uint8 counts
         cfg = BootstrapConfig(m=4, b=8, seed=0)
         calls = []
@@ -311,7 +311,8 @@ class TestReplicateBlocks:
 
         with pytest.raises(ReplicateEvaluationError) as err:
             bagged_model_posterior(second_block_raises, 4, UNIFORM2, cfg)
-        assert err.value.replicate == 3 and "boom" in str(err.value)
+        # run rows 0-3 (the unit-weight row and replicates 1-3), then 4-6
+        assert err.value.replicate == 4 and "boom" in str(err.value)
         for wrong in (lambda w: np.zeros(2), lambda w: np.zeros((len(w), 3)),
                       lambda w: np.zeros((len(w) + 1, 2))):
             with pytest.raises(ReplicateEvaluationError) as err:

@@ -239,14 +239,14 @@ class TestBatchedModelLayer:
         # log evidence -inf; with a column, quad is inf too and b_g NaN
         # (the pivot 1 + lam is fine, so the error is not a pivot's)
         data = RegressionDataset(z=np.array([[1.0]]), y=np.array([1e200]))
-        with pytest.raises(NumericDomainError, match=r"^log evidence for model row 0 is .*-inf"):
+        with pytest.raises(NumericDomainError, match=r"^log evidence for model row 0 is -inf$"):
             log_ml(data, np.ones(1), [0], HYPER)
-        overflow = r"^b_g = .*nan.* is not positive for model row 0: y'Wy - quad cancelled or overflowed"
+        overflow = r"^b_g = nan is not positive for model row 0: y'Wy - quad cancelled or overflowed"
         with pytest.raises(NumericDomainError, match=overflow):
             log_ml(data, np.ones(1), [1], HYPER)
         # M so large that lgamma(a0 + M/2) overflows
         huge_m = SuffStats(zwz=[[1]], zwy=[0], ywy=1, m=1e308)
-        with pytest.raises(NumericDomainError, match=r"^lgamma\(a0 \+ M/2\) overflows at M = .*1e\+308"):
+        with pytest.raises(NumericDomainError, match=r"^lgamma\(a0 \+ M/2\) overflows at M = 1e\+308"):
             model_log_marginals(huge_m, np.array([[0], [1]]), HYPER)
 
     def test_model_width_must_match_stats(self):
