@@ -42,7 +42,6 @@ from .core import (
 from .linreg import (
     NIGHyperparams,
     RegressionDataset,
-    SuffStats,
     enumerate_models,
     log_priors,
     make_evaluator,

@@ -29,9 +29,10 @@ generation is reported as itself.
 
 ``select``, ``simulate`` and ``mismatch`` run each bagging run (the full
 data and each split; each replicate dataset; the dataset) in two stages.
-``evaluate_replicates`` gathers the run's weighted sufficient statistics
-as one (1 + B)-row array, row 0 of the data and row i of its replicate i,
-the numbering errors use.  ``select`` and ``simulate`` then evaluate the
+``evaluate_replicates`` gathers the run's ``weighted_stats`` rows, the
+one statistics format, as one (1 + B)-row array, row 0 of the data and
+row i of its replicate i, the numbering errors use; only ``linreg`` reads
+the fields of a row.  ``select`` and ``simulate`` then evaluate the
 rows of consecutive runs by one ``model_log_marginals`` call, up to
 ``_PASS_FLOATS`` log evidences (a larger run alone), and normalize each
 run by ``bagged_from_log_evidence``; ``mismatch`` takes the moments of
@@ -92,7 +93,6 @@ from .errors import (
 from .linreg import (
     NIGHyperparams,
     RegressionDataset,
-    SuffStats,
     enumerate_models,
     log_priors,
     model_log_marginals,
@@ -406,11 +406,13 @@ def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]
     The file is read once; ``csv`` parses the header.  One ``np.loadtxt``
     call parses every line after it, on the text with its line ends read as
     ``\\n``, so that loadtxt counts the lines the csv module counts.  Where
-    loadtxt refuses the text, or its table is empty, narrower or wider than
-    the header, or not finite, the records are parsed one ``float`` call a
-    cell instead, which skips blank records and raises the line-numbered
-    error.  Both parses round each number correctly, so an accepted file
-    gives the same arrays either way.
+    a line may be longer than ``csv.field_size_limit()`` (some
+    ``field_size_limit() // 2`` characters hold no ``\\n``), or loadtxt
+    refuses the text, or its table is empty, narrower or wider than the
+    header, or not finite, the records are parsed one ``float`` call a cell
+    instead, which skips blank records and raises the line-numbered error.
+    Both parses round each number correctly, so an accepted file gives the
+    same arrays either way.
     """
     text = _read_text(path)
     rows = _csv_rows(path, text)
@@ -425,13 +427,19 @@ def read_regression_csv(path, target: str) -> tuple[RegressionDataset, list[str]
         raise IngestionError(f"{path}: target column {target!r} not in header {header}")
     if len(header) == 1:
         raise IngestionError(f"{path}: no regressor columns besides target {target!r}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
-            table = np.loadtxt(io.StringIO(text, newline=None), delimiter=",", comments=None,
-                               quotechar='"', skiprows=header_line, ndmin=2)
-    except ValueError:
-        table = None
+    table = None
+    # loadtxt has no field size limit, so a text that may hold a line longer
+    # than the csv module's limit, and so a cell it refuses, goes to the row
+    # loop: every such line holds a whole window [k half, (k + 1) half) with no "\n"
+    half = csv.field_size_limit() // 2
+    if all(text.find("\n", i, i + half) >= 0 for i in range(0, len(text) - half + 1, half)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
+                table = np.loadtxt(io.StringIO(text, newline=None), delimiter=",", comments=None,
+                                   quotechar='"', skiprows=header_line, ndmin=2)
+        except ValueError:
+            pass
     if table is None or table.size == 0 or table.shape[1] != len(header) or not np.isfinite(table).all():
         table = _table_by_rows(path, rows, len(header))
     t_idx = header.index(target)
@@ -503,23 +511,12 @@ def _dataset_ahead(config: SimConfig, rng: np.random.Generator):
 
 
 def _replicate_stats(dataset, n: int, d: int, m: int, b: int, boot_seed: int) -> np.ndarray:
-    """Stage one of a bagging run: the weighted sufficient statistics of
-    the ``n``-row, ``d``-regressor dataset ``dataset()``, row 0 at unit
-    weights and row i at bootstrap replicate i, as (1 + b) rows laid out as
-    ``_suff_stats`` reads them.  ``dataset`` is first called once the first
-    block of counts is drawn."""
-
-    def stats_rows(weights) -> np.ndarray:
-        stats = weighted_stats(dataset(), weights)
-        return np.column_stack([stats.zwz.reshape(len(weights), -1), stats.zwy, stats.ywy, stats.m])
-
-    return evaluate_replicates(stats_rows, n, BootstrapConfig(m=m, b=b, seed=boot_seed), d * d + d + 2)
-
-
-def _suff_stats(rows: np.ndarray, d: int) -> SuffStats:
-    """Statistics rows [Z'WZ (d * d), Z'Wy (d), y'Wy, M] as ``SuffStats``."""
-    return SuffStats(zwz=rows[:, : d * d].reshape(-1, d, d), zwy=rows[:, d * d : -2],
-                     ywy=rows[:, -2], m=rows[:, -1])
+    """Stage one of a bagging run: the ``weighted_stats`` rows of the
+    ``n``-row, ``d``-regressor dataset ``dataset()``, row 0 at unit weights
+    and row i at bootstrap replicate i.  ``dataset`` is first called once
+    the first block of counts is drawn."""
+    config = BootstrapConfig(m=m, b=b, seed=boot_seed)
+    return evaluate_replicates(lambda w: weighted_stats(dataset(), w), n, config, d * d + d + 2)
 
 
 # Floats of (weight row, model) log evidences one model-layer pass holds:
@@ -537,23 +534,24 @@ def _run_error(run: int, exc: NumericDomainError) -> NumericDomainError:
 
 def _selection_pips(runs, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
     """Stage two: standard and bagged posterior inclusion probabilities,
-    (runs, 2, D) in ``METHODS`` order, of the statistics rows of each run
-    of the iterable ``runs``.  One ``model_log_marginals`` call evaluates
-    the rows of consecutive runs together, up to ``_PASS_FLOATS`` log
-    evidences; each row's evidences do not depend on the rows beside it.
+    (runs, 2, D) in ``METHODS`` order, of the ``weighted_stats`` rows of
+    each run of the iterable ``runs``.  One ``model_log_marginals`` call
+    evaluates the rows of consecutive runs together, up to
+    ``_PASS_FLOATS`` log evidences; each row's evidences do not depend on
+    the rows beside it.
     If the pass fails, its runs are evaluated one at a time, and the error
     names the first failing run and a weight row counted within it."""
-    d, k = models.shape[1], models.shape[0]
+    k = models.shape[0]
     log_prior = log_priors(models, hyper)
     table, batch = [], []
 
     def evaluate():
         try:
-            log_ml = model_log_marginals(_suff_stats(np.concatenate(batch), d), models, hyper)
+            log_ml = model_log_marginals(np.concatenate(batch), models, hyper)
         except NumericDomainError:
             for run, rows in enumerate(batch, start=len(table)):
                 try:
-                    model_log_marginals(_suff_stats(rows, d), models, hyper)
+                    model_log_marginals(rows, models, hyper)
                 except NumericDomainError as exc:
                     raise _run_error(run, exc) from exc
             raise
@@ -763,7 +761,7 @@ def cmd_mismatch(args) -> int:
     with loading as dataset:
         rows = _replicate_stats(dataset, n, d, m, b, _child_seed(seed, 1))
     try:
-        moments = param_moments_from_stats(_suff_stats(rows, d), np.ones(d), hyper)
+        moments = param_moments_from_stats(rows, np.ones(d), hyper)
     except NumericDomainError as exc:
         raise _run_error(0, exc) from exc
     overall, per_coord = mismatch_index_proj(moments[0], moments[1:])
@@ -789,6 +787,8 @@ def cmd_mismatch(args) -> int:
 
 def cmd_overlap(args) -> int:
     level, seed, n_boot, ci_level = args.level, args.seed, args.n_boot, args.ci_level
+    if not 0.0 < ci_level < 1.0:
+        raise InvalidArgumentError(f"--ci-level must be in (0, 1), got {ci_level}")
     sides = [[load_posterior_samples(p) for p in paths] for paths in (args.a, args.b)]
     result = hpd_overlap(*map(average_posteriors, sides), level)
     ci_lo = ci_hi = None
@@ -958,7 +958,7 @@ def build_parser() -> _Parser:
     p.add_argument("--level", type=float, default=0.99, help="HPD level (default 0.99)")
     p.add_argument("--ci", action="store_true",
                    help="bootstrap CI resampling the files of each side (a one-file side is held fixed)")
-    p.add_argument("--n-boot", type=int, default=1000)
+    p.add_argument("--n-boot", type=_int_at_least(100), default=1000)
     p.add_argument("--ci-level", type=float, default=0.8)
     _add_common(p)
 

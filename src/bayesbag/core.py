@@ -23,8 +23,9 @@ errors name them: row 0 is the original data (unit weights) and row i is
 bootstrap replicate i.  ``evaluate_replicates`` fills it, and
 ``bagged_from_log_evidence`` normalizes its (1 + B, K) log evidences by
 one row-wise log-sum-exp; ``bagged_model_posterior`` is the two stages in
-turn.  A caller whose evaluator returns per-row statistics instead of log
-evidences can evaluate the models of several runs at once between them.
+turn.  A caller whose evaluator returns statistics rows instead of log
+evidences (``linreg.weighted_stats``, whose rows ``linreg`` alone reads)
+can evaluate the models of several runs at once between them.
 """
 
 from __future__ import annotations

@@ -21,8 +21,12 @@ on the dataset with rows replicated per their counts.
 
 Work is batched over weight rows and models.  ``weighted_stats`` takes an
 (r, N) block of weight rows and forms all r sets of statistics by one
-matrix product with the per-observation moment rows; its fields keep the
-block's leading shape.  All models of a set are evaluated in one pass:
+matrix product with the per-observation moment rows.  Statistics have one
+format, owned by this module: one float row per weight row, laid out
+[Z'WZ row-major (D * D), Z'Wy (D), y'Wy, M], with the block's leading
+shape before it.  ``model_log_marginals`` and ``param_moments_from_stats``
+read these rows, and a caller stores or stacks them without knowing the
+layout.  All models of a set are evaluated in one pass:
 a sweep over the prefix trie of the models' ascending column lists fills
 the (r, K) arrays quad = y'WZ_g Lam_g^{-1} Z_g'Wy and log|Lam_g|, from which
 b_g and log ml are formed as arrays.  Each trie node takes its Schur
@@ -56,7 +60,6 @@ from .errors import (
 __all__ = [
     "RegressionDataset",
     "NIGHyperparams",
-    "SuffStats",
     "weighted_stats",
     "model_log_marginals",
     "make_evaluator",
@@ -138,24 +141,11 @@ class NIGHyperparams:
             raise InvalidArgumentError(f"k_star must be >= 1, got {self.k_star}")
 
 
-@dataclass(frozen=True, eq=False)
-class SuffStats:
-    """Weighted sufficient statistics: Z'WZ, Z'Wy, y'Wy and M = sum(w).
-
-    Statistics of several weight rows carry the rows' leading shape on
-    every field: zwz (..., D, D), zwy (..., D), ywy and m (...), the last
-    two 0-d (numpy scalars) for one row.
-    """
-
-    zwz: np.ndarray
-    zwy: np.ndarray
-    ywy: np.ndarray
-    m: np.ndarray
-
-
-def weighted_stats(data: RegressionDataset, weights) -> SuffStats:
+def weighted_stats(data: RegressionDataset, weights) -> np.ndarray:
     """Weighted sufficient statistics of one weight vector or a block of
-    weight rows (shape (..., N), any real or integer dtype).
+    weight rows (shape lead + (N,), any real or integer dtype): a float
+    array of shape lead + (D * D + D + 2,), each row laid out
+    [Z'WZ row-major, Z'Wy, y'Wy, M] with M = sum(w).
 
     Row n of the moment matrix P is [z_i z_j (i <= j), z y, y^2] of
     observation n, so every row's statistics come from one product W @ P.
@@ -185,31 +175,27 @@ def weighted_stats(data: RegressionDataset, weights) -> SuffStats:
         np.multiply(zt, y, out=pt[iu.size : -1])
         np.multiply(y, y, out=pt[-1])
         acc += w[:, lo : lo + _STATS_CHUNK].astype(float) @ pt.T
-    zwz = np.empty((w.shape[0], d, d))
-    zwz[:, iu, ju] = zwz[:, ju, iu] = acc[:, : iu.size]
-    return SuffStats(
-        zwz=zwz.reshape(lead + (d, d)),
-        zwy=acc[:, iu.size : -1].reshape(lead + (d,)),
-        ywy=acc[:, -1].reshape(lead)[()],
-        m=w.sum(axis=1, dtype=float).reshape(lead)[()],
-    )
+    rows = np.empty((w.shape[0], d * d + d + 2))
+    rows[:, iu * d + ju] = rows[:, ju * d + iu] = acc[:, : iu.size]
+    rows[:, d * d : -1] = acc[:, iu.size :]
+    rows[:, -1] = w.sum(axis=1, dtype=float)
+    return rows.reshape(lead + (rows.shape[1],))
 
 
-def _flat_stats(stats: SuffStats, d: int):
-    """The leading shape of ``stats`` and its fields flattened over it:
-    zwz (r, d * d), zwy (r, d), ywy (r,) and m (r,)."""
-    zwz = np.asarray(stats.zwz, dtype=float)
-    if zwz.shape[-2:] != (d, d):
-        raise InvalidArgumentError(f"models have {d} columns but Z'WZ has shape {zwz.shape}")
-    lead = zwz.shape[:-2]
-    r = int(np.prod(lead))
-    return (
-        lead,
-        zwz.reshape(r, d * d),
-        np.asarray(stats.zwy, dtype=float).reshape(r, d),
-        np.asarray(stats.ywy, dtype=float).reshape(r),
-        np.asarray(stats.m, dtype=float).reshape(r),
-    )
+def _flat_stats(stats, name: str, shape: tuple):
+    """The leading shape of the statistics rows ``stats`` and their fields
+    flattened over it: Z'WZ (r, d * d), Z'Wy (r, d), y'Wy (r,) and M (r,),
+    for the d columns that the last axis of ``name``'s ``shape`` gives."""
+    stats = np.asarray(stats, dtype=float)
+    d = shape[-1]
+    if stats.shape[-1:] != (d * d + d + 2,):
+        raise InvalidArgumentError(
+            f"statistics rows for {name} of shape {shape} have width {d * d + d + 2}; "
+            f"got statistics of shape {stats.shape}"
+        )
+    lead = stats.shape[:-1]
+    flat = stats.reshape(-1, stats.shape[-1])
+    return lead, flat[:, : d * d], flat[:, d * d : -2], flat[:, -2], flat[:, -1]
 
 
 def _where(lead: tuple, row: int, model: int | None = None) -> str:
@@ -363,10 +349,11 @@ def _sweep(zwz: np.ndarray, zwy: np.ndarray, mask: np.ndarray, lam: float):
     return quad, logdet
 
 
-def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
+def model_log_marginals(stats: np.ndarray, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
     """Log marginal likelihoods for every row of a model set (any 0/1
-    inclusion matrix), for one set of statistics (shape (K,)) or for
-    statistics with a leading shape (shape (..., K)).
+    (K, D) inclusion matrix) from ``weighted_stats`` rows of width
+    D * D + D + 2: shape (K,) for one row, lead + (K,) for rows of leading
+    shape lead.  Rows of another width are an ``InvalidArgumentError``.
 
     All models of all weight rows are evaluated by one sweep over the
     prefixes of the models' column lists (see the module docstring).
@@ -381,7 +368,7 @@ def model_log_marginals(stats: SuffStats, models: np.ndarray, hyper: NIGHyperpar
         raise InvalidArgumentError(
             f"models must be a (count, d) inclusion matrix, got shape {mask.shape}"
         )
-    lead, zwz, zwy, ywy, m = _flat_stats(stats, mask.shape[1])
+    lead, zwz, zwy, ywy, m = _flat_stats(stats, "models", mask.shape)
     r = m.size
     quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
     if not np.all(np.isfinite(logdet)):
@@ -482,9 +469,10 @@ def pips(posterior, models: np.ndarray) -> np.ndarray:
     return probs @ models.astype(float)
 
 
-def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> np.ndarray:
-    """Conjugate posterior moments from precomputed sufficient statistics of
-    any leading shape ``lead``, as one array of shape ``lead + (2, 1 + |gamma|)``:
+def param_moments_from_stats(stats: np.ndarray, gamma, hyper: NIGHyperparams) -> np.ndarray:
+    """Conjugate posterior moments from ``weighted_stats`` rows of any
+    leading shape ``lead`` and width D * D + D + 2, D = len(gamma), as one
+    array of shape ``lead + (2, 1 + |gamma|)``:
     row 0 holds the means and row 1 the variances of the coordinates
     [log sigma^2, beta_j for each included j in column order].
 
@@ -501,13 +489,11 @@ def param_moments_from_stats(stats: SuffStats, gamma, hyper: NIGHyperparams) -> 
     """
     from scipy.special import digamma, polygamma  # keeps scipy out of the import path
 
-    d = np.shape(stats.zwz)[-1]
-    lead, zwz, zwy, ywy, m = _flat_stats(stats, d)
     gamma = np.asarray(gamma)
-    if gamma.shape != (d,):
-        raise InvalidArgumentError(
-            f"gamma must be an inclusion vector of length {d}, got shape {gamma.shape}"
-        )
+    if gamma.ndim != 1:
+        raise InvalidArgumentError(f"gamma must be an inclusion vector, got shape {gamma.shape}")
+    lead, zwz, zwy, ywy, m = _flat_stats(stats, "gamma", gamma.shape)
+    d = gamma.size
     cols = np.flatnonzero(gamma)
     a_n = hyper.a0 + 0.5 * m
     if not np.all(a_n > 1.0):

@@ -429,10 +429,9 @@ class TestKModelLawValidation:
     lambda: bb.ModelPosterior(np.array([0.5, 0.5]), np.zeros(2)),
     lambda: bb.BaggedPosterior(np.full((2, 2), 0.5), np.full(2, 0.5), np.zeros(2)),
     lambda: bb.RegressionDataset(z=np.eye(2), y=np.ones(2)),
-    lambda: bb.SuffStats(zwz=np.eye(2), zwy=np.ones(2), ywy=1.0, m=2.0),
     lambda: bb.KLOptimal(np.ones(2), 1.0, 1.0, 0.0),
 ], ids=["TwoModelLaw", "KModelLaw", "DiscretePosterior", "ModelPosterior", "BaggedPosterior",
-        "RegressionDataset", "SuffStats", "KLOptimal"])
+        "RegressionDataset", "KLOptimal"])
 def test_array_dataclasses_compare_by_identity(make):
     # field-wise == on arrays is ambiguous, so these compare and hash by identity
     law = make()

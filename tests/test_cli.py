@@ -337,6 +337,33 @@ class TestSelect:
         assert names == expected[1] == ["x0", "x1", "x2"]
         assert data.z.tobytes() == expected[0].z.tobytes() and data.y.tobytes() == expected[0].y.tobytes()
 
+    @pytest.mark.parametrize("narrowest", [False, True])
+    def test_cell_over_the_csv_field_limit_is_refused_as_by_the_row_loop(self, tmp_path, capsys,
+                                                                         monkeypatch, narrowest):
+        # "1.000...0" is a finite number that loadtxt reads, but a cell longer
+        # than the csv module's field limit is a data error on either path: a
+        # cell of 140,002 characters on line 2, or one of limit + 1 characters
+        # on a line that starts one character after a multiple of limit // 2
+        limit = csv.field_size_limit()
+        pad = (limit // 2 - 4) // 4 if narrowest else 0  # "z1,y\n" then pad "1,1\n" lines
+        zeros = limit - 1 if narrowest else 140_000
+        path = tmp_path / "d.csv"
+        path.write_text("z1,y\n" + "1,1\n" * pad + f"1.{'0' * zeros},1\n2,2\n3,3\n",
+                        encoding="utf-8")
+        with pytest.raises(IngestionError) as err:
+            read_by_row_loop(path, "y")
+        assert str(err.value) == f"{path}:{2 + pad}: field larger than field limit ({limit})"
+        assert run("select", "--data", path, "--target", "y", "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"data error: {err.value}\n"
+        assert not (tmp_path / "o").exists()
+        # a file longer than the limit whose lines are all shorter is read by loadtxt
+        long = write_dataset_csv(tmp_path / "long.csv", 3000, 3, seed=6)
+        assert Path(long).stat().st_size > limit
+        expected = read_by_row_loop(long, "y")
+        monkeypatch.setattr(cli, "_table_by_rows", None)  # calling it would raise
+        data, names = cli.read_regression_csv(long, "y")
+        assert data.z.tobytes() == expected[0].tobytes() and data.y.tobytes() == expected[1].tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(case=regression_csvs())
     def test_reader_matches_the_row_loop(self, case):
@@ -451,9 +478,7 @@ class TestSelect:
                    [unit, [1, 2, 0, 1, 1, 1], [2, 1, 3, 0, 0, 0]]]
 
         def rows(block):
-            stats = weighted_stats(data, np.array(block, dtype=np.uint8))
-            flat = stats.zwz.reshape(len(block), -1)
-            return np.column_stack([flat, stats.zwy, stats.ywy, stats.m])
+            return weighted_stats(data, np.array(block, dtype=np.uint8))
 
         hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=3)
         models = enumerate_models(3, 3)
@@ -1035,6 +1060,20 @@ class TestUsageErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("--inner-samples=2000\n", encoding="utf-8")
         assert run("asymptotics", f"@{cfg}", "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--n-boot", -5, "--ci-level", 7), ("--n-boot", 99), ("--ci", "--n-boot", 50),
+        ("--ci-level", 0), ("--ci-level", 1), ("--ci-level", "nan"), ("--ci", "--ci-level", 7),
+    ])
+    def test_overlap_bootstrap_settings_are_checked_with_or_without_ci(self, tmp_path, capsys,
+                                                                      flags):
+        # before any file is read: the sample files do not exist
+        out = tmp_path / "o"
+        assert run("overlap", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt", *flags,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and ("--n-boot" in err or "--ci-level" in err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--D", 3, "--k", 1, "--N", 30, "--b", 5),  # not --b0

@@ -5,6 +5,7 @@ posterior moments against conjugate sampling."""
 import itertools
 import tracemalloc
 from math import exp, lgamma, log, pi
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from bayesbag import linreg
 from bayesbag.linreg import (
     NIGHyperparams,
     RegressionDataset,
-    SuffStats,
     enumerate_models,
     log_priors,
     make_evaluator,
@@ -46,6 +46,17 @@ def log_prior(gamma, hyper):
 
 def moments_of(data, weights, gamma, hyper):
     return param_moments_from_stats(weighted_stats(data, weights), gamma, hyper)
+
+
+def fields(rows):
+    """The fields of ``weighted_stats`` rows [Z'WZ row-major, Z'Wy, y'Wy, M]
+    of width D * D + D + 2 = ((2 D + 1)^2 + 7) / 4: zwz (..., D, D), zwy
+    (..., D), ywy and m (...)."""
+    rows = np.asarray(rows, dtype=float)
+    d = (round(np.sqrt(4 * rows.shape[-1] - 7)) - 1) // 2
+    assert rows.shape[-1] == d * d + d + 2
+    return SimpleNamespace(zwz=rows[..., : d * d].reshape(rows.shape[:-1] + (d, d)),
+                           zwy=rows[..., d * d : -2], ywy=rows[..., -2], m=rows[..., -1])
 
 
 def quadrature_log_ml_ratio(z, y, hyper, shift):
@@ -146,6 +157,7 @@ class TestLogMarginalLikelihood:
 def per_model_log_ml(stats, gamma, hyper):
     """One model's log evidence from its own sub-block, by slogdet and a
     general solve; independent of the sweep."""
+    stats = fields(stats)
     idx = np.flatnonzero(gamma)
     quad, logdet = 0.0, 0.0
     if idx.size:
@@ -175,8 +187,9 @@ def singular_problem():
 # how a Lam_g without a Cholesky factor is reported
 PIVOT = "has a pivot that is not positive and finite"
 
+# Z'WZ = 1, Z'Wy = 10, y'Wy = 0 and M = 1, so
 # b_g = b0 + (0 - 100 / (1 + lam)) / 2 < 0: the evidence is undefined
-NEGATIVE_B_G = SuffStats(zwz=[[1]], zwy=[10], ywy=0, m=1)
+NEGATIVE_B_G = np.array([1.0, 10.0, 0.0, 1.0])
 NEGATIVE_B_G_HYPER = NIGHyperparams(a0=2, b0=1e-3, lam=1e-6, q0=0.5, k_star=1)
 
 
@@ -215,7 +228,7 @@ class TestBatchedModelLayer:
         pair = [list(g) for g in models].index([1, 1, 0])
         assert pair == 6
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(stats.zwz[:2, :2] + hyper.lam * np.eye(2))
+            np.linalg.cholesky(fields(stats).zwz[:2, :2] + hyper.lam * np.eye(2))
         with pytest.raises(NumericDomainError, match=f"^Lam_g for model row 6 {PIVOT}"):
             model_log_marginals(stats, models, hyper)
         # the models without the pair still evaluate, each as it would alone
@@ -245,14 +258,23 @@ class TestBatchedModelLayer:
         with pytest.raises(NumericDomainError, match=overflow):
             log_ml(data, np.ones(1), [1], HYPER)
         # M so large that lgamma(a0 + M/2) overflows
-        huge_m = SuffStats(zwz=[[1]], zwy=[0], ywy=1, m=1e308)
+        huge_m = np.array([1.0, 0.0, 1.0, 1e308])
         with pytest.raises(NumericDomainError, match=r"^lgamma\(a0 \+ M/2\) overflows at M = 1e\+308"):
             model_log_marginals(huge_m, np.array([[0], [1]]), HYPER)
 
     def test_model_width_must_match_stats(self):
-        stats = weighted_stats(random_problem(np.random.default_rng(3)), np.ones(6))
-        with pytest.raises(InvalidArgumentError):
+        # three columns make rows of width 3 * 3 + 3 + 2 = 14; two columns need 8
+        stats = weighted_stats(random_problem(np.random.default_rng(3)), np.ones((2, 6)))
+        with pytest.raises(InvalidArgumentError, match=(
+            r"^statistics rows for models of shape \(4, 2\) have width 8; "
+            r"got statistics of shape \(2, 14\)$"
+        )):
             model_log_marginals(stats, enumerate_models(2, 2), HYPER)
+        with pytest.raises(InvalidArgumentError, match=(
+            r"^statistics rows for gamma of shape \(2,\) have width 8; "
+            r"got statistics of shape \(2, 14\)$"
+        )):
+            param_moments_from_stats(stats, np.ones(2), HYPER)
 
 
 def random_model_set(rng, d, count, kmax):
@@ -287,13 +309,13 @@ class TestSweep:
             models = np.vstack([models, np.ones((1, d), dtype=np.uint8)])
         hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=lam, q0=0.5, k_star=d)
         reference = np.array(
-            [[per_model_log_ml(row_of(stats, i), g, hyper) for g in models] for i in range(rows)]
+            [[per_model_log_ml(stats[i], g, hyper) for g in models] for i in range(rows)]
         ).reshape(rows, len(models))
         values = model_log_marginals(stats, models, hyper)
         np.testing.assert_allclose(values, reference, rtol=1e-10)
         # a value depends neither on the other weight rows nor on the other models
         for i in range(rows):
-            one = model_log_marginals(row_of(stats, i), models, hyper)
+            one = model_log_marginals(stats[i], models, hyper)
             np.testing.assert_array_equal(values[i], one)
         for k in range(len(models)):
             alone = model_log_marginals(stats, models[k : k + 1], hyper)
@@ -331,7 +353,8 @@ class TestSweep:
         stats, hyper = singular_problem()
         models = enumerate_models(3, 3)
         both = [k for k, g in enumerate(models) if g[0] and g[1]]
-        _, logdet = linreg._sweep(stats.zwz.reshape(1, 9), stats.zwy[None], models != 0, hyper.lam)
+        rows = fields(stats)
+        _, logdet = linreg._sweep(rows.zwz.reshape(1, 9), rows.zwy[None], models != 0, hyper.lam)
         assert np.flatnonzero(~np.isfinite(logdet[0])).tolist() == both
         for k in both:
             with pytest.raises(NumericDomainError, match=f"^Lam_g for model row 0 {PIVOT}"):
@@ -348,7 +371,7 @@ class TestSweep:
         for lam in (1.0, 16.0):
             hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=lam, q0=0.5, k_star=11)
             swept = model_log_marginals(stats, models, hyper)
-            reference = [[per_model_log_ml(row_of(stats, i), g, hyper) for g in models]
+            reference = [[per_model_log_ml(stats[i], g, hyper) for g in models]
                          for i in range(4)]
             np.testing.assert_allclose(swept, reference, rtol=1e-10)
         # weight rows swept one at a time give the same rows
@@ -363,7 +386,7 @@ class TestSweep:
         r, d = 41, 11
         data = random_problem(rng, n=100, d=d)
         stats = weighted_stats(data, rng.integers(0, 3, size=(r, 100)))
-        zwz, zwy, mask = stats.zwz.reshape(r, d * d), stats.zwy, enumerate_models(d, d) != 0
+        zwz, zwy, mask = stats[:, : d * d], stats[:, d * d : -2], enumerate_models(d, d) != 0
         linreg._sweep(zwz[:1], zwy[:1], mask, 1.0)  # the plan is built once
         per_row = linreg._sweep_plan(mask.tobytes(), mask.shape)[2]
         monkeypatch.setattr(linreg, "_FACTOR_FLOATS", per_row)
@@ -390,10 +413,6 @@ def einsum_stats(data, w):
     return values, scales
 
 
-def row_of(stats, i):
-    return SuffStats(zwz=stats.zwz[i], zwy=stats.zwy[i], ywy=stats.ywy[i], m=stats.m[i])
-
-
 class TestBlockEngine:
     @pytest.mark.parametrize("n", [7, 2 * linreg._STATS_CHUNK + 5])
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64])
@@ -405,9 +424,9 @@ class TestBlockEngine:
         if dtype == np.float64:
             block = block * 0.75
         block[2] = 0  # a row of zero weights
-        stats = weighted_stats(data, block)
-        assert stats.zwz.shape == (5, 4, 4) and stats.zwy.shape == (5, 4)
-        assert stats.ywy.shape == (5,) and stats.m.shape == (5,)
+        rows = weighted_stats(data, block)
+        assert rows.shape == (5, 4 * 4 + 4 + 2) and rows.dtype == np.float64
+        stats = fields(rows)
         np.testing.assert_array_equal(stats.m, block.sum(axis=1, dtype=float))
         for i, w in enumerate(block):
             values, scales = einsum_stats(data, w)
@@ -421,13 +440,14 @@ class TestBlockEngine:
         data = random_problem(rng, n=9, d=3)
         block = rng.integers(0, 3, size=(2, 3, 9))
         stats = weighted_stats(data, block)
-        assert stats.zwz.shape == (2, 3, 3, 3) and stats.ywy.shape == (2, 3)
+        assert stats.shape == (2, 3, 3 * 3 + 3 + 2)
         flat = weighted_stats(data, block.reshape(6, 9))
-        np.testing.assert_array_equal(stats.zwz.reshape(6, 3, 3), flat.zwz)
+        np.testing.assert_array_equal(stats.reshape(6, -1), flat)
         single = weighted_stats(data, block[1, 2])
-        assert single.zwz.shape == (3, 3) and np.ndim(single.ywy) == 0 and np.ndim(single.m) == 0
+        assert single.shape == (3 * 3 + 3 + 2,)
+        np.testing.assert_allclose(single, stats[1, 2], rtol=1e-12)
         empty = weighted_stats(data, np.zeros((0, 9), dtype=np.uint8))
-        assert empty.zwz.shape == (0, 3, 3)
+        assert empty.shape == (0, 3 * 3 + 3 + 2)
         assert model_log_marginals(empty, enumerate_models(3, 3), HYPER).shape == (0, 8)
 
     def test_invalid_weights_rejected(self):
@@ -446,7 +466,7 @@ class TestBlockEngine:
         values = model_log_marginals(stats, models, HYPER)
         assert values.shape == (9, 64)
         for i, w in enumerate(block):
-            np.testing.assert_array_equal(values[i], model_log_marginals(row_of(stats, i), models, HYPER))
+            np.testing.assert_array_equal(values[i], model_log_marginals(stats[i], models, HYPER))
             np.testing.assert_allclose(values[i], log_ml_rows(data, w, models), rtol=1e-12)
         np.testing.assert_array_equal(make_evaluator(data, models, HYPER)(block), values)
         # weight rows swept a few at a time give the same rows
@@ -462,29 +482,30 @@ class TestBlockEngine:
             moments = param_moments_from_stats(stats, gamma, HYPER)
             assert moments[..., 0, 1:].shape == (6, gamma.sum())
             for i in range(6):
-                one = param_moments_from_stats(row_of(stats, i), gamma, HYPER)
+                one = param_moments_from_stats(stats[i], gamma, HYPER)
                 # means and variances of log sigma^2, then of the included beta_j
                 for field in ((0, 0), (1, 0), (0, slice(1, None)), (1, slice(1, None))):
                     np.testing.assert_array_equal(moments[i][field], one[field])
 
     def test_domain_errors_name_weight_row_and_model_row(self):
         # row 1 repeats NEGATIVE_B_G; row 0 is well defined
-        stats = SuffStats(zwz=[[[1.0]], [[1.0]]], zwy=[[0.0], [10.0]], ywy=[1.0, 0.0], m=[1.0, 1.0])
+        # rows [Z'WZ, Z'Wy, y'Wy, M] of one column
+        stats = np.array([[1.0, 0.0, 1.0, 1.0], NEGATIVE_B_G])
         with pytest.raises(NumericDomainError, match="model row 1 of weight row 1"):
             model_log_marginals(stats, np.array([[0], [1]]), NEGATIVE_B_G_HYPER)
         with pytest.raises(NumericDomainError, match="weight row 1"):
             param_moments_from_stats(stats, np.array([1]), NEGATIVE_B_G_HYPER)
-        huge_m = SuffStats(zwz=[[[1.0]], [[1.0]]], zwy=[[0.0], [0.0]], ywy=[1.0, 1.0], m=[1.0, 1e308])
+        huge_m = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1e308]])
         with pytest.raises(NumericDomainError, match="weight row 1"):
             model_log_marginals(huge_m, np.array([[0], [1]]), HYPER)
         # y'Wy overflowed to inf: b_g is inf and the log evidence -inf
-        overflow = SuffStats(zwz=[[[1.0]], [[1.0]]], zwy=[[0.0], [0.0]], ywy=[1.0, np.inf],
-                             m=[1.0, 1.0])
+        overflow = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, np.inf, 1.0]])
         with pytest.raises(NumericDomainError, match="model row 0 of weight row 1"):
             model_log_marginals(overflow, np.array([[0], [1]]), HYPER)
         # Lam_g of column 1 is -5 + 1e-6 on weight row 1
-        indefinite = SuffStats(zwz=[np.eye(2), [[-5.0, 0.0], [0.0, 1.0]]], zwy=np.zeros((2, 2)),
-                               ywy=[1.0, 1.0], m=[1.0, 1.0])
+        # Z'WZ = I and diag(-5, 1) on rows of two columns, Z'Wy = 0, y'Wy = M = 1
+        indefinite = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0],
+                               [-5.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0]])
         with pytest.raises(NumericDomainError, match=f"model row 2 of weight row 1 {PIVOT}"):
             model_log_marginals(indefinite, enumerate_models(2, 2), NEGATIVE_B_G_HYPER)
         with pytest.raises(NumericDomainError, match=f"weight row 1 {PIVOT}"):
@@ -507,8 +528,8 @@ class TestBlockEngine:
         with pytest.raises(NumericDomainError, match=f"weight row 1 {PIVOT}"):
             param_moments_from_stats(singular, np.array([1, 1, 0]), hyper)
         np.testing.assert_allclose(
-            model_log_marginals(row_of(singular, 0), models, hyper),
-            [per_model_log_ml(row_of(singular, 0), g, hyper) for g in models], rtol=1e-10,
+            model_log_marginals(singular[0], models, hyper),
+            [per_model_log_ml(singular[0], g, hyper) for g in models], rtol=1e-10,
         )
 
 
@@ -696,6 +717,7 @@ class TestPips:
 def dense_moments(stats, gamma, hyper):
     """Lam_g and the moments (mean_beta, var_beta, mean_log_sigma2) by a
     dense solve and inverse; independent of the triangular-factor path."""
+    stats = fields(stats)
     idx = np.flatnonzero(gamma)
     lam_mat = stats.zwz[np.ix_(idx, idx)] + hyper.lam * np.eye(idx.size)
     mean = np.linalg.solve(lam_mat, stats.zwy[idx])
@@ -755,9 +777,10 @@ class TestParamMoments:
         for weights in (rng.integers(0, 3, size=(4, data.n)), np.ones(data.n)):
             stats = weighted_stats(data, weights)
             moments = param_moments_from_stats(stats, np.zeros(3, dtype=int), hyper)
-            a_n = hyper.a0 + 0.5 * stats.m
+            a_n = hyper.a0 + 0.5 * fields(stats).m
             np.testing.assert_allclose(
-                moments[..., 0, 0], np.log(hyper.b0 + 0.5 * stats.ywy) - digamma(a_n), rtol=1e-14
+                moments[..., 0, 0], np.log(hyper.b0 + 0.5 * fields(stats).ywy) - digamma(a_n),
+                rtol=1e-14
             )
             np.testing.assert_allclose(moments[..., 1, 0], polygamma(1, a_n), rtol=1e-14)
             assert np.shape(moments[..., 0, 0]) == weights.shape[:-1]
