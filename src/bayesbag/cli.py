@@ -898,8 +898,8 @@ def _add_selection(p: _Parser) -> None:
     _add_replicates(p)
 
 
-def _add_replicates(p: _Parser) -> None:
-    p.add_argument("--B", dest="b", type=_int_at_least(1), default=core.DEFAULT_REPLICATES,
+def _add_replicates(p: _Parser, low: int = 1) -> None:
+    p.add_argument("--B", dest="b", type=_int_at_least(low), default=core.DEFAULT_REPLICATES,
                    help=f"bootstrap replicates (default {core.DEFAULT_REPLICATES})")
 
 
@@ -949,7 +949,7 @@ def build_parser() -> _Parser:
     p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
     _add_simulation(p, required=False)
     _add_prior(p)
-    _add_replicates(p)
+    _add_replicates(p, 2)  # a bagged variance needs two replicates
     _add_common(p)
 
     p = command("overlap", cmd_overlap, "HPD-region overlap of discrete posteriors")

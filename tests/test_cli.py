@@ -1016,14 +1016,23 @@ class TestUsageErrors:
         assert not out.exists()
 
     def test_one_bootstrap_replicate_for_mismatch(self, tmp_path, capsys):
-        # the index needs two replicates: a usage error, not a data error
+        # the index needs two replicates: a usage error of the parser, raised
+        # before any count is drawn
         out = tmp_path / "o"
         blas = cli._openblas()
         before = blas[0]() if blas else None
         assert run("mismatch", "--D", 3, "--k", 1, "--N", 30, "--B", 1, "--out", out) == 1
-        assert "usage error" in capsys.readouterr().err
+        assert "usage error: argument --B: must be >= 2, got 1" in capsys.readouterr().err
         assert not out.exists()
         assert (blas[0]() if blas else None) == before
+
+    def test_one_bootstrap_replicate_for_mismatch_before_reading_data(self, tmp_path, capsys):
+        # a usage error (exit 1) before the data file is read: it does not exist
+        out = tmp_path / "o"
+        assert run("mismatch", "--data", tmp_path / "missing.csv", "--target", "y", "--B", 1,
+                   "--out", out) == 1
+        assert "usage error: argument --B: must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_more_splits_than_rows(self, tmp_path, capsys):
         data = write_dataset_csv(tmp_path / "d.csv", n=3, d=2)
@@ -1301,6 +1310,31 @@ def test_cli_import_leaves_scipy_stats_unloaded():
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_regression_commands_leave_scipy_unloaded(tmp_path):
+    # only asymptotics needs scipy; the posterior moments of mismatch take
+    # digamma and trigamma from a numpy kernel
+    (tmp_path / "a.txt").write_text("t1\nt2\nt1\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("t2\nt3\n", encoding="utf-8")
+    data = tmp_path / "sim" / "dataset_000.csv"
+    commands = [
+        ["simulate", "--D", "3", "--k", "1", "--N", "40", "--replicates", "1", "--B", "3",
+         "--export-data", "--out", tmp_path / "sim"],
+        ["select", "--data", data, "--target", "y", "--splits", "2", "--B", "3",
+         "--out", tmp_path / "sel"],
+        ["mismatch", "--D", "3", "--k", "1", "--N", "40", "--B", "3", "--out", tmp_path / "mm"],
+        ["mismatch", "--data", data, "--target", "y", "--B", "3", "--out", tmp_path / "mm_data"],
+        ["overlap", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt", "--out", tmp_path / "ov"],
+        ["schema-check", "--out", tmp_path / "mm"],
+    ]
+    code = ("import json, sys; from bayesbag.cli import main; "
+            "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1])); "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argvs = json.dumps([[str(a) for a in argv] for argv in commands])
+    subprocess.run([sys.executable, "-c", code, argvs], env=env, check=True)
 
 
 def test_run_record_holds_the_scipy_version(monkeypatch):

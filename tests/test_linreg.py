@@ -787,6 +787,30 @@ class TestParamMoments:
             for field in (moments[..., 0, 1:], moments[..., 1, 1:]):
                 assert field.shape == weights.shape[:-1] + (0,)
 
+    def test_digamma_trigamma_kernel_matches_scipy(self):
+        # just above the domain's edge 1, around digamma's root, on both
+        # sides of the shift threshold, at a0 + N/2 for N = 50,000, and far out
+        shift = linreg._PSI_SHIFT
+        x = np.concatenate([
+            1.0 + np.logspace(-9, 0, 200),
+            np.linspace(1.4, 1.52, 121), [1.4616321449683622],
+            shift + np.array([-1.0, -1e-9, 0.0, 1e-9, 1.0]),
+            np.nextafter(shift, [0.0, np.inf]),
+            np.linspace(1.0001, 3.0 * shift, 500),
+            [2.0 + 50_000 / 2],
+            np.logspace(np.log10(3.0 * shift), 12, 300),
+        ])
+        psi, tri = linreg._digamma_trigamma(x)
+        assert np.all(np.abs(psi - digamma(x)) <= 4e-15 * np.maximum(1.0, np.abs(digamma(x))))
+        np.testing.assert_allclose(tri, polygamma(1, x), rtol=4e-15, atol=0)
+        # any leading shape, and no value depends on its neighbours
+        psi2, tri2 = linreg._digamma_trigamma(np.stack([x, x[::-1]]))
+        np.testing.assert_array_equal(psi2, [psi, psi[::-1]])
+        np.testing.assert_array_equal(tri2, [tri, tri[::-1]])
+        alone = [linreg._digamma_trigamma(v) for v in x[::7]]
+        np.testing.assert_array_equal(alone, np.stack([psi[::7], tri[::7]], axis=1))
+        assert linreg._digamma_trigamma(np.zeros((0,)))[0].shape == (0,)
+
     def test_layout_shape(self):
         # lead + (2, 1 + |gamma|): means then variances of [log sigma^2, beta_j]
         rng = np.random.default_rng(9)
