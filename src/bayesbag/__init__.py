@@ -19,9 +19,8 @@ from .asymptotics import (
     ubb_density,
 )
 from .compare import (
-    DiscretePosterior,
     OverlapResult,
-    average_posteriors,
+    count_matrices,
     hpd_overlap,
     hpd_region,
     load_posterior_samples,

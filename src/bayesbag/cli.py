@@ -76,7 +76,7 @@ from .asymptotics import (
     ubb_cdf,
     ubb_density,
 )
-from .compare import average_posteriors, hpd_overlap, load_posterior_samples, overlap_ci
+from .compare import count_matrices, hpd_overlap, load_posterior_samples, overlap_ci
 from .core import (
     BootstrapConfig,
     bagged_from_log_evidence,
@@ -210,8 +210,12 @@ def _int_at_least(low: int):
     return integer
 
 
+_GRID_GUARD = 10_000_000  # most cells of a grid or a table, the model guard's scale
+
+
 def _parse_grid(text: str) -> np.ndarray:
-    """Grid syntax: comma-separated values, or start:stop:step (inclusive)."""
+    """Grid syntax: comma-separated values, or start:stop:step (inclusive).
+    A range of more than ``_GRID_GUARD`` points is a ``ResourceLimitError``."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -220,6 +224,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise argparse.ArgumentTypeError("grid step must be positive")
+        if (stop + 0.5 * step - start) / step > _GRID_GUARD:
+            raise ResourceLimitError(f"grid {text!r} has more than {_GRID_GUARD} points; use a larger step")
         return np.arange(start, stop + 0.5 * step, step)
     return np.array([float(p) for p in text.split(",") if p.strip() != ""])
 
@@ -683,6 +689,9 @@ def cmd_asymptotics(args) -> int:
 
     # one law over the (delta, c) cells, one over the (delta, c, u) cells;
     # rows run over delta, then c, then u
+    size = args.delta_grid.size * args.c_grid.size * max(1, args.u_grid.size)
+    if size > _GRID_GUARD:
+        raise ResourceLimitError(f"the (delta, c, u) table would hold {size} cells, more than {_GRID_GUARD}")
     delta, c = (g.ravel() for g in np.meshgrid(args.delta_grid, args.c_grid, indexing="ij"))
     cells = TwoModelLaw(delta, c)
     events = [delta, c, 1.0 - std_limit_bernoulli_2(cells), [threshold] * delta.size,
@@ -787,18 +796,20 @@ def cmd_mismatch(args) -> int:
 
 def cmd_overlap(args) -> int:
     level, seed, n_boot, ci_level = args.level, args.seed, args.n_boot, args.ci_level
+    if not 0.0 < level <= 1.0:
+        raise InvalidArgumentError(f"--level must be in (0, 1], got {level}")
     if not 0.0 < ci_level < 1.0:
         raise InvalidArgumentError(f"--ci-level must be in (0, 1), got {ci_level}")
-    sides = [[load_posterior_samples(p) for p in paths] for paths in (args.a, args.b)]
-    result = hpd_overlap(*map(average_posteriors, sides), level)
+    _, counts_a, counts_b = count_matrices(
+        *([load_posterior_samples(p) for p in paths] for paths in (args.a, args.b)))
+    result = hpd_overlap(counts_a.sum(0), counts_b.sum(0), level)
     ci_lo = ci_hi = None
     if args.ci:
-        ci_lo, ci_hi = overlap_ci(*sides, level, n_boot=n_boot, ci_level=ci_level, seed=seed)
+        ci_lo, ci_hi = overlap_ci(counts_a, counts_b, level, n_boot=n_boot, ci_level=ci_level, seed=seed)
 
     label_a = ";".join(Path(p).name for p in args.a)
     label_b = ";".join(Path(p).name for p in args.b)
-    row = (label_a, label_b, level, result.mass_a, result.mass_b, result.mass_avg,
-           result.count, ci_lo, ci_hi)
+    row = (label_a, label_b, level, *result, ci_lo, ci_hi)
     _write_results(args, {"overlap.csv": ("overlap-v1", [[value] for value in row])})
     log.info(
         "overlap mass_avg=%s count=%d%s",

@@ -1,18 +1,19 @@
-"""Highest-posterior-density regions and overlap for discrete posteriors.
+"""Highest-posterior-density regions and overlap for discrete posteriors,
+held as exact draw counts.
 
 Works on any posterior over opaque, orderable item identifiers (e.g.
 canonicalized tree-topology strings).  An HPD region at a level is the
-smallest-cardinality item set whose probability mass reaches the level,
-built by accumulating items in decreasing-probability order with ties
-broken by identifier, so regions are nested across levels.
+smallest item set whose mass reaches the level, built by accumulating items
+in decreasing-mass order with ties broken by identifier, so regions are
+nested across levels.  Masses are integer totals, so ties are exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from math import lcm
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,158 +21,140 @@ from .errors import (
     IngestionError,
     InsufficientReplicatesError,
     InvalidArgumentError,
+    ResourceLimitError,
 )
 
-__all__ = [
-    "DiscretePosterior",
-    "hpd_region",
-    "hpd_overlap",
-    "OverlapResult",
-    "average_posteriors",
-    "overlap_ci",
-    "load_posterior_samples",
-]
+__all__ = ["count_matrices", "hpd_region", "hpd_overlap", "OverlapResult", "overlap_ci",
+           "load_posterior_samples"]
 
-_PROB_SUM_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class DiscretePosterior:
-    """Probability map over a finite set of unique item identifiers."""
-
-    items: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        items = tuple(self.items)
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or len(items) != probs.size:
-            raise InvalidArgumentError("items and probs must have equal length")
-        if len(set(items)) != len(items):
-            raise InvalidArgumentError("item identifiers must be unique")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise InvalidArgumentError("probabilities must be finite and nonnegative")
-        if abs(probs.sum() - 1.0) > _PROB_SUM_TOL:
-            raise InvalidArgumentError(
-                f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {probs.sum()}"
-            )
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def from_counts(cls, counts) -> "DiscretePosterior":
-        """Normalize draw counts (mapping item -> count) into a posterior."""
-        items = tuple(sorted(counts))
-        total = float(sum(counts[item] for item in items))
-        if total <= 0:
-            raise InvalidArgumentError("counts must have positive total")
-        return cls(items=items, probs=np.array([counts[i] / total for i in items]))
-
-    def mass_on(self, subset) -> float:
-        subset = set(subset)
-        return float(
-            sum(p for item, p in zip(self.items, self.probs) if item in subset)
-        )
+# floats in one (rounds, T) array of a block of bootstrap rounds
+BLOCK_FLOATS = 1 << 16
 
 
 class OverlapResult(NamedTuple):
-    mass_a: float
-    mass_b: float
-    mass_avg: float
-    count: int
+    mass_a: np.ndarray
+    mass_b: np.ndarray
+    mass_avg: np.ndarray
+    count: np.ndarray
 
 
-def hpd_region(post: DiscretePosterior, level: float) -> tuple[list, float]:
-    """Smallest item set reaching the level, with its achieved mass.
+def count_matrices(side_a: Sequence[Mapping], side_b: Sequence[Mapping]):
+    """``(items, counts_a, counts_b)``: the sorted union of both sides' items,
+    and each side's draw counts (a mapping item -> count per file) as an
+    (R, T) int64 matrix over it, each row scaled to L, the lcm of the side's
+    draw totals.  A sum of rows is then an exact multiple of their
+    equal-weight average, and exact in float64 while R * L < 2^53; a side
+    past that raises ``ResourceLimitError``."""
+    items = sorted({item for side in (side_a, side_b) for counts in side for item in counts})
+    column = {item: j for j, item in enumerate(items)}
+    matrices = []
+    for name, side in (("a", side_a), ("b", side_b)):
+        values = [v for counts in side for v in counts.values()]
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in values):
+            raise InvalidArgumentError(f"side {name}: draw counts must be nonnegative integers")
+        totals = [int(sum(counts.values())) for counts in side]
+        if not totals or min(totals) <= 0:
+            raise InvalidArgumentError(f"side {name} needs files, each with a positive draw total")
+        common = lcm(*totals)
+        if len(side) * common >= 2**53:
+            raise ResourceLimitError(
+                f"side {name}: {len(side)} files with draw totals {sorted(set(totals))} "
+                f"(lcm {common}) reach 2^53 on a common total; give each file the same number of draws"
+            )
+        matrix = np.zeros((len(side), len(items)), dtype=np.int64)
+        for row, counts, total in zip(matrix, side, totals):
+            row[[column[item] for item in counts]] = [int(v) * (common // total) for v in counts.values()]
+        matrices.append(matrix)
+    return items, *matrices
 
-    Items are returned in accumulation order (probability descending,
-    identifier ascending on ties).
-    """
+
+def hpd_region(totals, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of exact integer item totals (the last axis), the HPD region
+    at the level as a boolean mask, and its mass.  Equal totals accumulate
+    in column order, which is identifier order over ``count_matrices``'
+    union."""
     if not 0.0 < level <= 1.0:
         raise InvalidArgumentError(f"level must be in (0, 1], got {level}")
-    order = sorted(range(len(post.items)), key=lambda i: (-post.probs[i], post.items[i]))
-    region: list = []
-    mass = 0.0
-    for i in order:
-        region.append(post.items[i])
-        mass += post.probs[i]
-        if mass >= level - 1e-12:
-            break
-    return region, float(mass)
+    totals = np.asarray(totals)
+    order = np.argsort(-totals, axis=-1, kind="stable")
+    running = np.cumsum(np.take_along_axis(totals, order, axis=-1), axis=-1)
+    total = running[..., -1:]
+    if (totals < 0).any() or not ((total > 0) & (total < np.inf)).all():
+        raise InvalidArgumentError("item totals must be nonnegative and finite, with a positive sum per row")
+    mass = running / total
+    # items accumulated before the first whose running mass reaches the level
+    before = (mass < level).sum(axis=-1, keepdims=True)
+    mask = np.empty(totals.shape, dtype=bool)
+    np.put_along_axis(mask, order, np.arange(totals.shape[-1]) <= before, axis=-1)
+    return mask, np.take_along_axis(mass, before, axis=-1)[..., 0]
 
 
-def hpd_overlap(a: DiscretePosterior, b: DiscretePosterior, level: float) -> OverlapResult:
-    """Masses of each posterior on the intersection of the two HPD regions,
-    their average, and the intersection size."""
-    region_a, _ = hpd_region(a, level)
-    region_b, _ = hpd_region(b, level)
-    common = set(region_a) & set(region_b)
-    mass_a = a.mass_on(common)
-    mass_b = b.mass_on(common)
-    return OverlapResult(mass_a, mass_b, 0.5 * (mass_a + mass_b), len(common))
+def hpd_overlap(totals_a, totals_b, level: float) -> OverlapResult:
+    """Per row of item totals over the same columns: the masses of each side
+    on the intersection of the two HPD regions, their average, and the
+    intersection size."""
+    totals_a, totals_b = np.asarray(totals_a), np.asarray(totals_b)
+    common = hpd_region(totals_a, level)[0] & hpd_region(totals_b, level)[0]
+    mass_a, mass_b = (np.where(common, t, 0).sum(-1) / t.sum(-1) for t in (totals_a, totals_b))
+    return OverlapResult(mass_a, mass_b, 0.5 * (mass_a + mass_b), common.sum(-1))
 
 
-def average_posteriors(posteriors: Sequence[DiscretePosterior]) -> DiscretePosterior:
-    """Equal-weight mixture of posteriors over the union of their items."""
-    if len(posteriors) < 1:
-        raise InvalidArgumentError("need at least one posterior")
-    items = sorted({item for post in posteriors for item in post.items})
-    index = {item: i for i, item in enumerate(items)}
-    probs = np.zeros(len(items))
-    for post in posteriors:
-        for item, p in zip(post.items, post.probs):
-            probs[index[item]] += p
-    probs /= len(posteriors)
-    return DiscretePosterior(items=tuple(items), probs=probs)
-
-
-def overlap_ci(
-    replicates_a: Sequence[DiscretePosterior],
-    replicates_b: Sequence[DiscretePosterior],
-    level: float,
-    n_boot: int = 1000,
-    ci_level: float = 0.8,
-    seed: int = 0,
-) -> tuple[float, float]:
+def overlap_ci(counts_a, counts_b, level: float, n_boot: int = 1000, ci_level: float = 0.8,
+               seed: int = 0) -> tuple[float, float]:
     """Bootstrap confidence interval for the averaged-posterior overlap mass.
 
-    Each round resamples the replicate posteriors of side a, then those of
-    side b, with replacement, averages each side and records the overlap
-    ``mass_avg``; returns the empirical ``ci_level`` interval.  A side of one
-    posterior is held fixed, and its resample draws no random bits.
+    Takes ``count_matrices``' two (R, T) matrices.  Each round resamples the
+    rows of side a, then those of side b, with replacement, and records the
+    ``mass_avg`` of the two sides' summed rows; returns the empirical
+    ``ci_level`` interval.  A side of one row is held fixed, and its
+    resample draws no random bits.
     """
-    reps_a, reps_b = list(replicates_a), list(replicates_b)
-    for reps, least in ((reps_a, 2), (reps_b, 1)):
-        if len(reps) < least:
+    counts_a, counts_b = (np.asarray(c, dtype=float) for c in (counts_a, counts_b))
+    if counts_a.ndim != 2 or counts_b.ndim != 2 or counts_a.shape[1] != counts_b.shape[1]:
+        raise InvalidArgumentError("counts must be (R, T) matrices over the same T items")
+    for counts, least in ((counts_a, 2), (counts_b, 1)):
+        if len(counts) < least:
             raise InsufficientReplicatesError(
-                f"need at least {least} replicate posteriors, got {len(reps)}"
+                f"need at least {least} replicate posteriors, got {len(counts)}"
             )
     if n_boot < 100:
         raise InvalidArgumentError(f"n_boot must be >= 100, got {n_boot}")
     if not 0.0 < ci_level < 1.0:
         raise InvalidArgumentError(f"ci_level must be in (0, 1), got {ci_level}")
-
-    rng = np.random.default_rng(seed)
-
-    def resample(reps):
-        return average_posteriors([reps[j] for j in rng.integers(0, len(reps), size=len(reps))])
-
-    stats = np.empty(n_boot)
-    for i in range(n_boot):
-        stats[i] = hpd_overlap(resample(reps_a), resample(reps_b), level).mass_avg
     alpha = 0.5 * (1.0 - ci_level)
-    lo, hi = np.quantile(stats, [alpha, 1.0 - alpha])
+    lo, hi = np.quantile(_round_stats(counts_a, counts_b, level, n_boot, seed), [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 
 
-def load_posterior_samples(path) -> DiscretePosterior:
-    """Read a line-per-draw sample file into a posterior of draw frequencies."""
+def _round_stats(counts_a, counts_b, level: float, n_boot: int, seed: int) -> np.ndarray:
+    """The ``mass_avg`` of each of ``overlap_ci``'s rounds, drawn one by one
+    and evaluated in blocks of ``BLOCK_FLOATS // T`` rounds, so memory is
+    O(BLOCK_FLOATS + R T) for any ``n_boot``."""
+    rng = np.random.default_rng(seed)
+
+    def resample(r: int) -> np.ndarray:  # times each of r rows is drawn
+        return np.bincount(rng.integers(0, r, size=r), minlength=r)
+
+    rounds = max(1, BLOCK_FLOATS // counts_a.shape[1])
+    stats = np.empty(n_boot)
+    for start in range(0, n_boot, rounds):
+        times = [(resample(len(counts_a)), resample(len(counts_b)))
+                 for _ in range(min(rounds, n_boot - start))]
+        totals = [np.array(side) @ counts for side, counts in zip(zip(*times), (counts_a, counts_b))]
+        stats[start : start + len(times)] = hpd_overlap(*totals, level).mass_avg
+    return stats
+
+
+def load_posterior_samples(path) -> Counter:
+    """Draw counts (item -> count) of a line-per-draw sample file: the text
+    splits at line ends only (``\\n``, ``\\r\\n`` or ``\\r``), each draw is
+    stripped of surrounding whitespace, and blank lines are skipped."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        draws = Counter(line.strip() for line in path.read_text(encoding="utf-8").split("\n"))
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    draws = [line.strip() for line in lines if line.strip()]
+    del draws[""]
     if not draws:
         raise IngestionError(f"{path} contains no posterior draws")
-    return DiscretePosterior.from_counts(Counter(draws))
+    return draws

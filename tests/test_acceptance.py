@@ -384,18 +384,16 @@ def test_10_property_suite_smoke():
     )
     assert np.array_equal(bagged.replicate_probs, again.replicate_probs)
 
-    # HPD nesting and overlap symmetry
-    probs = np.random.default_rng(1).dirichlet(np.ones(8))
-    post = bb.DiscretePosterior(items=tuple(f"i{k}" for k in range(8)), probs=probs)
-    inner = set(bb.hpd_region(post, 0.5)[0])
-    outer = set(bb.hpd_region(post, 0.9)[0])
-    assert inner.issubset(outer)
-    other = bb.DiscretePosterior(
-        items=tuple(f"i{k}" for k in range(4, 12)),
-        probs=np.random.default_rng(2).dirichlet(np.ones(8)),
-    )
-    fwd = bb.hpd_overlap(post, other, 0.9)
-    rev = bb.hpd_overlap(other, post, 0.9)
+    # HPD nesting and overlap symmetry, on multinomial draw counts
+    names = [f"i{k}" for k in range(12)]
+    draws = [np.random.default_rng(seed).multinomial(1000, np.random.default_rng(seed).dirichlet(np.ones(8)))
+             for seed in (1, 2)]
+    _, post, other = bb.count_matrices([dict(zip(names[:8], draws[0]))], [dict(zip(names[4:], draws[1]))])
+    inner = bb.hpd_region(post[0], 0.5)[0]
+    outer = bb.hpd_region(post[0], 0.9)[0]
+    assert not (inner & ~outer).any()
+    fwd = bb.hpd_overlap(post[0], other[0], 0.9)
+    rev = bb.hpd_overlap(other[0], post[0], 0.9)
     assert fwd.mass_a == rev.mass_b and fwd.count == rev.count
 
     # density normalization (window-exact form)

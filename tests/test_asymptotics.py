@@ -425,12 +425,11 @@ class TestKModelLawValidation:
 @pytest.mark.parametrize("make", [
     lambda: TwoModelLaw(np.array([0.5, 1.0]), np.array([1.0, 2.0])),
     lambda: KModelLaw([0, 1], np.eye(2), 1),
-    lambda: bb.DiscretePosterior(("a", "b"), [0.5, 0.5]),
     lambda: bb.ModelPosterior(np.array([0.5, 0.5]), np.zeros(2)),
     lambda: bb.BaggedPosterior(np.full((2, 2), 0.5), np.full(2, 0.5), np.zeros(2)),
     lambda: bb.RegressionDataset(z=np.eye(2), y=np.ones(2)),
     lambda: bb.KLOptimal(np.ones(2), 1.0, 1.0, 0.0),
-], ids=["TwoModelLaw", "KModelLaw", "DiscretePosterior", "ModelPosterior", "BaggedPosterior",
+], ids=["TwoModelLaw", "KModelLaw", "ModelPosterior", "BaggedPosterior",
         "RegressionDataset", "KLOptimal"])
 def test_array_dataclasses_compare_by_identity(make):
     # field-wise == on arrays is ambiguous, so these compare and hash by identity

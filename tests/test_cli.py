@@ -845,6 +845,28 @@ class TestOverlap:
         empty.write_text("", encoding="utf-8")
         assert run("overlap", "--a", empty, "--b", empty, "--out", tmp_path / "o") == 2
 
+    def test_tied_topologies_break_by_identifier(self, tmp_path):
+        # a and b both average to 3/20, but 0.1 + 0.2 > 0.3 in floats: summed
+        # as probabilities, b would win the last place of the 0.8 region
+        a1 = self.write_samples(tmp_path / "a1.txt", ["z"] * 6 + ["a"] * 3 + ["b"])
+        a2 = self.write_samples(tmp_path / "a2.txt", ["z"] * 8 + ["b"] * 2)
+        b = self.write_samples(tmp_path / "b.txt", ["a"])
+        out = tmp_path / "out"
+        assert run("overlap", "--a", a1, a2, "--b", b, "--level", 0.8, "--out", out) == 0
+        row = read_csv(out / "overlap.csv")[0]
+        assert (row["count"], row["mass_a"], row["mass_b"], row["mass_avg"]) == ("1", "0.15", "1", "0.575")
+
+    def test_draw_totals_too_unequal_are_refused(self, tmp_path, capsys):
+        # 1,000-1,019 draws a file: scaled to their lcm, 20 files pass 2^53
+        paths = [self.write_samples(tmp_path / f"a{k}.txt", ["t1"] * 500 + ["t2"] * (500 + k))
+                 for k in range(20)]
+        out = tmp_path / "out"
+        assert run("overlap", "--a", *paths, "--b", paths[0], "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard: side a: 20 files with draw totals [1000, 1001, ")
+        assert "give each file the same number of draws" in err
+        assert not out.exists()
+
 
 class TestSchemaCheck:
     def test_detects_tampering(self, tmp_path):
@@ -1064,6 +1086,15 @@ class TestUsageErrors:
                    "--rho-grid=", "--out", out) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", [("--u-grid", "0.02:0.98:1e-12"), ("--delta-grid", "0:1000:0.001")],
+                             ids=["range", "table"])
+    def test_oversized_asymptotics_grid_is_a_resource_error(self, tmp_path, capsys, grid):
+        # checked before numpy allocates: 9.6e11 points, or a 2.45e8-cell density table
+        out = tmp_path / "o"
+        assert run("asymptotics", *grid, "--out", out) == 3
+        assert capsys.readouterr().err.startswith("resource guard: ")
+        assert not out.exists()
+
     def test_inner_samples_rejected(self, tmp_path):
         assert run("asymptotics", "--inner-samples", 2000, "--out", tmp_path / "o") == 1
         cfg = tmp_path / "run.cfg"
@@ -1073,6 +1104,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flags", [
         ("--n-boot", -5, "--ci-level", 7), ("--n-boot", 99), ("--ci", "--n-boot", 50),
         ("--ci-level", 0), ("--ci-level", 1), ("--ci-level", "nan"), ("--ci", "--ci-level", 7),
+        ("--level", 0), ("--level", 1.5), ("--level", "nan"),
     ])
     def test_overlap_bootstrap_settings_are_checked_with_or_without_ci(self, tmp_path, capsys,
                                                                       flags):
@@ -1081,7 +1113,7 @@ class TestUsageErrors:
         assert run("overlap", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt", *flags,
                    "--out", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and ("--n-boot" in err or "--ci-level" in err)
+        assert err.startswith("usage error: ") and any(flag in err for flag in ("--n-boot", "--ci-level", "--level"))
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
