@@ -9,7 +9,6 @@ data generators, and discrete-posterior comparison tools.
 from .asymptotics import (
     KModelLaw,
     TwoModelLaw,
-    bernoulli_two_model_problem,
     three_model_scenarios,
     mvn_cdf_at_zero,
     reduce_to_contrasts,

@@ -18,27 +18,25 @@ With K models the analogue replaces Phi by the (K-1)-dimensional normal
 CDF of log-marginal-likelihood contrasts against an anchor model:
 standard -> Bernoulli(Phi_{-mu, Sigma}(0)); bagged -> Phi_{0, Sigma}(c^{1/2} W)
 with W ~ Normal(mu, Sigma).
-The centered normal CDF is exact up to three models (K - 1 <= 2: ndtr, then
-Owen's T-function identity for the bivariate CDF) and seeded Genz
-quasi-Monte Carlo beyond.  ``scipy.special`` and ``scipy.stats`` are
-imported inside the functions that use them, so importing this module
-loads no scipy.
+The centered normal CDF is exact up to three models (K - 1 <= 2: Phi, then
+Genz's Gauss-Legendre quadrature for the bivariate CDF) and seeded Genz
+quasi-Monte Carlo beyond.  Phi and Phi^{-1} are numpy kernels here (an
+erfc polynomial and Wichura's AS241), so only the quasi-Monte Carlo for
+four or more models imports scipy (``scipy.stats``, inside the function).
 
 Non-finite inputs fail loudly: a NaN or infinite parameter, or u outside
 (0, 1), raises ``InvalidArgumentError`` (``DegenerateLawError`` for c = 0 in
 the CDF or density), a covariance that is not positive definite raises
 ``SingularLawError``, and a density beyond the float range raises
 ``NumericDomainError``.
-
-Also provides a degenerate two-model Bernoulli testbed for validating the
-laws by simulation against the bagging engine.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import asin, log, pi, sqrt
+from functools import cache
+from math import asin, pi, sin, sqrt
 
 import numpy as np
 
@@ -59,11 +57,106 @@ __all__ = [
     "mvn_cdf_at_zero",
     "sample_ubb_K",
     "three_model_scenarios",
-    "bernoulli_two_model_problem",
 ]
 
 # Default "strongly favors" probability threshold used by the sweep CLI.
 STRONG_FAVOR_THRESHOLD = 0.1
+
+
+# Phi(x) = erfc(-x / sqrt(2)) / 2 and erfc(b) = erfcx(b) exp(-b^2).  For
+# b >= 0, erfcx(b) = 2 P(s) / (b + 2) with s = (2 - b) / (2 + b) in (-1, 1]:
+# P is the Chebyshev expansion of erfcx(b) (b + 2) / 2 in s, computed once
+# with mpmath (50 digits, 64 Chebyshev-Gauss nodes), cut where every later
+# coefficient is below 1e-18 (degree 28) and written in powers of s,
+# highest first.
+_ERFCX_POLY = (
+    -2.0568250908502414e-10, -3.3888695546308687e-10, 2.6449441631835325e-09,
+    1.2284536350186566e-09, -1.4244061512167162e-08, 6.353864669505139e-09,
+    3.7320706434881306e-08, -5.760146697175624e-08, -1.1658608593196083e-08,
+    1.6491163111184633e-07, -2.7732007857270964e-07, -3.0587196456747096e-09,
+    9.961500261023896e-07, -1.8208078384029821e-06, -5.608703424323453e-07,
+    8.060040491028146e-06, -1.0848610762481446e-05, -1.7074336530735702e-05,
+    7.223545742893795e-05, -1.7185737594548938e-05, -0.0003315367609712795,
+    0.0004186480332964868, 0.001545306030057245, -0.0032395925339865133,
+    -0.010755330944755412, 0.018221115753442495, 0.1397360462780275,
+    0.34358034220690525, 0.5107913526210115,
+)
+# Phi^{-1} by Wichura's (1988) AS241 PPND16 (as in CPython's statistics
+# module): a rational function of (u - 1/2)^2 in the center, of
+# sqrt(-log(min(u, 1 - u))) in the tails; coefficients highest degree first.
+_AS241 = {
+    "central": (
+        (
+            2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+            4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+            1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0,
+        ),
+        (
+            5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+            2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+            4.23133_30701_60091_1252e+1, 1.0,
+        ),
+    ),
+    "tail": (
+        (
+            7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+            1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+            4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0,
+        ),
+        (
+            1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+            1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+            2.05319_16266_37758_82187e+0, 1.0,
+        ),
+    ),
+    "far": (
+        (
+            2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+            2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+            5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0,
+        ),
+        (
+            2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+            7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+            5.99832_20655_58879_37690e-1, 1.0,
+        ),
+    ),
+}
+
+
+def _horner(coefs, s):
+    """The polynomial with ``coefs`` (highest degree first) at each s."""
+    y = coefs[0] * s + coefs[1]
+    for c in coefs[2:]:  # in place on an array; a numpy scalar rebinds
+        y *= s
+        y += c
+    return y
+
+
+def _ndtr(x):
+    """Phi(x), the standard normal CDF, elementwise; a float for a float.
+    Below 0 it is erfc(|x| / sqrt(2)) / 2, with no cancellation; above 0,
+    one minus that."""
+    a = np.asarray(x, dtype=float)[()] * sqrt(0.5)
+    b = np.minimum(np.abs(a), 40.0)  # erfc(40) underflows to 0: keeps b^2 finite
+    d = 2.0 + b
+    half = _horner(_ERFCX_POLY, (2.0 - b) / d) / d * np.exp(-b * b)
+    return np.where(a > 0.0, 1.0 - half, half)[()]
+
+
+def _ndtri(u):
+    """Phi^{-1}(u), elementwise, for u strictly inside (0, 1); a float for a
+    float."""
+    u = np.asarray(u, dtype=float)[()]
+    q = u - 0.5
+    r = 0.180625 - q * q
+    num, den = _AS241["central"]
+    central = q * _horner(num, r) / _horner(den, r)
+    r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
+    (num, den), (num_far, den_far) = _AS241["tail"], _AS241["far"]
+    tail = np.where(r <= 5.0, _horner(num, r - 1.6) / _horner(den, r - 1.6),
+                    _horner(num_far, r - 5.0) / _horner(den_far, r - 5.0))
+    return np.where(np.abs(q) <= 0.425, central, np.copysign(tail, q))[()]
 
 
 def _require(ok, values, message: str) -> None:
@@ -136,30 +229,24 @@ def std_limit_bernoulli_2(law: TwoModelLaw):
     The limiting posterior mass on model 1 is 1 with this probability and
     0 otherwise; P(picks the other model) = 1 - Phi(delta_inf).
     """
-    from scipy.special import ndtr
-
-    return ndtr(law.delta_inf)
+    return _ndtr(law.delta_inf)
 
 
 def _bagged_z(u, law: TwoModelLaw):
     """z = Phi^{-1}(u) and c^{-1/2} z - delta_inf, broadcast, for u strictly
     inside (0, 1) and c > 0."""
-    from scipy.special import ndtri
-
     u = np.asarray(u, dtype=float)
     _require((u > 0.0) & (u < 1.0), u, "u must lie strictly inside (0, 1)")
     if np.any(law.c == 0.0):
         raise DegenerateLawError("c = 0 gives a point-mass law with no CDF or density on (0, 1)")
-    z = ndtri(u)
+    z = _ndtri(u)
     return z, z / np.sqrt(law.c) - law.delta_inf
 
 
 def ubb_cdf(u, law: TwoModelLaw):
     """CDF of the limiting bagged posterior probability, for c > 0:
     F(u) = Phi(c^{-1/2} Phi^{-1}(u) - delta_inf)."""
-    from scipy.special import ndtr
-
-    return ndtr(_bagged_z(u, law)[1])
+    return _ndtr(_bagged_z(u, law)[1])
 
 
 def ubb_density(u, law: TwoModelLaw):
@@ -197,42 +284,90 @@ def reduce_to_contrasts(mu_prime, sigma_prime, anchor: int = 0):
     return _normal_law(a @ mu_prime, 0.5 * (sigma_inf + sigma_inf.T))
 
 
-def _bvn_cdf(h, k, rho: float) -> np.ndarray:
-    """P(X <= h, Y <= k) for standard normals with correlation rho, exact to
-    rounding by Owen's (1956) T-function identity."""
-    from scipy.special import ndtr, owens_t
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes on [-1, 1], shifted to (0, 2), and their
+    weights."""
+    from numpy.polynomial.legendre import leggauss  # importing the CLI loads no numpy.polynomial
 
-    h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
-    s = sqrt(1.0 - rho * rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # on an axis (-0.0 included) T takes its limit from the positive side
-        t_h = np.where(h == 0.0, np.sign(k) / 4, owens_t(h, (k - rho * h) / (h * s)))
-        t_k = np.where(k == 0.0, np.sign(h) / 4, owens_t(k, (h - rho * k) / (k * s)))
-    beta = 0.5 * ((h < 0.0) != (k < 0.0))  # hk < 0, or hk = 0 and h + k < 0
-    out = 0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - beta
-    return np.where((h == 0.0) & (k == 0.0), 0.25 + asin(rho) / (2.0 * pi), out)
+    x, w = leggauss(n)
+    return x + 1.0, w
 
 
-def _centered_cdf(sigma: np.ndarray, x: np.ndarray, seed) -> np.ndarray:
-    """Phi_{0, sigma} at each row of x (n, d): exact for d <= 2, seeded Genz
-    quasi-Monte Carlo for d >= 3."""
-    from scipy.special import ndtr
+def _bvn_cdf(h, k, rho: float):
+    """P(X <= h, Y <= k) for standard normals with correlation rho, h and k
+    broadcast; a float for floats.
 
+    Genz's (2004) bvnu: Gauss-Legendre quadrature of the Drezner-Wesolowsky
+    integral over the correlation (6, 12 or 20 nodes as |rho| grows), and
+    for |rho| >= 0.925 its form that takes the near-singular part of the
+    integrand out in closed form.
+    """
+    # moving h or k beyond +-40 changes the result by less than Phi(-40),
+    # which underflows; the clip keeps every exponent finite
+    h, k = (np.clip(np.asarray(v, dtype=float), -40.0, 40.0) for v in (h, k))
+    x, w = _gauss_legendre(6 if abs(rho) < 0.3 else 12 if abs(rho) < 0.75 else 20)
+    if abs(rho) < 0.925:
+        hk, hs, asr = h * k, 0.5 * (h * h + k * k), 0.5 * asin(rho)
+        total = 0.0
+        for xi, wi in zip(x, w):
+            sn = sin(asr * xi)
+            total = total + wi * np.exp((sn * hk - hs) / (1.0 - sn * sn))
+        return np.clip(_ndtr(h) * _ndtr(k) + total * (asr / (2.0 * pi)), 0.0, 1.0)[()]
+    # Genz's variables: P(X <= h, Y <= k) = P(X' > hg, Y' > -k) with
+    # (X', Y') = -(X, Y); for rho < 0, Y' flips sign so corr(X', Y') = |rho|
+    hg, kg = -h, (-k if rho > 0.0 else k)
+    hk = hg * kg
+    bvn = 0.0
+    if abs(rho) < 1.0:
+        var = (1.0 - rho) * (1.0 + rho)
+        a, bs = sqrt(var), (hg - kg) ** 2
+        c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 80.0
+        bvn = a * np.exp(-0.5 * (bs / var + hk)) * (
+            1.0 - c * (bs - var) * (1.0 - d * bs) / 3.0 + c * d * var * var)
+        # Genz skips this term below hk = -100, where Phi(-b / a) underflows
+        b = np.sqrt(bs)
+        term = np.exp(-0.5 * np.maximum(hk, -100.0)) * _ndtr(-b / a) * b * (
+            1.0 - c * bs * (1.0 - d * bs) / 3.0)
+        bvn = bvn - np.where(hk > -100.0, sqrt(2.0 * pi) * term, 0.0)
+        a = 0.5 * a
+        for xi, wi in zip(x, w):
+            xs = (a * xi) ** 2
+            rs = sqrt(1.0 - xs)
+            ep = np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs
+            sp = 1.0 + c * xs * (1.0 + 5.0 * d * xs)
+            bvn = bvn + a * wi * np.exp(-0.5 * (bs / xs + hk)) * (ep - sp)
+        bvn = -bvn / (2.0 * pi)
+    # bvn is P(X' > hg, Y' > kg) at correlation |rho| less its value at 1
+    if rho > 0.0:
+        out = bvn + _ndtr(-np.maximum(hg, kg))
+    else:
+        # P(X' > hg, -Y' > -kg) = P(X' > hg) - P(X' > hg, Y' > kg), which at
+        # rho = -1 is P(hg < X' < kg), taken from the tail nearer zero
+        lo, hi = np.where(hg < 0.0, hg, -kg), np.where(hg < 0.0, kg, -hg)
+        out = np.where(hg >= kg, -bvn, _ndtr(hi) - _ndtr(lo) - bvn)
+    return np.clip(out, 0.0, 1.0)[()]
+
+
+def _centered_cdf(sigma: np.ndarray, x: np.ndarray, seed):
+    """Phi_{0, sigma} at each point x[..., :] of x (..., d): exact for
+    d <= 2, seeded Genz quasi-Monte Carlo for d >= 3."""
     z = x / np.sqrt(np.diag(sigma))
-    if x.shape[1] == 1:
-        return ndtr(z[:, 0])
-    if x.shape[1] == 2:
-        return _bvn_cdf(z[:, 0], z[:, 1], sigma[0, 1] / sqrt(sigma[0, 0] * sigma[1, 1]))
+    if x.shape[-1] == 1:
+        return _ndtr(z[..., 0])
+    if x.shape[-1] == 2:
+        return _bvn_cdf(z[..., 0], z[..., 1], sigma[0, 1] / sqrt(sigma[0, 0] * sigma[1, 1]))
     from scipy.stats import multivariate_normal  # a slow import: only d >= 3 pays it
 
-    return np.atleast_1d(multivariate_normal(cov=sigma, seed=np.random.default_rng(seed)).cdf(x))
+    cdf = multivariate_normal(cov=sigma, seed=np.random.default_rng(seed)).cdf(x)
+    return np.reshape(cdf, x.shape[:-1])
 
 
 def mvn_cdf_at_zero(mu, sigma, *, seed=0) -> float:
     """P(X <= 0 componentwise) for X ~ Normal(mu, sigma); exact up to
     dimension 2, ``seed`` drives the quasi-Monte Carlo beyond."""
     mu, sigma = _normal_law(mu, sigma)
-    return float(_centered_cdf(sigma, -mu[None, :], seed)[0])
+    return float(_centered_cdf(sigma, -mu, seed))
 
 
 def sample_ubb_K(law: KModelLaw, n_samples: int, seed: int) -> np.ndarray:
@@ -255,7 +390,7 @@ def sample_ubb_K(law: KModelLaw, n_samples: int, seed: int) -> np.ndarray:
                 "value Phi_{0,Sigma}(0) as an extrapolation",
                 stacklevel=2,
             )
-        return np.full(n_samples, _centered_cdf(law.sigma_inf, np.zeros((1, dim)), qmc_seq)[0])
+        return np.full(n_samples, _centered_cdf(law.sigma_inf, np.zeros(dim), qmc_seq))
 
     chol = np.linalg.cholesky(law.sigma_inf)
     w_rng = np.random.default_rng(outer_seq)
@@ -296,29 +431,3 @@ def three_model_scenarios(kind: str, grid) -> list[tuple[np.ndarray, np.ndarray]
             "kind must be one of vary_mean, vary_variance, vary_correlation"
         )
     return out
-
-
-def bernoulli_two_model_problem(p1: float, p2: float, n: int, seed: int):
-    """Degenerate two-model testbed: data x ~ Bernoulli(1/2), model m
-    claiming x ~ Bernoulli(p_m) with no free parameters.
-
-    Returns ``(x, evaluator)`` where the evaluator maps weight rows (..., n)
-    to the pairs of weighted log likelihoods (..., 2).  With p2 = 1 - p1 the
-    effect size is exactly zero by symmetry.
-    """
-    for p in (p1, p2):
-        if not 0.0 < p < 1.0:
-            raise InvalidArgumentError(f"success probabilities must be in (0, 1), got {p}")
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    x = (np.random.default_rng(seed).random(n) < 0.5).astype(float)
-    logits = np.array([[log(p1), log(1.0 - p1)], [log(p2), log(1.0 - p2)]])
-
-    def evaluate(weights) -> np.ndarray:
-        w = np.asarray(weights, dtype=float)
-        ones = w @ x
-        total = w.sum(axis=-1)
-        return np.stack([ones, total - ones], axis=-1) @ logits.T
-
-    return x, evaluate
-

@@ -253,13 +253,16 @@ def _read_json_object(path) -> dict:
 
 def _expand_arg_files(argv: list[str]) -> list[str]:
     """``argv`` with each ``@PATH`` token replaced, in place, by the lines
-    of that file: one token a line, stripped, blank and ``#`` lines dropped."""
+    of that file: one token a line, stripped, blank and ``#`` lines dropped.
+    Lines end at ``\n``, ``\r\n`` or ``\r`` only, so a U+2028 or form feed
+    inside a value stays in it."""
     tokens = []
     for token in argv:
         if not token.startswith("@"):
             tokens.append(token)
             continue
-        lines = (line.strip() for line in _read_text(token[1:]).splitlines())
+        text = _read_text(token[1:]).replace("\r\n", "\n").replace("\r", "\n")
+        lines = (line.strip() for line in text.split("\n"))
         tokens += [line for line in lines if line and not line.startswith("#")]
     return tokens
 
@@ -698,7 +701,9 @@ def cmd_asymptotics(args) -> int:
               ubb_cdf(threshold, cells)]
     delta, c, u = (g.ravel() for g in np.meshgrid(args.delta_grid, args.c_grid, args.u_grid,
                                                   indexing="ij"))
-    density = [delta, c, u, ubb_density(u, TwoModelLaw(delta, c))]
+    # the law broadcasts over a (delta, c, u) box, so Phi^{-1} runs once per u
+    law = TwoModelLaw(args.delta_grid[:, None, None], args.c_grid[:, None])
+    density = [delta, c, u, ubb_density(args.u_grid, law).ravel()]
 
     checkpoint_law = TwoModelLaw(2.0, 1.0)
     checkpoints = [

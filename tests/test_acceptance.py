@@ -24,6 +24,7 @@ from bayesbag.linreg import (
     param_moments_from_stats,
     weighted_stats,
 )
+from oracles import bernoulli_two_model_problem
 
 UNIFORM2 = np.log([0.5, 0.5])
 
@@ -48,7 +49,7 @@ def bernoulli_experiment(n, m, n_datasets, b, seed):
     std_vals = np.empty(n_datasets)
     bag_vals = np.empty(n_datasets)
     for r in range(n_datasets):
-        _, evaluate = bb.bernoulli_two_model_problem(
+        _, evaluate = bernoulli_two_model_problem(
             0.6, 0.4, n, seed=child_seed(seed, r, 0)
         )
         std_vals[r] = bb.standard_model_posterior(evaluate(np.ones(n)), UNIFORM2).probs[0]

@@ -1,6 +1,10 @@
 """Tests for the limit-law calculators and the simulation testbed."""
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +15,10 @@ from scipy.stats import kstest, multivariate_normal
 import bayesbag as bb
 from bayesbag.asymptotics import (
     _bvn_cdf,
+    _ndtr,
+    _ndtri,
     KModelLaw,
     TwoModelLaw,
-    bernoulli_two_model_problem,
     three_model_scenarios,
     mvn_cdf_at_zero,
     reduce_to_contrasts,
@@ -29,6 +34,7 @@ from bayesbag.errors import (
     NumericDomainError,
     SingularLawError,
 )
+from oracles import bernoulli_two_model_problem, owens_t_bvn_cdf
 
 UNIFORM2 = np.log([0.5, 0.5])
 
@@ -274,6 +280,51 @@ class TestSampleUbbK:
         assert fracs[0] < fracs[1] < fracs[2]
 
 
+class TestNormalKernels:
+    """Phi, Phi^{-1} and the bivariate normal CDF against scipy.special and
+    Owen's T identity."""
+
+    def test_ndtr_matches_scipy(self):
+        # below 0 both round x / sqrt(2), an error that grows with x^2; near
+        # x = -1.37 scipy's erf branch is itself 0.95e-15 x^2 from the
+        # correctly rounded value, so the bound leaves our few ulps on top
+        x = np.concatenate([np.linspace(-37.5, 0.0, 300_001),
+                            -37.5 * np.random.default_rng(0).random(100_000)])
+        want = ndtr(x)
+        assert np.all(np.abs(_ndtr(x) - want) <= 1.25e-15 * want * np.maximum(1.0, x * x))
+        # above 0 the values lie in [0.5, 1]: two ulps there, since scipy is
+        # itself up to 1.3 ulps from the correctly rounded value
+        x = np.concatenate([np.linspace(0.0, 40.0, 400_001), [1e10, 1e300, np.inf]])
+        assert np.all(np.abs(_ndtr(x) - ndtr(x)) <= 2.0**-52)
+        assert _ndtr(0.0) == 0.5 and _ndtr(-np.inf) == 0.0 and _ndtr(-40.0) == 0.0
+        assert np.isnan(_ndtr(np.nan))
+
+    def test_ndtri_matches_scipy(self):
+        rng = np.random.default_rng(1)
+        u = np.concatenate([10.0 ** -rng.uniform(1.0, 300.0, 100_000), rng.random(100_000),
+                            1.0 - 2.0 ** -rng.uniform(1.0, 53.0, 100_000),
+                            [1e-300, 5e-324, 0.075, 0.5, 0.925, 1.0 - 2.0**-53]])
+        want = ndtri(u)
+        assert np.all(np.abs(_ndtri(u) - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, -0.3, 0.75, -0.75, 0.925 + 1e-9, 0.925 - 1e-9,
+                                     -0.925 + 1e-9, -0.925 - 1e-9, 0.999, -0.999])
+    def test_bvn_cdf_matches_owens_t(self, rho):
+        h, k = np.random.default_rng(2).normal(0.0, 3.0, (2, 20_000))
+        assert np.max(np.abs(_bvn_cdf(h, k, rho) - owens_t_bvn_cdf(h, k, rho))) <= 1e-14
+
+    def test_scalar_in_float_out(self):
+        law = TwoModelLaw(1.0, 2.0)
+        for value in (_ndtr(0.3), _ndtri(0.3), _bvn_cdf(0.3, -0.2, 0.5), _bvn_cdf(0.3, -0.2, -0.95),
+                      std_limit_bernoulli_2(law), ubb_cdf(0.3, law), ubb_density(0.3, law)):
+            assert isinstance(value, float) and not isinstance(value, np.ndarray)
+        u = np.array([[0.2, 0.3]])
+        arrays = (_ndtr(u), _ndtri(u), _bvn_cdf(u, 0.1, 0.5), _bvn_cdf(u, u.T, -0.95),
+                  std_limit_bernoulli_2(TwoModelLaw(u, 1.0)), ubb_cdf(u, law), ubb_density(u, law))
+        for value, shape in zip(arrays, [(1, 2)] * 3 + [(2, 2)] + [(1, 2)] * 3):
+            assert isinstance(value, np.ndarray) and value.shape == shape
+
+
 class TestClosedFormCdf:
     """The orthant probabilities against scipy's bivariate normal (Genz's
     bvnu, exact to rounding) and its quasi-Monte Carlo beyond."""
@@ -306,6 +357,19 @@ class TestClosedFormCdf:
     def test_four_exchangeable_models(self):
         value = mvn_cdf_at_zero(np.zeros(3), 0.5 + 0.5 * np.eye(3), seed=0)
         assert abs(value - 0.25) <= 1e-4
+
+    def test_dimension_three_alone_imports_scipy(self):
+        # the exact orthants up to dimension 2 run on numpy kernels; the
+        # quasi-Monte Carlo beyond still imports scipy.stats when called
+        code = ("import sys, numpy as np; from bayesbag.asymptotics import mvn_cdf_at_zero; "
+                "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                "mvn_cdf_at_zero([0.1], [[2.0]]); mvn_cdf_at_zero([0.1, -0.2], [[1.0, 0.95], [0.95, 1.0]]); "
+                "assert not loaded(), loaded(); "
+                "value = mvn_cdf_at_zero(np.zeros(3), 0.5 + 0.5 * np.eye(3), seed=0); "
+                "assert abs(value - 0.25) <= 1e-4, value; assert 'scipy.stats' in sys.modules")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_dimension_three_sampling(self):
         sigma = 0.5 + 0.5 * np.eye(3)

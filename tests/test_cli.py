@@ -1192,6 +1192,17 @@ class TestArgumentFiles:
         assert f"data error: cannot read {missing}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("inner", ["\u2028", "\x85", "\x0c"], ids=["U+2028", "U+0085", "form-feed"])
+    def test_lines_end_at_line_ends_only(self, tmp_path, inner):
+        # str.splitlines() would also split at these, making "x" a stray argument
+        out = f"{tmp_path / 'o'}{inner}x"
+        args = tmp_path / "run.args"
+        args.write_text(f"--D=3\r\n--k=1\r--N=30\n--B=4\n--replicates=1\n--out={out}\n",
+                        encoding="utf-8")
+        assert cli._expand_arg_files([f"@{args}"])[-1] == f"--out={out}"
+        assert run("simulate", f"@{args}") == 0
+        assert manifest_config(out)["n"] == 30
+
     def test_file_run_equals_flag_run(self, tmp_path):
         flags = ["--D", "4", "--k", "1", "--N", "60", "--replicates", "2", "--B", "6",
                  "--export-data", "--seed", "3"]
@@ -1344,9 +1355,10 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_regression_commands_leave_scipy_unloaded(tmp_path):
-    # only asymptotics needs scipy; the posterior moments of mismatch take
-    # digamma and trigamma from a numpy kernel
+def test_cli_commands_leave_scipy_unloaded(tmp_path):
+    # the posterior moments of mismatch take digamma and trigamma from a
+    # numpy kernel, and asymptotics its normal CDFs; only orthants of four or
+    # more models, which no command computes, import scipy.stats
     (tmp_path / "a.txt").write_text("t1\nt2\nt1\n", encoding="utf-8")
     (tmp_path / "b.txt").write_text("t2\nt3\n", encoding="utf-8")
     data = tmp_path / "sim" / "dataset_000.csv"
@@ -1359,6 +1371,8 @@ def test_regression_commands_leave_scipy_unloaded(tmp_path):
         ["mismatch", "--data", data, "--target", "y", "--B", "3", "--out", tmp_path / "mm_data"],
         ["overlap", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt", "--out", tmp_path / "ov"],
         ["schema-check", "--out", tmp_path / "mm"],
+        ["asymptotics", "--delta-grid=0,1", "--c-grid=0.5,1", "--u-grid=0.1,0.5", "--mu3-grid=0",
+         "--sigma3-grid=2", "--rho-grid=0.4", "--n-samples", "200", "--out", tmp_path / "asy"],
     ]
     code = ("import json, sys; from bayesbag.cli import main; "
             "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1])); "

@@ -23,6 +23,7 @@ from bayesbag.errors import (
     ReplicateEvaluationError,
     ResourceLimitError,
 )
+from oracles import bernoulli_two_model_problem
 
 UNIFORM2 = np.log([0.5, 0.5])
 
@@ -352,8 +353,6 @@ class TestExactBaggedPosterior:
             exact_bagged_posterior(ev, 50, 50, UNIFORM2)
 
     def test_bernoulli_problem_matched_by_monte_carlo(self):
-        from bayesbag.asymptotics import bernoulli_two_model_problem
-
         _, ev = bernoulli_two_model_problem(0.6, 0.4, 3, seed=8)
         exact = exact_bagged_posterior(ev, 3, 3, UNIFORM2)
         bagged = bagged_model_posterior(
