@@ -33,7 +33,6 @@ from .core import (
     bagged_model_posterior,
     bootstrap_counts,
     evaluate_replicates,
-    exact_bagged_posterior,
     replicate_rng,
     standard_model_posterior,
 )
@@ -55,9 +54,7 @@ from .mismatch import (
     mismatch_index_proj,
 )
 from .simgen import (
-    KLOptimal,
     SimConfig,
-    kl_optimal_params,
     make_beta_dagger,
     sample_dataset,
     sample_regressors,

@@ -20,9 +20,10 @@ standard -> Bernoulli(Phi_{-mu, Sigma}(0)); bagged -> Phi_{0, Sigma}(c^{1/2} W)
 with W ~ Normal(mu, Sigma).
 The centered normal CDF is exact up to three models (K - 1 <= 2: Phi, then
 Genz's Gauss-Legendre quadrature for the bivariate CDF) and seeded Genz
-quasi-Monte Carlo beyond.  Phi and Phi^{-1} are numpy kernels here (an
-erfc polynomial and Wichura's AS241), so only the quasi-Monte Carlo for
-four or more models imports scipy (``scipy.stats``, inside the function).
+quasi-Monte Carlo beyond.  Phi is a numpy kernel here (an erfc
+polynomial) and Phi^{-1} the standard library's ``NormalDist().inv_cdf``
+(Wichura's AS241), so only the quasi-Monte Carlo for four or more models
+imports scipy (``scipy.stats``, inside the function).
 
 Non-finite inputs fail loudly: a NaN or infinite parameter, or u outside
 (0, 1), raises ``InvalidArgumentError`` (``DegenerateLawError`` for c = 0 in
@@ -37,6 +38,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cache
 from math import asin, pi, sin, sqrt
+from statistics import NormalDist
 
 import numpy as np
 
@@ -62,6 +64,11 @@ __all__ = [
 # Default "strongly favors" probability threshold used by the sweep CLI.
 STRONG_FAVOR_THRESHOLD = 0.1
 
+# Phi^{-1} is the standard library's (Wichura's AS241), one value at a
+# time: the commands take it on a u grid of a few dozen points, where this
+# is faster than a whole-array kernel.
+_INV_CDF = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+
 
 # Phi(x) = erfc(-x / sqrt(2)) / 2 and erfc(b) = erfcx(b) exp(-b^2).  For
 # b >= 0, erfcx(b) = 2 P(s) / (b + 2) with s = (2 - b) / (2 + b) in (-1, 1]:
@@ -81,49 +88,6 @@ _ERFCX_POLY = (
     -0.010755330944755412, 0.018221115753442495, 0.1397360462780275,
     0.34358034220690525, 0.5107913526210115,
 )
-# Phi^{-1} by Wichura's (1988) AS241 PPND16 (as in CPython's statistics
-# module): a rational function of (u - 1/2)^2 in the center, of
-# sqrt(-log(min(u, 1 - u))) in the tails; coefficients highest degree first.
-_AS241 = {
-    "central": (
-        (
-            2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
-            4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
-            1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0,
-        ),
-        (
-            5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
-            2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
-            4.23133_30701_60091_1252e+1, 1.0,
-        ),
-    ),
-    "tail": (
-        (
-            7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
-            1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
-            4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0,
-        ),
-        (
-            1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
-            1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
-            2.05319_16266_37758_82187e+0, 1.0,
-        ),
-    ),
-    "far": (
-        (
-            2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
-            2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
-            5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0,
-        ),
-        (
-            2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
-            7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
-            5.99832_20655_58879_37690e-1, 1.0,
-        ),
-    ),
-}
-
-
 def _horner(coefs, s):
     """The polynomial with ``coefs`` (highest degree first) at each s."""
     y = coefs[0] * s + coefs[1]
@@ -147,16 +111,7 @@ def _ndtr(x):
 def _ndtri(u):
     """Phi^{-1}(u), elementwise, for u strictly inside (0, 1); a float for a
     float."""
-    u = np.asarray(u, dtype=float)[()]
-    q = u - 0.5
-    r = 0.180625 - q * q
-    num, den = _AS241["central"]
-    central = q * _horner(num, r) / _horner(den, r)
-    r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
-    (num, den), (num_far, den_far) = _AS241["tail"], _AS241["far"]
-    tail = np.where(r <= 5.0, _horner(num, r - 1.6) / _horner(den, r - 1.6),
-                    _horner(num_far, r - 5.0) / _horner(den_far, r - 5.0))
-    return np.where(np.abs(q) <= 0.425, central, np.copysign(tail, q))[()]
+    return np.asarray(_INV_CDF(u), dtype=float)[()]
 
 
 def _require(ok, values, message: str) -> None:

@@ -186,18 +186,23 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _resolve_m(token: str, n: int) -> int:
-    """Bootstrap size flag: a positive integer, or the literal "N" meaning
-    the size of the dataset (or split) being analyzed."""
-    if token.strip().upper() == "N":
-        return n
+def _bootstrap_size(text: str) -> int | str:
+    """An argparse type for ``--M``: a positive integer, or the literal "N"
+    meaning the size of the dataset (or split) being analyzed."""
+    if text.strip().upper() == "N":
+        return "N"
     try:
-        m = int(token)
+        m = int(text)
     except ValueError:
-        raise InvalidArgumentError(f"--M must be a positive integer or 'N', got {token!r}") from None
+        raise argparse.ArgumentTypeError(f"must be a positive integer or 'N', got {text!r}") from None
     if m < 1:
-        raise InvalidArgumentError(f"--M must be >= 1, got {m}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {m}")
     return m
+
+
+def _resolve_m(m: int | str, n: int) -> int:
+    """The bootstrap size: ``m``, or ``n`` for "N"."""
+    return n if m == "N" else m
 
 
 def _int_at_least(low: int):
@@ -645,7 +650,7 @@ def _split_indices(n: int, n_splits: int, rng: np.random.Generator) -> list[np.n
 
 
 def cmd_select(args) -> int:
-    n_splits, seed, b, m_token = args.splits, args.seed, args.b, args.m
+    n_splits, seed, b = args.splits, args.seed, args.b
     data, names = read_regression_csv(args.data, args.target)
     if n_splits > data.n:
         raise InvalidArgumentError(f"--splits {n_splits} exceeds the {data.n} data rows")
@@ -665,7 +670,7 @@ def cmd_select(args) -> int:
     parts = _split_indices(data.n, n_splits, replicate_rng(seed, 99))
     subsets = [data, *(RegressionDataset(z=data.z[idx], y=data.y[idx]) for idx in parts)]
     runs = (
-        _replicate_stats(lambda: sub, sub.n, data.d, _resolve_m(m_token, sub.n), b,
+        _replicate_stats(lambda: sub, sub.n, data.d, _resolve_m(args.m, sub.n), b,
                          _child_seed(seed, s, 1))
         for s, sub in enumerate(subsets)
     )
@@ -908,8 +913,8 @@ def _add_simulation(p: _Parser, required: bool) -> None:
 def _add_selection(p: _Parser) -> None:
     p.add_argument("--q0", type=float, default=None, help="prior inclusion probability")
     _add_prior(p)
-    p.add_argument("--k-star", type=int, help="max regressors per model")
-    p.add_argument("--M", dest="m", default="N",
+    p.add_argument("--k-star", type=_int_at_least(1), help="max regressors per model")
+    p.add_argument("--M", dest="m", type=_bootstrap_size, default="N",
                    help="bootstrap dataset size; integer or 'N' (default N)")
     _add_replicates(p)
 

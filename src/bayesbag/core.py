@@ -5,7 +5,9 @@ bootstrap resamples of the data.  Resamples are represented as integer
 weight vectors (multinomial counts over the original observations), never
 as materialized datasets.  The count vectors of one bagging run are
 consecutive draws from one random stream, so replicate i depends only on
-(seed, i) and the first B replicates are the same for any larger B.
+(seed, i) and the first B replicates are the same for any larger B.  The
+exact bagged posterior, by enumeration of every count vector, is the
+tests' oracle for this engine and lives with them (``tests/oracles.py``).
 
 Replicates are evaluated in blocks.  An *evaluator* is a callable mapping
 an (r, N) block of weight rows (each row nonnegative integer counts
@@ -31,8 +33,6 @@ can evaluate the models of several runs at once between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from math import comb, lgamma, log
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
     ReplicateEvaluationError,
-    ResourceLimitError,
 )
 
 __all__ = [
@@ -55,15 +54,11 @@ __all__ = [
     "bagged_model_posterior",
     "bagged_from_log_evidence",
     "evaluate_replicates",
-    "exact_bagged_posterior",
 ]
 
 # B: this many bootstrap replicates keep the Monte Carlo error of the
 # averaged posterior small for typical model-selection use.
 DEFAULT_REPLICATES = 100
-
-# Guard for exact enumeration of all count vectors: C(M+N-1, N-1) at most this.
-EXACT_ENUMERATION_GUARD = 100_000
 
 # Bytes of counts one block of replicates holds: a block has as many rows
 # as fit (at least one), so memory stays O(N) for any B.
@@ -306,48 +301,3 @@ def bagged_from_log_evidence(log_ml, log_prior) -> BaggedPosterior:
         se_defined=se_defined,
         standard_probs=probs[0],
     )
-
-
-def _count_vectors(m: int, n: int):
-    """Yield every length-n nonnegative integer vector summing to m."""
-    if n == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _count_vectors(m - first, n - 1):
-            yield (first, *rest)
-
-
-def exact_bagged_posterior(evaluator: Evaluator, n_obs: int, m: int, log_prior) -> np.ndarray:
-    """Exact bagged posterior: the expectation over all bootstrap resamples.
-
-    Enumerates every multinomial count vector, weighting each posterior by
-    its multinomial pmf; the vectors reach the evaluator in blocks, as in
-    ``evaluate_replicates``, and an error names a block by its first vector,
-    counted from 0 (there is no unit-weight row).  Feasible only for tiny
-    problems; guarded at C(m+n-1, n-1) <= 1e5 enumerated vectors.  Serves as
-    the oracle for ``bagged_model_posterior``.
-    """
-    if n_obs < 1:
-        raise InvalidArgumentError(f"number of observations must be >= 1, got {n_obs}")
-    if m < 1:
-        raise InvalidArgumentError(f"bootstrap size m must be >= 1, got {m}")
-    n_vectors = comb(m + n_obs - 1, n_obs - 1)
-    if n_vectors > EXACT_ENUMERATION_GUARD:
-        raise ResourceLimitError(
-            f"{n_vectors} count vectors exceed the enumeration guard "
-            f"({EXACT_ENUMERATION_GUARD}); reduce n or m"
-        )
-    log_prior = np.asarray(log_prior, dtype=float)
-    log_fact = np.array([lgamma(c + 1) for c in range(m + 1)])
-    log_n = log(n_obs)
-    dtype = np.min_scalar_type(m)
-    rows = _block_rows(n_obs, dtype, n_vectors)
-    vectors = _count_vectors(m, n_obs)
-    total = np.zeros_like(log_prior)
-    for first in range(0, n_vectors, rows):
-        block = np.array(list(islice(vectors, rows)), dtype=dtype)
-        log_ml = _evaluate_block(evaluator, first, block, log_prior.size)
-        log_pmf = log_fact[m] - log_fact[block].sum(axis=1) - m * log_n
-        total += np.exp(log_pmf) @ _normalized_probs(log_ml + log_prior)
-    return total

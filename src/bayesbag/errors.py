@@ -38,10 +38,6 @@ class SingularLawError(BayesBagError):
     """Contrast covariance is singular (models are perfectly correlated)."""
 
 
-class SingularMomentError(BayesBagError):
-    """An estimated moment matrix is singular."""
-
-
 class ReplicateEvaluationError(BayesBagError):
     """An evaluator raised, or returned the wrong shape, on a block of weight
     rows; ``replicate`` is the block's first row as a bagging run counts its

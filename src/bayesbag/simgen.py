@@ -1,5 +1,6 @@
-"""Synthetic regression data in a fine-mapping style, plus the KL-optimal
-parameter oracle for the misspecified linear fit.
+"""Synthetic regression data in a fine-mapping style.  (The KL-optimal
+parameter oracle for the misspecified linear fit, which only the tests
+use, is in ``tests/oracles.py``.)
 
 Regressors are correlated with unit variance but different tails: draw
 xi ~ chi-squared(h) per observation, set the scale xi_d = sqrt(xi/(h-2))
@@ -19,21 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericDomainError, SingularMomentError
+from .errors import InvalidArgumentError, NumericDomainError
 from .linreg import RegressionDataset
 
 __all__ = [
     "SimConfig",
-    "KLOptimal",
     "make_beta_dagger",
     "sample_regressors",
     "sample_dataset",
-    "kl_optimal_params",
 ]
 
 RESPONSE_KINDS = ("linear", "nonlinear")
-
-_MOMENT_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -61,18 +58,6 @@ class SimConfig:
             raise InvalidArgumentError(f"h must be finite and exceed 2, got {self.h}")
 
 
-@dataclass(frozen=True, eq=False)
-class KLOptimal:
-    """KL-optimal linear fit under the true generator: coefficients,
-    noise variance (clamped at zero; the unclamped value is kept for
-    diagnostics) and the Monte Carlo standard error of the estimates."""
-
-    beta_circ: np.ndarray
-    sigma2_circ: float
-    sigma2_circ_raw: float
-    moment_se: float
-
-
 def make_beta_dagger(d: int, k: int) -> np.ndarray:
     """k-sparse coefficient vector with ones at components
     floor(j (d + 1/2) / (k + 1)), j = 1..k (1-based)."""
@@ -94,9 +79,8 @@ def _base_correlation(d: int) -> np.ndarray:
     return np.exp(-(diff * diff) / 64.0)
 
 
-def sample_regressors(config: SimConfig, rng: np.random.Generator, n_rows: int | None = None) -> np.ndarray:
-    """Draw i.i.d. regressor rows from the scale-mixture generator."""
-    n = config.n if n_rows is None else n_rows
+def sample_regressors(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``config.n`` i.i.d. regressor rows from the scale-mixture generator."""
     # the squared-exponential kernel's smallest eigenvalues round to
     # (slightly negative) float noise from d = 14 on; a diagonal jitter of
     # 1e-12, or 1e-10 if that fails, restores positive definiteness without
@@ -110,8 +94,8 @@ def sample_regressors(config: SimConfig, rng: np.random.Generator, n_rows: int |
             pass
     else:
         raise NumericDomainError(f"the d = {config.d} kernel is not positive definite with jitter")
-    v = rng.standard_normal((n, config.d)) @ chol.T
-    xi = rng.chisquare(config.h, size=n)
+    v = rng.standard_normal((config.n, config.d)) @ chol.T
+    xi = rng.chisquare(config.h, size=config.n)
     scale = np.sqrt(xi / (config.h - 2.0))
     z = v
     z[:, 0::2] /= scale[:, None]  # odd components in 1-based numbering
@@ -132,72 +116,3 @@ def sample_dataset(config: SimConfig, rng: np.random.Generator | None = None) ->
     signal = _response_map(z[:, support], config.response_kind) @ beta[support]
     y = signal + rng.standard_normal(config.n)
     return RegressionDataset(z=z, y=y)
-
-
-def kl_optimal_params(
-    config: SimConfig,
-    n_mc: int,
-    seed: int,
-    regressor_sampler=None,
-) -> KLOptimal:
-    """Monte Carlo estimate of the KL-optimal linear-fit parameters.
-
-    With S_zz = E(Z Z'), S_zf = E(Z f(Z)') and S_ff = E(f(Z) f(Z)'), the
-    optimal coefficients are beta = S_zz^{-1} S_zf beta_dagger and the
-    optimal noise variance is the positive part of
-    1 + b' S_ff b - b' S_zf' S_zz^{-1} S_zf b  (b = beta_dagger).
-
-    Moments are estimated from ``n_mc`` generator draws split into batches;
-    ``moment_se`` is the largest batch-means standard error across the
-    coefficient coordinates and the variance.  ``regressor_sampler`` may
-    replace the default generator with any callable ``(n, rng) -> (n, d)``.
-    """
-    if n_mc < 10_000:
-        raise InvalidArgumentError(f"n_mc must be >= 10000, got {n_mc}")
-    rng = np.random.default_rng(seed)
-    beta_dag = make_beta_dagger(config.d, config.k)
-    per_batch = n_mc // _MOMENT_BATCHES
-
-    szz_total = np.zeros((config.d, config.d))
-    szf_total = np.zeros((config.d, config.d))
-    sff_total = np.zeros((config.d, config.d))
-    batch_betas = np.empty((_MOMENT_BATCHES, config.d))
-    batch_sigma2 = np.empty(_MOMENT_BATCHES)
-
-    for i in range(_MOMENT_BATCHES):
-        if regressor_sampler is None:
-            z = sample_regressors(config, rng, n_rows=per_batch)
-        else:
-            z = np.asarray(regressor_sampler(per_batch, rng), dtype=float)
-        f = _response_map(z, config.response_kind)
-        szz = z.T @ z / per_batch
-        szf = z.T @ f / per_batch
-        sff = f.T @ f / per_batch
-        szz_total += szz
-        szf_total += szf
-        sff_total += sff
-        batch_betas[i], batch_sigma2[i] = _optimal_from_moments(szz, szf, sff, beta_dag)
-
-    szz_total /= _MOMENT_BATCHES
-    szf_total /= _MOMENT_BATCHES
-    sff_total /= _MOMENT_BATCHES
-    beta_circ, sigma2_raw = _optimal_from_moments(szz_total, szf_total, sff_total, beta_dag)
-
-    se_beta = batch_betas.std(axis=0, ddof=1) / np.sqrt(_MOMENT_BATCHES)
-    se_sigma2 = batch_sigma2.std(ddof=1) / np.sqrt(_MOMENT_BATCHES)
-    return KLOptimal(
-        beta_circ=beta_circ,
-        sigma2_circ=max(sigma2_raw, 0.0),
-        sigma2_circ_raw=sigma2_raw,
-        moment_se=float(max(se_beta.max(), se_sigma2)),
-    )
-
-
-def _optimal_from_moments(szz, szf, sff, beta_dag) -> tuple[np.ndarray, float]:
-    target = szf @ beta_dag
-    try:
-        beta = np.linalg.solve(szz, target)
-    except np.linalg.LinAlgError:
-        raise SingularMomentError("estimated E(ZZ') is singular") from None
-    sigma2 = 1.0 + float(beta_dag @ (sff @ beta_dag)) - float(target @ beta)
-    return beta, sigma2

@@ -24,7 +24,7 @@ from bayesbag.linreg import (
     param_moments_from_stats,
     weighted_stats,
 )
-from oracles import bernoulli_two_model_problem
+from oracles import bernoulli_two_model_problem, exact_bagged_posterior, kl_optimal_params
 
 UNIFORM2 = np.log([0.5, 0.5])
 
@@ -202,7 +202,7 @@ def test_04_exact_bagging_oracle():
         m = int(rng.integers(1, 5))
         loglik = rng.normal(size=(n, 2))
         evaluate = lambda w, L=loglik: np.asarray(w, dtype=float) @ L
-        exact = bb.exact_bagged_posterior(evaluate, n, m, UNIFORM2)
+        exact = exact_bagged_posterior(evaluate, n, m, UNIFORM2)
         bagged = bb.bagged_model_posterior(
             evaluate, n, UNIFORM2,
             bb.BootstrapConfig(m=m, b=5000, seed=int(rng.integers(1 << 31))),
@@ -334,7 +334,7 @@ def test_09_kl_optimal_oracle():
     cubic regressors, and a dense coefficient vector under the correlated
     mixture.  Runtime ~10 s."""
     d = 10
-    linear = bb.kl_optimal_params(
+    linear = kl_optimal_params(
         bb.SimConfig(d=d, k=1, n=1, response_kind="linear", seed=0), 10**6, seed=0
     )
     beta_dag = bb.make_beta_dagger(d, 1)
@@ -345,13 +345,13 @@ def test_09_kl_optimal_oracle():
     )
 
     cubic = bb.SimConfig(d=d, k=1, n=1, response_kind="nonlinear", seed=0)
-    indep = bb.kl_optimal_params(
+    indep = kl_optimal_params(
         cubic, 10**6, seed=0, regressor_sampler=lambda n, rng: rng.standard_normal((n, d))
     )
     causal = int(np.flatnonzero(beta_dag)[0])
     ok_indep = abs(indep.beta_circ[causal] - 3.0) <= 3 * indep.moment_se
 
-    mixture = bb.kl_optimal_params(cubic, 10**6, seed=0)
+    mixture = kl_optimal_params(cubic, 10**6, seed=0)
     dense = int(np.sum(np.abs(mixture.beta_circ) > 0.05))
     ok_dense = dense >= 3
 

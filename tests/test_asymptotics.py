@@ -34,7 +34,7 @@ from bayesbag.errors import (
     NumericDomainError,
     SingularLawError,
 )
-from oracles import bernoulli_two_model_problem, owens_t_bvn_cdf
+from oracles import KLOptimal, bernoulli_two_model_problem, owens_t_bvn_cdf
 
 UNIFORM2 = np.log([0.5, 0.5])
 
@@ -315,14 +315,16 @@ class TestNormalKernels:
 
     def test_scalar_in_float_out(self):
         law = TwoModelLaw(1.0, 2.0)
-        for value in (_ndtr(0.3), _ndtri(0.3), _bvn_cdf(0.3, -0.2, 0.5), _bvn_cdf(0.3, -0.2, -0.95),
+        for value in (_ndtr(0.3), _ndtri(0.3), _ndtri(np.float64(0.3)), _ndtri(np.array(0.3)),
+                      _bvn_cdf(0.3, -0.2, 0.5), _bvn_cdf(0.3, -0.2, -0.95),
                       std_limit_bernoulli_2(law), ubb_cdf(0.3, law), ubb_density(0.3, law)):
             assert isinstance(value, float) and not isinstance(value, np.ndarray)
         u = np.array([[0.2, 0.3]])
         arrays = (_ndtr(u), _ndtri(u), _bvn_cdf(u, 0.1, 0.5), _bvn_cdf(u, u.T, -0.95),
-                  std_limit_bernoulli_2(TwoModelLaw(u, 1.0)), ubb_cdf(u, law), ubb_density(u, law))
-        for value, shape in zip(arrays, [(1, 2)] * 3 + [(2, 2)] + [(1, 2)] * 3):
-            assert isinstance(value, np.ndarray) and value.shape == shape
+                  std_limit_bernoulli_2(TwoModelLaw(u, 1.0)), ubb_cdf(u, law), ubb_density(u, law),
+                  _ndtri(np.array([])), _ndtri(np.empty((2, 0))))
+        for value, shape in zip(arrays, [(1, 2)] * 3 + [(2, 2)] + [(1, 2)] * 3 + [(0,), (2, 0)], strict=True):
+            assert isinstance(value, np.ndarray) and value.dtype == float and value.shape == shape
 
 
 class TestClosedFormCdf:
@@ -492,7 +494,7 @@ class TestKModelLawValidation:
     lambda: bb.ModelPosterior(np.array([0.5, 0.5]), np.zeros(2)),
     lambda: bb.BaggedPosterior(np.full((2, 2), 0.5), np.full(2, 0.5), np.zeros(2)),
     lambda: bb.RegressionDataset(z=np.eye(2), y=np.ones(2)),
-    lambda: bb.KLOptimal(np.ones(2), 1.0, 1.0, 0.0),
+    lambda: KLOptimal(np.ones(2), 1.0, 1.0, 0.0),
 ], ids=["TwoModelLaw", "KModelLaw", "ModelPosterior", "BaggedPosterior",
         "RegressionDataset", "KLOptimal"])
 def test_array_dataclasses_compare_by_identity(make):

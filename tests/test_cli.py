@@ -65,7 +65,7 @@ def write_dataset_csv(path, n, d, seed=0, target_equals_column=None):
 class TestHelpers:
     def test_resolve_m(self):
         assert _resolve_m("N", 123) == 123
-        assert _resolve_m("50", 123) == 50
+        assert _resolve_m(50, 123) == 50
 
     def test_split_sizes(self):
         parts = _split_indices(506, 3, np.random.default_rng(0))
@@ -1054,6 +1054,19 @@ class TestUsageErrors:
         assert run("mismatch", "--data", tmp_path / "missing.csv", "--target", "y", "--B", 1,
                    "--out", out) == 1
         assert "usage error: argument --B: must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--M", "abc", "argument --M: must be a positive integer or 'N', got 'abc'"),
+        ("--M", "0", "argument --M: must be >= 1, got 0"),
+        ("--k-star", "0", "argument --k-star: must be >= 1, got 0"),
+    ], ids=["M-abc", "M-0", "k-star-0"])
+    def test_bad_selection_setting_before_reading_data(self, tmp_path, capsys, flag, value, message):
+        # a usage error (exit 1) of the parser, before the data file is read: it does not exist
+        out = tmp_path / "o"
+        assert run("select", "--data", tmp_path / "missing.csv", "--target", "y", flag, value,
+                   "--out", out) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_more_splits_than_rows(self, tmp_path, capsys):

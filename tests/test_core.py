@@ -13,7 +13,6 @@ from bayesbag.core import (
     bagged_model_posterior,
     bootstrap_counts,
     evaluate_replicates,
-    exact_bagged_posterior,
     replicate_rng,
     standard_model_posterior,
 )
@@ -23,7 +22,7 @@ from bayesbag.errors import (
     ReplicateEvaluationError,
     ResourceLimitError,
 )
-from oracles import bernoulli_two_model_problem
+from oracles import bernoulli_two_model_problem, exact_bagged_posterior
 
 UNIFORM2 = np.log([0.5, 0.5])
 

@@ -8,11 +8,11 @@ from bayesbag.errors import InvalidArgumentError
 from bayesbag.simgen import (
     SimConfig,
     _base_correlation,
-    kl_optimal_params,
     make_beta_dagger,
     sample_dataset,
     sample_regressors,
 )
+from oracles import kl_optimal_params
 
 
 class TestMakeBetaDagger:
