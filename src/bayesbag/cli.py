@@ -6,8 +6,8 @@ Every subcommand is deterministic given its configuration and seed, and
 writes plot-ready CSV/JSON files plus a manifest describing their schemas
 and every setting of the run through one writer, ``_write_results``;
 ``schema-check`` re-validates a result directory against the manifest.
-The writer checks every float cell before it writes any file, then
-formats each CSV column whole and writes each file with one call.
+The writer renders every file, checking each float cell as it formats a
+CSV column whole, before it makes the directory.
 Each setting has one name, its flag in lower case without the leading
 dashes and with ``_`` for ``-``: that is its argparse dest, its
 ``@FILE`` line and its manifest key.  An argument ``@FILE`` stands for the
@@ -296,26 +296,21 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _float_column(values, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """A float column as a float64 array, and the mask of its empty cells:
-    the ``None`` entries of a ``float?`` column.  ``None`` in a ``float``
-    column becomes nan, a non-finite value."""
-    floats = np.array(values, dtype=float)  # None becomes nan
-    if kind == "float?":
-        return floats, np.array([v is None for v in values], dtype=bool)
-    return floats, np.zeros(floats.shape, dtype=bool)
-
-
-def _format_column(values, kind: str) -> list[str]:
-    """The cells of one CSV column, each kind formatted by one C-level call:
-    a float as ``%.12g`` (an empty cell for ``None`` in a ``float?``
-    column), an int as ``%d``, a str quoted by ``_quote``."""
+def _format_column(filename: str, name: str, values, kind: str) -> list[str]:
+    """The cells of column ``name`` of the CSV file ``filename``, each kind
+    formatted by one C-level call: a float as ``%.12g`` (an empty cell for
+    ``None`` in a ``float?`` column), an int as ``%d``, a str quoted by
+    ``_quote``.  Any other float cell that is not finite is a
+    ``NumericDomainError`` naming the file and column."""
     if kind == "str":
         return [_quote(str(v)) for v in values]
     if kind == "int":
         ints = np.asarray(values).tolist()
         return ("%d\n" * len(ints) % tuple(ints)).split("\n")[:-1]
-    floats, empty = _float_column(values, kind)
+    floats = np.array(values, dtype=float)  # None becomes nan
+    empty = np.array([v is None for v in values], bool) if kind == "float?" else np.zeros(floats.shape, bool)
+    if not np.all(np.isfinite(floats) | empty):
+        raise NumericDomainError(f"{filename}: column {name!r} has a non-finite value")
     # each distinct bit pattern is formatted once; bits keep -0.0 apart from 0.0
     bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
     text = ("%.12g\n" * bits.size % tuple(bits.view(np.float64).tolist())).split("\n")
@@ -331,26 +326,14 @@ _NOT_SETTINGS = ("command", "func", "out")
 def _write_results(args: argparse.Namespace, files: dict, **resolved) -> None:
     """Write every result file of a run, then the manifest that lists them.
 
-    ``files`` maps a filename to ``(schema, content)``.  A dict is written
-    as JSON; a list of columns is written as CSV by one ``write`` call,
-    each column formatted as a whole by ``_format_column`` and the rows
-    joined by ``str.join``; a table with no rows is its header line.  The
-    manifest's ``config`` is every setting in ``args`` under its dest, with
-    the values the command ``resolved`` from the data written over it.  A
-    float cell that is not finite is a ``NumericDomainError`` naming the
-    file and column, raised before any file is written.
+    ``files`` maps a filename to ``(schema, content)``.  The manifest's
+    ``config`` is every setting in ``args`` under its dest, with the values
+    the command ``resolved`` from the data written over it.  Each file is
+    rendered before the directory is made, so a non-finite float cell that
+    ``_format_column`` refuses leaves nothing written: a dict as JSON, a
+    list of columns as CSV, its rows joined by ``str.join`` (no rows: the
+    header line).  Each file is written by one ``write`` call.
     """
-    for filename, (schema, content) in files.items():
-        if isinstance(content, dict):
-            continue
-        for values, (name, kind) in zip(content, _spec(schema, content)):
-            if not kind.startswith("float"):
-                continue
-            floats, empty = _float_column(values, kind)
-            if not np.all(np.isfinite(floats) | empty):
-                raise NumericDomainError(f"{filename}: column {name!r} has a non-finite value")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     config = {key: value for key, value in vars(args).items() if key not in _NOT_SETTINGS}
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -360,15 +343,19 @@ def _write_results(args: argparse.Namespace, files: dict, **resolved) -> None:
         "config": {**config, **resolved},
         "run": _run_record(),
     }
+    texts = {}
     for filename, (schema, content) in {**files, "manifest.json": (None, manifest)}.items():
+        if isinstance(content, dict):
+            texts[filename] = json.dumps(content, indent=2, sort_keys=True, default=np.ndarray.tolist)
+            continue
+        spec = _spec(schema, content)
+        columns = [_format_column(filename, name, v, kind) for v, (name, kind) in zip(content, spec)]
+        texts[filename] = "\n".join([",".join(name for name, _ in spec), *map(",".join, zip(*columns))])
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for filename, text in texts.items():
         with open(outdir / filename, "w", newline="\n", encoding="utf-8") as fh:
-            if isinstance(content, dict):
-                json.dump(content, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
-                fh.write("\n")
-                continue
-            spec = _spec(schema, content)
-            columns = (_format_column(values, kind) for values, (_, kind) in zip(content, spec))
-            fh.write("\n".join([",".join(name for name, _ in spec), *map(",".join, zip(*columns))]) + "\n")
+            fh.write(text + "\n")
     log.info("wrote %s", outdir)
 
 
@@ -785,10 +772,13 @@ def cmd_mismatch(args) -> int:
         raise _run_error(0, exc) from exc
     overall, per_coord = mismatch_index_proj(moments[0], moments[1:])
 
+    def rounded(item):  # at %.12g, like every CSV cell; NA stays null
+        return None if item.is_na else float(_fmt(item.value))
+
     report = {
         "schema": MISMATCH_REPORT_SCHEMA,
-        "overall": overall.value,
-        "per_coordinate": {label: item.value for label, item in per_coord.items()},
+        "overall": rounded(overall),
+        "per_coordinate": {label: rounded(item) for label, item in per_coord.items()},
         "b": b,
         "m": m,
         "seed": seed,

@@ -34,7 +34,9 @@ complement from its parent's (Furnival & Wilson, "Regressions by leaps and
 bounds", Technometrics 16, 1974), so a set of every subset costs O(1) work
 per model amortized and one model of j columns a chain of j steps.  The
 trie is built once for each model set and cached with the map from model
-rows to its nodes.  The sweep is the one evidence path, and no matrix is
+rows to its nodes.  The sweep is the one evidence path and the one check
+of whether a Lam_g has a factor: the posterior moments take their pivots
+and b_g from it too, so the two refuse the same statistics.  No matrix is
 jittered: lam > 0 makes every Lam_g positive definite in exact arithmetic,
 so a pivot that is not positive and finite means that lam is lost in
 rounding or the statistics are not finite, and the cell raises
@@ -205,16 +207,6 @@ def _where(lead: tuple, row: int, model: int | None = None) -> str:
     return " for " + " of ".join(parts) if parts else ""
 
 
-def _forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve chol[i] @ t[i] = rhs[i] for a (n, j, j) stack of lower
-    triangular factors and a (n, j) stack of right-hand sides."""
-    t = np.empty_like(rhs)
-    for r in range(rhs.shape[1]):
-        partial = np.einsum("ij,ij->i", chol[:, r, :r], t[:, :r])
-        t[:, r] = (rhs[:, r] - partial) / chol[:, r, r]
-    return t
-
-
 # ``_digamma_trigamma`` raises every x below this by the recurrences; from
 # here on, the first omitted series terms are below 1e-17 of the result.
 _PSI_SHIFT = 20
@@ -378,6 +370,26 @@ def _sweep(zwz: np.ndarray, zwy: np.ndarray, mask: np.ndarray, lam: float):
     return quad, logdet
 
 
+def _checked_sweep(zwz, zwy, ywy, mask, hyper: NIGHyperparams, where):
+    """log|Lam_g| and b_g = b0 + (y'Wy - quad)/2, each (r, K), of the models
+    of the boolean inclusion matrix ``mask`` by ``_sweep``: the one check
+    that each Lam_g has a factor.  The first cell whose sweep meets a pivot
+    that is not positive and finite, else the first with b_g <= 0, raises
+    ``NumericDomainError`` saying where by ``where(weight row, model row)``.
+    """
+    quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
+    if not np.all(np.isfinite(logdet)):
+        raise NumericDomainError(f"Lam_g{where(*np.argwhere(~np.isfinite(logdet))[0])} {_BAD_PIVOT}")
+    b_g = hyper.b0 + 0.5 * (ywy[:, None] - quad)
+    if not np.all(b_g > 0.0):
+        row, bad = np.argwhere(~(b_g > 0.0))[0]
+        raise NumericDomainError(
+            f"b_g = {float(b_g[row, bad])} is not positive{where(row, bad)}: "
+            "y'Wy - quad cancelled or overflowed"
+        )
+    return logdet, b_g
+
+
 def model_log_marginals(stats: np.ndarray, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
     """Log marginal likelihoods for every row of a model set (any 0/1
     (K, D) inclusion matrix) from ``weighted_stats`` rows of width
@@ -399,19 +411,9 @@ def model_log_marginals(stats: np.ndarray, models: np.ndarray, hyper: NIGHyperpa
         )
     lead, zwz, zwy, ywy, m = _flat_stats(stats, "models", mask.shape)
     r = m.size
-    quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
-    if not np.all(np.isfinite(logdet)):
-        row, bad = np.argwhere(~np.isfinite(logdet))[0]
-        raise NumericDomainError(f"Lam_g{_where(lead, row, bad)} {_BAD_PIVOT}")
+    logdet, b_g = _checked_sweep(zwz, zwy, ywy, mask, hyper, functools.partial(_where, lead))
     sizes = mask.sum(axis=1).astype(float)
     a_n = hyper.a0 + 0.5 * m
-    b_g = hyper.b0 + 0.5 * (ywy[:, None] - quad)
-    if not np.all(b_g > 0.0):
-        row, bad = np.argwhere(~(b_g > 0.0))[0]
-        raise NumericDomainError(
-            f"b_g = {float(b_g[row, bad])} is not positive{_where(lead, row, bad)}: "
-            "y'Wy - quad cancelled or overflowed"
-        )
     lgamma_a_n = np.empty(r)
     for row, value in enumerate(a_n):
         try:
@@ -510,13 +512,12 @@ def param_moments_from_stats(stats: np.ndarray, gamma, hyper: NIGHyperparams) ->
     beta_j is Student-t with variance b_g/(a_n - 1) * (Lam_g^{-1})_jj, and
     log sigma^2 has mean log b_g - digamma(a_n) and variance trigamma(a_n).
 
-    The model's Lam_g, the empty one's too, is gathered for every weight
-    row and factored by one stacked Cholesky, without jitter; a row whose
-    factor fails raises ``NumericDomainError`` naming the first such row.
-    The mean and diag(Lam_g^{-1}) come from the inverses of the triangular
-    factors. digamma and trigamma of a_n come from the numpy kernel
-    ``_digamma_trigamma``, for x > 1, which a_n > 1 (checked first) meets.
-    Over 22,000 points in (1.0001, 1e12] it matched the library reference
+    After a_n > 1, checked first, the pivots and b_g come from the evidence
+    sweep through its own check: ``NumericDomainError`` names the first
+    weight row whose statistics ``model_log_marginals`` refuses.  Lam_g is
+    then factored by one stacked Cholesky, without jitter, for the inverse
+    factor L^{-1} only.  digamma and trigamma of a_n come from the numpy
+    kernel ``_digamma_trigamma``, for x > 1, which a_n meets.  Over 22,000 points in (1.0001, 1e12] it matched the library reference
     that the tests use: digamma within 1.6e-15 of max(1, |digamma|) and
     trigamma within 8.8e-16 relative.
     """
@@ -532,31 +533,19 @@ def param_moments_from_stats(stats: np.ndarray, gamma, hyper: NIGHyperparams) ->
         raise VarianceUndefinedError(
             f"posterior variance needs a0 + M/2 > 1, got {a_n[row]}{_where(lead, row)}"
         )
+    b_g = _checked_sweep(zwz, zwy, ywy, gamma[None] != 0, hyper, lambda row, _: _where(lead, row))[1][:, 0]
     j = cols.size
     lam_mat = np.take(zwz, cols[:, None] * d + cols, axis=1).reshape(len(zwz), j, j)
     lam_mat += hyper.lam * np.eye(j)
     try:
-        chol = np.linalg.cholesky(lam_mat)
-    except np.linalg.LinAlgError:
-        for row, one in enumerate(lam_mat):  # name the first row that fails alone
-            try:
-                np.linalg.cholesky(one)
-            except np.linalg.LinAlgError:
-                raise NumericDomainError(f"Lam_g{_where(lead, row)} {_BAD_PIVOT}") from None
-        raise
-    # gathered by take, which keeps the rows C-ordered as the substitution reads them
-    t = _forward_substitute(chol, np.take(zwy, cols, axis=1))
-    # Lam_g^{-1} = L^{-T} L^{-1}: mean L^{-T} t, diagonal the column norms of L^{-1}
-    inv_chol = np.linalg.inv(chol)
-    mean_beta = np.einsum("rki,rk->ri", inv_chol, t)
-    b_g = hyper.b0 + 0.5 * (ywy - np.einsum("ri,ri->r", t, t))
+        inv_chol = np.linalg.inv(np.linalg.cholesky(lam_mat))
+    except np.linalg.LinAlgError:  # the sweep found every pivot positive
+        raise NumericDomainError("Lam_g of some weight row has no Cholesky factor in LAPACK") from None
+    # Lam_g^{-1} = L^{-T} L^{-1}: the mean is L^{-T} (L^{-1} Z'Wy), the inner product by a multiply
+    # and a sum, which keep a row's value whatever rows are beside it; the diagonal is the
+    # column norms of L^{-1}
+    mean_beta = np.einsum("rki,rk->ri", inv_chol, (inv_chol * zwy[:, None, cols]).sum(axis=-1))
     var_beta = (b_g / (a_n - 1.0))[:, None] * np.sum(inv_chol * inv_chol, axis=1)
-    if not np.all(b_g > 0.0):
-        row = int(np.flatnonzero(~(b_g > 0.0))[0])
-        raise NumericDomainError(
-            f"b_g = {float(b_g[row])} is not positive{_where(lead, row)}: "
-            "y'Wy - quad cancelled or overflowed"
-        )
     psi, tri = _digamma_trigamma(a_n)
     means = np.column_stack([np.log(b_g) - psi, mean_beta])
     variances = np.column_stack([tri, var_beta])

@@ -652,6 +652,37 @@ class TestMismatch:
             "small for these data, or they are not finite\n")
         assert not out.exists()
 
+    def test_twin_columns_are_refused_as_select_refuses_them(self, tmp_path, capsys):
+        # a = b: the evidence sweep's pivot of b after a is 0 exactly, so
+        # mismatch refuses the data that select refuses, with the same flags
+        twin = [9.99, 13.32, 4.4399999999999995, 7.4, 16.65, 5.55, 2.2199999999999998,
+                17.759999999999998]
+        y = [0.052, 1.357, 1.767, 0.079, 1.608, 0.715, -0.418, 0.265]
+        path = tmp_path / "twin.csv"
+        path.write_text("a,b,y\n" + "".join(f"{a!r},{a!r},{v!r}\n" for a, v in zip(twin, y)))
+        flags = ("--data", path, "--target", "y", "--no-standardize", "--lambda", 1e-20, "--B", 2)
+        run_0 = "data error: run 0 (weight row 0 is its unit-weight row, row i its replicate i): "
+        refusal = ("has a pivot that is not positive and finite: lam is too small for these data, "
+                   "or they are not finite\n")
+        for argv, where in ((("mismatch",), "weight row 0"),
+                            (("select", "--splits", 1), "model row 3 of weight row 0")):
+            out = tmp_path / argv[0]
+            assert run(*argv, *flags, "--out", out) == 2
+            assert capsys.readouterr().err == f"{run_0}Lam_g for {where} {refusal}"
+            assert not out.exists()
+
+    def test_report_numbers_are_written_at_12_digits(self, tmp_path):
+        # like every CSV cell, so that a last-ulp change moves the file only
+        # where the rounding flips
+        out = tmp_path / "out"
+        assert run("mismatch", "--D", 3, "--k", 1, "--N", 60, "--B", 5, "--lambda", 5,
+                   "--out", out) == 0
+        report = json.loads((out / "mismatch.json").read_text())
+        values = [report["overall"], *report["per_coordinate"].values()]
+        assert None not in values
+        assert all(float(format(v, ".12g")) == v for v in values)
+        assert any(v != float(format(v, ".6g")) for v in values)
+
     def test_per_coordinate_values_match_scalar_reference(self, tmp_path):
         # same dataset and counts as the command, moments one row at a time,
         # and the index by its scalar formula, coordinate by coordinate

@@ -3,6 +3,7 @@ quadrature oracle, replication equivalence, enumeration, priors, pips, and
 posterior moments against conjugate sampling."""
 
 import itertools
+import re
 import tracemalloc
 from math import exp, lgamma, log, pi
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import digamma, polygamma
 
-from bayesbag.core import standard_model_posterior
+from bayesbag.core import BootstrapConfig, evaluate_replicates, replicate_rng, standard_model_posterior
 from bayesbag.errors import (
     InvalidArgumentError,
     NumericDomainError,
@@ -33,6 +34,7 @@ from bayesbag.linreg import (
     pips,
     weighted_stats,
 )
+from bayesbag.simgen import SimConfig, sample_dataset
 
 
 def log_ml(data, weights, gamma, hyper):
@@ -875,3 +877,55 @@ class TestParamMoments:
             ddof=1
         ) * np.sqrt(10.0 / n_mc)
         assert abs(moments[..., 1, 0] - float(polygamma(1, a_n))) < 1e-12
+
+    def test_moments_refuse_exactly_what_the_evidence_refuses(self):
+        # two identical columns at lam = 1e-20: the sweep's second pivot is
+        # s - (s / s) s = 0 exactly, while a Cholesky's s - (s / sqrt(s))^2 is
+        # rounding noise that LAPACK may take as positive.  Rows of datasets
+        # whose columns differ surround them, so the first refused row varies.
+        rng = np.random.default_rng(29)
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=2)
+        for _ in range(200):
+            z = rng.standard_normal(6) * rng.uniform(0.1, 20.0)
+            y = rng.standard_normal(6)
+            twin = weighted_stats(RegressionDataset(z=np.column_stack([z, z]), y=y), np.ones(6))
+            apart = RegressionDataset(z=np.column_stack([z, z + rng.standard_normal(6)]), y=y)
+            stats = weighted_stats(apart, rng.integers(1, 4, size=(int(rng.integers(1, 6)), 6)))
+            at = np.flatnonzero(rng.random(len(stats)) < 0.3)
+            stats[at] = twin
+            refused = []
+            for call in (lambda: model_log_marginals(stats, [[1, 1]], hyper),
+                         lambda: param_moments_from_stats(stats, [1, 1], hyper)):
+                try:
+                    call()
+                    refused.append(None)
+                except NumericDomainError as exc:
+                    assert PIVOT in str(exc)
+                    refused.append(int(re.search(r"weight row (\d+)", str(exc)).group(1)))
+            assert refused == [at[0] if at.size else None] * 2
+
+    def test_log_sigma2_mean_takes_b_g_from_the_sweep(self):
+        # a block of mismatch's full-model shape: D = 10, N = 50,000, B = 50
+        n = 50_000
+        data = sample_dataset(SimConfig(d=10, k=1, n=n, response_kind="nonlinear", seed=3),
+                              replicate_rng(3, 0))
+        stats = evaluate_replicates(lambda w: weighted_stats(data, w), n,
+                                    BootstrapConfig(m=n, b=50, seed=1), 112)
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=16.0, q0=0.5, k_star=10)
+        f = fields(stats)
+        quad, _ = linreg._sweep(stats[:, :100], f.zwy, np.ones((1, 10), dtype=bool), hyper.lam)
+        b_g = hyper.b0 + 0.5 * (f.ywy[:, None] - quad)
+        a_n = hyper.a0 + 0.5 * f.m
+        moments = param_moments_from_stats(stats, np.ones(10), hyper)
+        np.testing.assert_array_equal(moments[:, 0, 0], np.log(b_g[:, 0]) - linreg._digamma_trigamma(a_n)[0])
+
+    def test_lapack_refusal_is_a_typed_error(self, monkeypatch):
+        # a Cholesky that fails where the sweep found every pivot positive is
+        # a data error, not a traceback
+        def refuse(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        stats = weighted_stats(random_problem(np.random.default_rng(5)), np.ones((2, 6)))
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        with pytest.raises(NumericDomainError, match="^Lam_g of some weight row has no Cholesky factor"):
+            param_moments_from_stats(stats, np.ones(3), HYPER)
