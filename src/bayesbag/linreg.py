@@ -35,12 +35,13 @@ bounds", Technometrics 16, 1974), so a set of every subset costs O(1) work
 per model amortized and one model of j columns a chain of j steps.  The
 trie is built once for each model set and cached with the map from model
 rows to its nodes.  The sweep is the one evidence path and the one check
-of whether a Lam_g has a factor: the posterior moments take their pivots
-and b_g from it too, so the two refuse the same statistics.  No matrix is
-jittered: lam > 0 makes every Lam_g positive definite in exact arithmetic,
-so a pivot that is not positive and finite means that lam is lost in
-rounding or the statistics are not finite, and the cell raises
-``NumericDomainError`` rather than return the evidence of another prior.
+of whether a Lam_g has a factor: the posterior moments take b_g from it
+and eliminate on its pivots, so the two refuse the same statistics.  No
+matrix is jittered: lam > 0 makes every Lam_g positive definite in exact
+arithmetic, so a pivot that is not positive and finite means that lam is
+lost in rounding or the statistics are not finite, and the cell raises
+``NumericDomainError`` rather than return the evidence of another prior,
+as does a y'Wy - quad within its rounding bound.
 """
 
 from __future__ import annotations
@@ -373,19 +374,46 @@ def _sweep(zwz: np.ndarray, zwy: np.ndarray, mask: np.ndarray, lam: float):
 def _checked_sweep(zwz, zwy, ywy, mask, hyper: NIGHyperparams, where):
     """log|Lam_g| and b_g = b0 + (y'Wy - quad)/2, each (r, K), of the models
     of the boolean inclusion matrix ``mask`` by ``_sweep``: the one check
-    that each Lam_g has a factor.  The first cell whose sweep meets a pivot
-    that is not positive and finite, else the first with b_g <= 0, raises
-    ``NumericDomainError`` saying where by ``where(weight row, model row)``.
+    that each Lam_g has a factor and that b_g is resolved.  The first cell
+    whose sweep meets a pivot that is not positive and finite, else the
+    first with b_g <= 0, else the first whose y'Wy - quad is within its
+    rounding bound, raises ``NumericDomainError`` saying where by
+    ``where(weight row, model row)``.
+
+    y'Wy - quad is the last pivot of the Cholesky of [[Lam_g, Z'Wy],
+    [., y'Wy]] that the sweep performs, and the bound is its first-order
+    rounding.  The j + 1 subtractions from y'Wy each round by eps y'Wy at
+    most.  The pivot S_kk of column k errs by about eps Lam_kk, and the
+    reduced Z'Wy entry t_k by about eps sqrt(Lam_kk y'Wy), so the gain
+    t_k^2 / S_kk errs by about eps (R_k + 2 sqrt(R_k)) y'Wy, where
+    R_k = Lam_kk / S_kk is the column's pivot ratio.  Together that is
+    (j + 1) eps (1 + sqrt(R))^2 y'Wy, with R the model's geometric mean
+    pivot ratio (prod Lam_kk / |Lam_g|)^(1/j), which log|Lam_g| gives
+    without another pass.
     """
     quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
     if not np.all(np.isfinite(logdet)):
         raise NumericDomainError(f"Lam_g{where(*np.argwhere(~np.isfinite(logdet))[0])} {_BAD_PIVOT}")
-    b_g = hyper.b0 + 0.5 * (ywy[:, None] - quad)
+    resid = ywy[:, None] - quad
+    b_g = hyper.b0 + 0.5 * resid
     if not np.all(b_g > 0.0):
         row, bad = np.argwhere(~(b_g > 0.0))[0]
         raise NumericDomainError(
             f"b_g = {float(b_g[row, bad])} is not positive{where(row, bad)}: "
             "y'Wy - quad cancelled or overflowed"
+        )
+    used = np.flatnonzero(mask.any(axis=0))
+    sizes = mask.sum(axis=1)
+    log_h = np.log(zwz[:, used * (mask.shape[1] + 1)] + hyper.lam) @ mask[:, used].T - logdet
+    with np.errstate(over="ignore", invalid="ignore"):  # a ratio beyond the float range refuses
+        root_ratio = np.exp(0.5 * log_h / np.maximum(sizes, 1))
+        bound = (sizes + 1) * np.finfo(float).eps * (1.0 + root_ratio) ** 2 * ywy[:, None]
+    if not np.all(resid >= bound):
+        row, bad = np.argwhere(~(resid >= bound))[0]
+        raise NumericDomainError(
+            f"y'Wy - quad = {float(resid[row, bad]):.6g} is within its rounding bound "
+            f"{float(bound[row, bad]):.3g}{where(row, bad)}: y'Wy and quad cancelled, so b_g is "
+            "lost (a larger lam keeps lam |beta|^2 in it)"
         )
     return logdet, b_g
 
@@ -400,7 +428,8 @@ def model_log_marginals(stats: np.ndarray, models: np.ndarray, hyper: NIGHyperpa
     prefixes of the models' column lists (see the module docstring).
     Raises ``NumericDomainError`` naming the weight row and model row when
     a cell's sweep meets a pivot that is not positive and finite, some
-    b_g <= 0 (y'Wy - quad cancelled below -2 b0, or quad overflowed),
+    b_g <= 0 (y'Wy - quad cancelled below -2 b0, or quad overflowed), some
+    y'Wy - quad is within its rounding bound (see ``_checked_sweep``),
     lgamma(a0 + M/2) overflows or a log evidence is not finite; never
     returns NaN.
     """
@@ -512,14 +541,14 @@ def param_moments_from_stats(stats: np.ndarray, gamma, hyper: NIGHyperparams) ->
     beta_j is Student-t with variance b_g/(a_n - 1) * (Lam_g^{-1})_jj, and
     log sigma^2 has mean log b_g - digamma(a_n) and variance trigamma(a_n).
 
-    After a_n > 1, checked first, the pivots and b_g come from the evidence
-    sweep through its own check: ``NumericDomainError`` names the first
-    weight row whose statistics ``model_log_marginals`` refuses.  Lam_g is
-    then factored by one stacked Cholesky, without jitter, for the inverse
-    factor L^{-1} only.  digamma and trigamma of a_n come from the numpy
-    kernel ``_digamma_trigamma``, for x > 1, which a_n meets.  Over 22,000 points in (1.0001, 1e12] it matched the library reference
-    that the tests use: digamma within 1.6e-15 of max(1, |digamma|) and
-    trigamma within 8.8e-16 relative.
+    After a_n > 1, checked first, b_g comes from the evidence sweep through
+    its own check: ``NumericDomainError`` names the first weight row whose
+    statistics ``model_log_marginals`` refuses.  Goodnight's sweep (Am. Stat.
+    33, 1979) of the bordered [[Lam_g, Z'Wy], [., y'Wy]] on the pivots that
+    check accepted leaves -Lam_g^{-1} and beta_hat, without LAPACK.  The
+    numpy kernel ``_digamma_trigamma`` gives digamma and trigamma of a_n > 1:
+    over 22,000 points in (1.0001, 1e12] they were within 1.6e-15 of
+    max(1, |digamma|) and 8.8e-16 relative of the tests' library reference.
     """
     gamma = np.asarray(gamma)
     if gamma.ndim != 1:
@@ -535,18 +564,18 @@ def param_moments_from_stats(stats: np.ndarray, gamma, hyper: NIGHyperparams) ->
         )
     b_g = _checked_sweep(zwz, zwy, ywy, gamma[None] != 0, hyper, lambda row, _: _where(lead, row))[1][:, 0]
     j = cols.size
-    lam_mat = np.take(zwz, cols[:, None] * d + cols, axis=1).reshape(len(zwz), j, j)
-    lam_mat += hyper.lam * np.eye(j)
-    try:
-        inv_chol = np.linalg.inv(np.linalg.cholesky(lam_mat))
-    except np.linalg.LinAlgError:  # the sweep found every pivot positive
-        raise NumericDomainError("Lam_g of some weight row has no Cholesky factor in LAPACK") from None
-    # Lam_g^{-1} = L^{-T} L^{-1}: the mean is L^{-T} (L^{-1} Z'Wy), the inner product by a multiply
-    # and a sum, which keep a row's value whatever rows are beside it; the diagonal is the
-    # column norms of L^{-1}
-    mean_beta = np.einsum("rki,rk->ri", inv_chol, (inv_chol * zwy[:, None, cols]).sum(axis=-1))
-    var_beta = (b_g / (a_n - 1.0))[:, None] * np.sum(inv_chol * inv_chol, axis=1)
+    # Goodnight's sweep of the bordered [[Lam_g, Z'Wy], [., y'Wy]] on its j pivots, in the evidence
+    # sweep's order and formula, so on the pivots it checked: -Lam_g^{-1} is left, beta_hat beside
+    lam_mat = np.take(zwz, cols[:, None] * d + cols, axis=1).reshape(len(zwz), j, j) + hyper.lam * np.eye(j)
+    t = zwy[:, cols, None]
+    swept = np.block([[lam_mat, t], [t.transpose(0, 2, 1), ywy[:, None, None]]])
+    for k in range(j):
+        piv = swept[:, k, k, None].copy()
+        row, col = swept[:, k] / piv, swept[:, :, k] / piv
+        swept -= col[:, :, None] * swept[:, None, k]
+        swept[:, k], swept[:, :, k], swept[:, k, k] = row, col, -1.0 / piv[:, 0]
+    var_beta = (b_g / (1.0 - a_n))[:, None] * np.diagonal(swept, axis1=1, axis2=2)[:, :j]
     psi, tri = _digamma_trigamma(a_n)
-    means = np.column_stack([np.log(b_g) - psi, mean_beta])
+    means = np.column_stack([np.log(b_g) - psi, swept[:, :j, j]])
     variances = np.column_stack([tri, var_beta])
     return np.stack([means, variances], axis=1).reshape(lead + (2, 1 + j))

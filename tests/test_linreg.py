@@ -264,6 +264,26 @@ class TestBatchedModelLayer:
         with pytest.raises(NumericDomainError, match=r"^lgamma\(a0 \+ M/2\) overflows at M = 1e\+308"):
             model_log_marginals(huge_m, np.array([[0], [1]]), HYPER)
 
+    def test_cancelled_residual_is_a_typed_error(self):
+        # y fits three columns to 1e-3 with |beta| ~ 1e6 and lam = 1e-12: y'Wy ~ 6e16, and
+        # y'Wy - quad, about 2-4 (mostly lam |beta|^2), is below the sweep's rounding.  That
+        # left b_g <= 0 on five of these seeds and off by a factor of 5 to 2,000 on the
+        # other three; the evidence and the moments refuse every seed, naming the cell
+        hyper = NIGHyperparams(a0=1.0, b0=1e-3, lam=1e-12, q0=0.5, k_star=3)
+        models = enumerate_models(3, 3)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((20_000, 3))
+            y = z @ (rng.standard_normal(3) * 1e6) + 1e-3 * rng.standard_normal(20_000)
+            stats = weighted_stats(RegressionDataset(z=z, y=y), np.ones((1, 20_000)))
+            cancelled = "(is not positive|is within its rounding bound [^ ]+)"
+            with pytest.raises(NumericDomainError, match=f"{cancelled} for model row 7 of weight row 0"):
+                model_log_marginals(stats, models, hyper)
+            with pytest.raises(NumericDomainError, match=f"{cancelled} for weight row 0"):
+                param_moments_from_stats(stats, np.ones(3), hyper)
+            # the models that leave a column out keep a residual that rounding resolves
+            assert np.all(np.isfinite(model_log_marginals(stats, models[:7], hyper)))
+
     def test_model_width_must_match_stats(self):
         # three columns make rows of width 3 * 3 + 3 + 2 = 14; two columns need 8
         stats = weighted_stats(random_problem(np.random.default_rng(3)), np.ones((2, 6)))
@@ -880,9 +900,10 @@ class TestParamMoments:
 
     def test_moments_refuse_exactly_what_the_evidence_refuses(self):
         # two identical columns at lam = 1e-20: the sweep's second pivot is
-        # s - (s / s) s = 0 exactly, while a Cholesky's s - (s / sqrt(s))^2 is
-        # rounding noise that LAPACK may take as positive.  Rows of datasets
-        # whose columns differ surround them, so the first refused row varies.
+        # s - (s / s) s = 0 exactly, where a Cholesky's s - (s / sqrt(s))^2
+        # would be rounding noise of either sign, and the moments take their
+        # pivots from that sweep's check.  Rows of datasets whose columns
+        # differ surround them, so the first refused row varies.
         rng = np.random.default_rng(29)
         hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=2)
         for _ in range(200):
@@ -919,13 +940,40 @@ class TestParamMoments:
         moments = param_moments_from_stats(stats, np.ones(10), hyper)
         np.testing.assert_array_equal(moments[:, 0, 0], np.log(b_g[:, 0]) - linreg._digamma_trigamma(a_n)[0])
 
-    def test_lapack_refusal_is_a_typed_error(self, monkeypatch):
-        # a Cholesky that fails where the sweep found every pivot positive is
-        # a data error, not a traceback
+    def test_moments_make_no_lapack_call(self, monkeypatch):
+        # the moments come from the sweep alone: with LAPACK's Cholesky and
+        # inverse made to raise, they are the same array
         def refuse(a):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+            raise np.linalg.LinAlgError("LAPACK called")
 
-        stats = weighted_stats(random_problem(np.random.default_rng(5)), np.ones((2, 6)))
+        stats = weighted_stats(random_problem(np.random.default_rng(5), n=20, d=4),
+                               np.random.default_rng(6).integers(0, 4, size=(5, 20)))
+        gammas = (np.ones(4), np.array([0, 1, 0, 1]), np.array([0, 0, 1, 0]), np.zeros(4))
+        expected = [param_moments_from_stats(stats, gamma, HYPER) for gamma in gammas]
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        with pytest.raises(NumericDomainError, match="^Lam_g of some weight row has no Cholesky factor"):
-            param_moments_from_stats(stats, np.ones(3), HYPER)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for gamma, moments in zip(gammas, expected):
+            np.testing.assert_array_equal(param_moments_from_stats(stats, gamma, HYPER), moments)
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 8), n=st.integers(1, 30), lam=st.floats(0.1, 20.0),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_moments_match_per_row_solve(self, d, n, lam, seed, data):
+        # any inclusion vector, one column and all columns among them, and
+        # integer weight rows, against a per-row dense solve and inverse
+        gamma = np.array(data.draw(st.one_of(
+            st.just([1] * d),
+            st.integers(0, d - 1).map(lambda c: [int(i == c) for i in range(d)]),
+            st.lists(st.integers(0, 1), min_size=d, max_size=d),
+        )))
+        weights = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=1, max_size=4)))
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=lam, q0=0.5, k_star=d)
+        stats = weighted_stats(random_problem(np.random.default_rng(seed), n=n, d=d), weights)
+        moments = param_moments_from_stats(stats, gamma, hyper)
+        assert moments.shape == (len(weights), 2, 1 + gamma.sum())
+        for row, got in zip(stats, moments):
+            _, mean, var, mean_log_s2 = dense_moments(row, gamma, hyper)
+            assert np.all(np.abs(got[0, 1:] - mean) <= 1e-9 * np.abs(mean).max(initial=0.0))
+            np.testing.assert_allclose(got[1, 1:], var, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(got[0, 0], mean_log_s2, rtol=0, atol=1e-9)
