@@ -332,7 +332,9 @@ def _write_results(args: argparse.Namespace, files: dict, **resolved) -> None:
     rendered before the directory is made, so a non-finite float cell that
     ``_format_column`` refuses leaves nothing written: a dict as JSON, a
     list of columns as CSV, its rows joined by ``str.join`` (no rows: the
-    header line).  Each file is written by one ``write`` call.
+    header line).  Each file is written by one ``write`` call.  A directory
+    that cannot be made or written, such as a path that is or runs through a
+    file, is an ``InvalidArgumentError`` naming it.
     """
     config = {key: value for key, value in vars(args).items() if key not in _NOT_SETTINGS}
     manifest = {
@@ -352,10 +354,13 @@ def _write_results(args: argparse.Namespace, files: dict, **resolved) -> None:
         columns = [_format_column(filename, name, v, kind) for v, (name, kind) in zip(content, spec)]
         texts[filename] = "\n".join([",".join(name for name, _ in spec), *map(",".join, zip(*columns))])
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for filename, text in texts.items():
-        with open(outdir / filename, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for filename, text in texts.items():
+            with open(outdir / filename, "w", newline="\n", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+    except OSError as exc:
+        raise InvalidArgumentError(f"--out {outdir} cannot be written: {exc}") from None
     log.info("wrote %s", outdir)
 
 
@@ -841,7 +846,7 @@ def cmd_schema_check(args) -> int:
     version = manifest.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise IngestionError(f"{where}: schema_version {version!r} is not {SCHEMA_VERSION}")
-    files = manifest.get("files", {})
+    files = manifest.get("files")
     if not isinstance(files, dict):
         raise IngestionError(f"{where}: 'files' must be an object")
     for filename, schema in files.items():

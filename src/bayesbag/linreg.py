@@ -34,14 +34,14 @@ complement from its parent's (Furnival & Wilson, "Regressions by leaps and
 bounds", Technometrics 16, 1974), so a set of every subset costs O(1) work
 per model amortized and one model of j columns a chain of j steps.  The
 trie is built once for each model set and cached with the map from model
-rows to its nodes.  The sweep is the one evidence path and the one check
-of whether a Lam_g has a factor: the posterior moments take b_g from it
-and eliminate on its pivots, so the two refuse the same statistics.  No
-matrix is jittered: lam > 0 makes every Lam_g positive definite in exact
-arithmetic, so a pivot that is not positive and finite means that lam is
-lost in rounding or the statistics are not finite, and the cell raises
-``NumericDomainError`` rather than return the evidence of another prior,
-as does a y'Wy - quad within its rounding bound.
+rows to its nodes.  The sweep is the one evidence path; the posterior
+moments eliminate each Lam_g once in its order and formula, gathering the
+same quad and log|Lam_g|, so ``_checked`` refuses the same statistics for
+both.  No matrix is jittered: lam > 0 makes every Lam_g positive definite
+in exact arithmetic, so a pivot that is not positive and finite means that
+lam is lost in rounding or the statistics are not finite, and the cell
+raises ``NumericDomainError`` rather than return the evidence of another
+prior, as does a y'Wy - quad within its rounding bound.
 """
 
 from __future__ import annotations
@@ -371,17 +371,18 @@ def _sweep(zwz: np.ndarray, zwy: np.ndarray, mask: np.ndarray, lam: float):
     return quad, logdet
 
 
-def _checked_sweep(zwz, zwy, ywy, mask, hyper: NIGHyperparams, where):
-    """log|Lam_g| and b_g = b0 + (y'Wy - quad)/2, each (r, K), of the models
-    of the boolean inclusion matrix ``mask`` by ``_sweep``: the one check
-    that each Lam_g has a factor and that b_g is resolved.  The first cell
-    whose sweep meets a pivot that is not positive and finite, else the
-    first with b_g <= 0, else the first whose y'Wy - quad is within its
-    rounding bound, raises ``NumericDomainError`` saying where by
-    ``where(weight row, model row)``.
+def _checked(quad, logdet, zwz, ywy, mask, hyper: NIGHyperparams, where):
+    """b_g = b0 + (y'Wy - quad)/2, (r, K), of the models of the boolean
+    inclusion matrix ``mask``, given an elimination's quad and log|Lam_g|,
+    each (r, K): the one check that each Lam_g has a factor and that b_g
+    is resolved, for the evidence and the posterior moments alike.  The
+    first cell whose elimination met a pivot that is not positive and finite
+    (a non-finite log|Lam_g|), else the first with b_g <= 0, else the first
+    whose y'Wy - quad is within its rounding bound, raises
+    ``NumericDomainError`` saying where by ``where(weight row, model row)``.
 
     y'Wy - quad is the last pivot of the Cholesky of [[Lam_g, Z'Wy],
-    [., y'Wy]] that the sweep performs, and the bound is its first-order
+    [., y'Wy]] that either sweep performs, and the bound is its first-order
     rounding.  The j + 1 subtractions from y'Wy each round by eps y'Wy at
     most.  The pivot S_kk of column k errs by about eps Lam_kk, and the
     reduced Z'Wy entry t_k by about eps sqrt(Lam_kk y'Wy), so the gain
@@ -391,7 +392,6 @@ def _checked_sweep(zwz, zwy, ywy, mask, hyper: NIGHyperparams, where):
     pivot ratio (prod Lam_kk / |Lam_g|)^(1/j), which log|Lam_g| gives
     without another pass.
     """
-    quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
     if not np.all(np.isfinite(logdet)):
         raise NumericDomainError(f"Lam_g{where(*np.argwhere(~np.isfinite(logdet))[0])} {_BAD_PIVOT}")
     resid = ywy[:, None] - quad
@@ -415,7 +415,7 @@ def _checked_sweep(zwz, zwy, ywy, mask, hyper: NIGHyperparams, where):
             f"{float(bound[row, bad]):.3g}{where(row, bad)}: y'Wy and quad cancelled, so b_g is "
             "lost (a larger lam keeps lam |beta|^2 in it)"
         )
-    return logdet, b_g
+    return b_g
 
 
 def model_log_marginals(stats: np.ndarray, models: np.ndarray, hyper: NIGHyperparams) -> np.ndarray:
@@ -429,7 +429,7 @@ def model_log_marginals(stats: np.ndarray, models: np.ndarray, hyper: NIGHyperpa
     Raises ``NumericDomainError`` naming the weight row and model row when
     a cell's sweep meets a pivot that is not positive and finite, some
     b_g <= 0 (y'Wy - quad cancelled below -2 b0, or quad overflowed), some
-    y'Wy - quad is within its rounding bound (see ``_checked_sweep``),
+    y'Wy - quad is within its rounding bound (see ``_checked``),
     lgamma(a0 + M/2) overflows or a log evidence is not finite; never
     returns NaN.
     """
@@ -440,7 +440,8 @@ def model_log_marginals(stats: np.ndarray, models: np.ndarray, hyper: NIGHyperpa
         )
     lead, zwz, zwy, ywy, m = _flat_stats(stats, "models", mask.shape)
     r = m.size
-    logdet, b_g = _checked_sweep(zwz, zwy, ywy, mask, hyper, functools.partial(_where, lead))
+    quad, logdet = _sweep(zwz, zwy, mask, hyper.lam)
+    b_g = _checked(quad, logdet, zwz, ywy, mask, hyper, functools.partial(_where, lead))
     sizes = mask.sum(axis=1).astype(float)
     a_n = hyper.a0 + 0.5 * m
     lgamma_a_n = np.empty(r)
@@ -541,11 +542,11 @@ def param_moments_from_stats(stats: np.ndarray, gamma, hyper: NIGHyperparams) ->
     beta_j is Student-t with variance b_g/(a_n - 1) * (Lam_g^{-1})_jj, and
     log sigma^2 has mean log b_g - digamma(a_n) and variance trigamma(a_n).
 
-    After a_n > 1, checked first, b_g comes from the evidence sweep through
-    its own check: ``NumericDomainError`` names the first weight row whose
-    statistics ``model_log_marginals`` refuses.  Goodnight's sweep (Am. Stat.
-    33, 1979) of the bordered [[Lam_g, Z'Wy], [., y'Wy]] on the pivots that
-    check accepted leaves -Lam_g^{-1} and beta_hat, without LAPACK.  The
+    After a_n > 1, checked first, Goodnight's sweep (Am. Stat. 33, 1979) of
+    the bordered [[Lam_g, Z'Wy], [., y'Wy]] leaves -Lam_g^{-1} and beta_hat
+    without LAPACK, gathering quad and log|Lam_g| bit for bit as the evidence
+    sweep does; from them ``_checked`` takes b_g, so ``NumericDomainError``
+    names the first weight row that ``model_log_marginals`` refuses.  The
     numpy kernel ``_digamma_trigamma`` gives digamma and trigamma of a_n > 1:
     over 22,000 points in (1.0001, 1e12] they were within 1.6e-15 of
     max(1, |digamma|) and 8.8e-16 relative of the tests' library reference.
@@ -562,18 +563,22 @@ def param_moments_from_stats(stats: np.ndarray, gamma, hyper: NIGHyperparams) ->
         raise VarianceUndefinedError(
             f"posterior variance needs a0 + M/2 > 1, got {a_n[row]}{_where(lead, row)}"
         )
-    b_g = _checked_sweep(zwz, zwy, ywy, gamma[None] != 0, hyper, lambda row, _: _where(lead, row))[1][:, 0]
     j = cols.size
     # Goodnight's sweep of the bordered [[Lam_g, Z'Wy], [., y'Wy]] on its j pivots, in the evidence
-    # sweep's order and formula, so on the pivots it checked: -Lam_g^{-1} is left, beta_hat beside
+    # sweep's order and formula, so quad and log|Lam_g| are its bits: -Lam_g^{-1} is left, beta_hat beside
     lam_mat = np.take(zwz, cols[:, None] * d + cols, axis=1).reshape(len(zwz), j, j) + hyper.lam * np.eye(j)
     t = zwy[:, cols, None]
     swept = np.block([[lam_mat, t], [t.transpose(0, 2, 1), ywy[:, None, None]]])
-    for k in range(j):
-        piv = swept[:, k, k, None].copy()
-        row, col = swept[:, k] / piv, swept[:, :, k] / piv
-        swept -= col[:, :, None] * swept[:, None, k]
-        swept[:, k], swept[:, :, k], swept[:, k, k] = row, col, -1.0 / piv[:, 0]
+    quad, logdet = np.zeros((len(zwz), 1)), np.zeros((len(zwz), 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the check below refuses
+        for k in range(j):
+            piv = swept[:, k, k, None].copy()
+            quad += swept[:, j, k, None] * swept[:, j, k, None] / piv
+            logdet += np.log(piv)
+            row, col = swept[:, k] / piv, swept[:, :, k] / piv
+            swept -= col[:, :, None] * swept[:, None, k]
+            swept[:, k], swept[:, :, k], swept[:, k, k] = row, col, -1.0 / piv[:, 0]
+    b_g = _checked(quad, logdet, zwz, ywy, gamma[None] != 0, hyper, lambda row, _: _where(lead, row))[:, 0]
     var_beta = (b_g / (1.0 - a_n))[:, None] * np.diagonal(swept, axis1=1, axis2=2)[:, :j]
     psi, tri = _digamma_trigamma(a_n)
     means = np.column_stack([np.log(b_g) - psi, swept[:, :j, j]])

@@ -1023,11 +1023,14 @@ class TestResultWriter:
             write_tables(tmp_path / "o", files)
         assert not (tmp_path / "o").exists()
 
-    # sha256 of data files of two fixed runs: any changed byte shows here
+    # sha256 of data files of three fixed runs: any changed byte shows here
     DIGESTS = {
         "asy/two_model_density.csv": "450b688aa7f811030191d39f58c749500225b0b10b71f1da3827f189af2eb17c",
         "asy/two_model_events.csv": "96d5e7cfb3957401f167c0fa50ae952fadb205fb1868a027eeabce55224d49b7",
         "sim/dataset_000.csv": "023b349b7d1a98d2c4947b08f2d5da4c1924fcc2edd9eccd2fe06ce757c3c56d",
+        "sim/pips.csv": "f2b66c6aaeb51a7fbfd491c38c7af8a7052c22b0a68a7882b309be51739babd9",
+        "sim/summary.csv": "b2dcf22db96931cb328384e1f39b5243f30b395933349210570e2d852cb7ed5a",
+        "mm/mismatch.json": "1d3d60ba936ef4caa55c333b2b0fcebf722f1e39723e0d2adeabbbce57ec72d2",
     }
 
     def test_recorded_digests(self, tmp_path):
@@ -1036,6 +1039,8 @@ class TestResultWriter:
                    "--mu3-grid=", "--sigma3-grid=", "--rho-grid=", "--out", tmp_path / "asy") == 0
         assert run("simulate", "--D", 4, "--k", 2, "--N", 50, "--replicates", 2, "--B", 6,
                    "--seed", 8, "--export-data", "--out", tmp_path / "sim") == 0
+        assert run("mismatch", "--D", 5, "--k", 2, "--N", 400, "--B", 10, "--seed", 8,
+                   "--out", tmp_path / "mm") == 0
         assert (tmp_path / "asy" / "two_model_events.csv").read_text().splitlines()[1:3] == [
             "-0,0.5,0.5,0.1,0.0349631633603", "-0,1,0.5,0.1,0.1"]
         for name, digest in self.DIGESTS.items():
@@ -1046,6 +1051,16 @@ class TestResultWriter:
 class TestUsageErrors:
     def test_missing_out(self):
         assert run("simulate", "--D", 3, "--k", 1, "--N", 40) == 1
+
+    def test_unwritable_out_names_the_path(self, tmp_path, capsys):
+        # an --out that is a file, or runs through one, cannot be made
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        for out in (taken, taken / "sub"):
+            capsys.readouterr()
+            assert run(*SMOKE, "--out", out) == 1
+            assert f"usage error: --out {out} cannot be written: " in capsys.readouterr().err
+        assert taken.read_text() == "keep\n"
 
     def test_bad_m_token(self, tmp_path):
         assert run(
@@ -1356,6 +1371,8 @@ UNREADABLE = {
     "manifest not an object": lambda t: _schema_check_with(t, "simulate", "manifest.json", b"[1]"),
     "manifest files not an object": lambda t: _schema_check_with(
         t, "simulate", "manifest.json", b'{"schema_version": 1, "files": ["a.csv"]}'),
+    "manifest without files": lambda t: _schema_check_with(
+        t, "simulate", "manifest.json", b'{"schema_version": 1}'),
     "manifest schema not a string": lambda t: _schema_check_with(
         t, "simulate", "manifest.json", b'{"schema_version": 1, "files": {"a.csv": ["pips-v1"]}}'),
     "manifest schema_version true": lambda t: _schema_check_with(

@@ -2,11 +2,13 @@
 quadrature oracle, replication equivalence, enumeration, priors, pips, and
 posterior moments against conjugate sampling."""
 
+import functools
 import itertools
 import re
 import tracemalloc
 from math import exp, lgamma, log, pi
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +197,17 @@ NEGATIVE_B_G = np.array([1.0, 10.0, 0.0, 1.0])
 NEGATIVE_B_G_HYPER = NIGHyperparams(a0=2, b0=1e-3, lam=1e-6, q0=0.5, k_star=1)
 
 
+def cancelling_problem(seed):
+    """y fits three columns to 1e-3 with |beta| ~ 1e6 and lam = 1e-12: y'Wy ~ 6e16, and
+    y'Wy - quad of the full model, about 2-4 (mostly lam |beta|^2), is below the sweep's
+    rounding."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((20_000, 3))
+    y = z @ (rng.standard_normal(3) * 1e6) + 1e-3 * rng.standard_normal(20_000)
+    hyper = NIGHyperparams(a0=1.0, b0=1e-3, lam=1e-12, q0=0.5, k_star=3)
+    return weighted_stats(RegressionDataset(z=z, y=y), np.ones((1, 20_000))), hyper
+
+
 class TestBatchedModelLayer:
     def test_all_subsets_match_per_model_reference(self):
         rng = np.random.default_rng(41)
@@ -265,17 +278,12 @@ class TestBatchedModelLayer:
             model_log_marginals(huge_m, np.array([[0], [1]]), HYPER)
 
     def test_cancelled_residual_is_a_typed_error(self):
-        # y fits three columns to 1e-3 with |beta| ~ 1e6 and lam = 1e-12: y'Wy ~ 6e16, and
-        # y'Wy - quad, about 2-4 (mostly lam |beta|^2), is below the sweep's rounding.  That
-        # left b_g <= 0 on five of these seeds and off by a factor of 5 to 2,000 on the
-        # other three; the evidence and the moments refuse every seed, naming the cell
-        hyper = NIGHyperparams(a0=1.0, b0=1e-3, lam=1e-12, q0=0.5, k_star=3)
+        # the cancelling problem left b_g <= 0 on five of these seeds and off by a factor
+        # of 5 to 2,000 on the other three; the evidence and the moments refuse every
+        # seed, naming the cell
         models = enumerate_models(3, 3)
         for seed in range(8):
-            rng = np.random.default_rng(seed)
-            z = rng.standard_normal((20_000, 3))
-            y = z @ (rng.standard_normal(3) * 1e6) + 1e-3 * rng.standard_normal(20_000)
-            stats = weighted_stats(RegressionDataset(z=z, y=y), np.ones((1, 20_000)))
+            stats, hyper = cancelling_problem(seed)
             cancelled = "(is not positive|is within its rounding bound [^ ]+)"
             with pytest.raises(NumericDomainError, match=f"{cancelled} for model row 7 of weight row 0"):
                 model_log_marginals(stats, models, hyper)
@@ -941,19 +949,98 @@ class TestParamMoments:
         np.testing.assert_array_equal(moments[:, 0, 0], np.log(b_g[:, 0]) - linreg._digamma_trigamma(a_n)[0])
 
     def test_moments_make_no_lapack_call(self, monkeypatch):
-        # the moments come from the sweep alone: with LAPACK's Cholesky and
-        # inverse made to raise, they are the same array
-        def refuse(a):
-            raise np.linalg.LinAlgError("LAPACK called")
+        # the moments eliminate Lam_g once, by their own sweep: with LAPACK's
+        # Cholesky and inverse and the evidence's trie sweep and its plan made
+        # to raise, they are the same arrays and the same refusals
+        def refuse(*args):
+            raise AssertionError("LAPACK or the trie sweep called")
 
         stats = weighted_stats(random_problem(np.random.default_rng(5), n=20, d=4),
                                np.random.default_rng(6).integers(0, 4, size=(5, 20)))
         gammas = (np.ones(4), np.array([0, 1, 0, 1]), np.array([0, 0, 1, 0]), np.zeros(4))
-        expected = [param_moments_from_stats(stats, gamma, HYPER) for gamma in gammas]
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        monkeypatch.setattr(np.linalg, "inv", refuse)
-        for gamma, moments in zip(gammas, expected):
-            np.testing.assert_array_equal(param_moments_from_stats(stats, gamma, HYPER), moments)
+        z = np.random.default_rng(29).standard_normal(6)
+        twin = weighted_stats(RegressionDataset(z=np.column_stack([z, z]), y=np.arange(6.0)), np.ones((3, 6)))
+        refused = [singular_problem(), (twin, NIGHyperparams(a0=2.0, b0=1.0, lam=1e-20, q0=0.5, k_star=2)),
+                   *map(cancelling_problem, range(8))]
+
+        def outcomes():
+            errors = []
+            for bad, hyper in refused:
+                with pytest.raises(NumericDomainError) as exc:
+                    param_moments_from_stats(bad, np.ones(fields(bad).zwy.shape[-1]), hyper)
+                errors.append(str(exc.value))
+            return [param_moments_from_stats(stats, gamma, HYPER) for gamma in gammas], errors
+
+        expected, errors = outcomes()
+        assert PIVOT in errors[0] and PIVOT in errors[1]
+        for module, name in ((np.linalg, "cholesky"), (np.linalg, "inv"), (linreg, "_sweep"),
+                             (linreg, "_sweep_plan")):
+            monkeypatch.setattr(module, name, refuse)
+        got, got_errors = outcomes()
+        for moments, reference in zip(got, expected):
+            np.testing.assert_array_equal(moments, reference)
+        assert got_errors == errors
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 11), n=st.integers(1, 30), lam=st.floats(1e-3, 20.0),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_moments_gather_the_sweeps_quad_and_log_det(self, d, n, lam, seed, data):
+        # the moments' own elimination gives quad and log|Lam_g| bit for bit as the
+        # evidence sweep does, so the one check gives the same b_g or the same refusal
+        gamma = np.array(data.draw(st.one_of(
+            st.just([1] * d),
+            st.integers(0, d - 1).map(lambda c: [int(i == c) for i in range(d)]),
+            st.lists(st.integers(0, 1), min_size=d, max_size=d),
+        )))
+        weights = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=1, max_size=7)))
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=lam, q0=0.5, k_star=d)
+        stats = weighted_stats(random_problem(np.random.default_rng(seed), n=n, d=d), weights)
+        f, mask = fields(stats), gamma[None] != 0
+        quad, logdet = linreg._sweep(stats[:, : d * d], f.zwy, mask, lam)
+        where = lambda row, _: linreg._where((len(stats),), row)  # noqa: E731
+        try:
+            b_g = linreg._checked(quad, logdet, stats[:, : d * d], f.ywy, mask, hyper, where)[:, 0]
+            refusal = None
+        except NumericDomainError as exc:
+            refusal = f"^{re.escape(str(exc))}$"
+        with mock.patch.object(linreg, "_checked", wraps=linreg._checked) as checked:
+            if refusal:
+                with pytest.raises(NumericDomainError, match=refusal):
+                    param_moments_from_stats(stats, gamma, hyper)
+            else:
+                moments = param_moments_from_stats(stats, gamma, hyper)
+                psi = linreg._digamma_trigamma(hyper.a0 + 0.5 * f.m)[0]
+                np.testing.assert_array_equal(moments[:, 0, 0], np.log(b_g) - psi)
+        assert checked.call_count == 1
+        np.testing.assert_array_equal(checked.call_args.args[0], quad)
+        np.testing.assert_array_equal(checked.call_args.args[1], logdet)
+
+    def test_check_refuses_pivot_then_b_g_then_bound_first_cell_first(self):
+        # constructed elimination results for 4 weight rows and the models {1}
+        # and {1, 2}: Lam_g = 2 I, log|Lam_g| exact, y'Wy = 1 and quad = 0.5,
+        # except for the bad cells, two of each kind
+        mask = np.array([[1, 0], [1, 1]], dtype=bool)
+        hyper = NIGHyperparams(a0=2.0, b0=1.0, lam=1.0, q0=0.5, k_star=2)
+        zwz, ywy = np.tile([1.0, 0.0, 0.0, 1.0], (4, 1)), np.ones(4)
+        quad, logdet = np.full((4, 2), 0.5), np.tile([log(2.0), 2 * log(2.0)], (4, 1))
+        where = functools.partial(linreg._where, (4,))
+        logdet[2, 1], logdet[3, 0] = np.nan, -np.inf   # pivots
+        quad[1, 0], quad[3, 1] = 11.0, 3.5             # b_g = 1 + (1 - quad) / 2 <= 0
+        quad[0, 1], quad[3, 0] = 1.0, 1.0              # y'Wy - quad = 0, within its bound
+        with pytest.raises(NumericDomainError, match=f"^Lam_g for model row 1 of weight row 2 {PIVOT}"):
+            linreg._checked(quad, logdet, zwz, ywy, mask, hyper, where)
+        logdet[2, 1], logdet[3, 0] = 2 * log(2.0), log(2.0)
+        with pytest.raises(NumericDomainError, match=(
+                r"^b_g = -4\.0 is not positive for model row 0 of weight row 1: ")):
+            linreg._checked(quad, logdet, zwz, ywy, mask, hyper, where)
+        quad[1, 0], quad[3, 1] = 0.5, 0.5
+        with pytest.raises(NumericDomainError, match=(
+                r"^y'Wy - quad = 0 is within its rounding bound [^ ]+ for model row 1 of weight row 0: ")):
+            linreg._checked(quad, logdet, zwz, ywy, mask, hyper, where)
+        quad[0, 1], quad[3, 0] = 0.5, 0.5
+        b_g = linreg._checked(quad, logdet, zwz, ywy, mask, hyper, where)
+        np.testing.assert_array_equal(b_g, np.full((4, 2), 1.25))
 
     @settings(max_examples=80, deadline=None)
     @given(d=st.integers(1, 8), n=st.integers(1, 30), lam=st.floats(0.1, 20.0),
